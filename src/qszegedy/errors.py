@@ -19,8 +19,8 @@ class ValidationError(QWalkError, ValueError):
 class NumericalError(QWalkError, ArithmeticError):
     """A numerical routine failed to meet its contract.
 
-    Raised on iteration caps, rank ambiguities, and internal consistency
-    checks that should hold for every valid input.
+    Raised on rank ambiguities, residuals above target, and internal
+    consistency checks that should hold for every valid input.
     """
 
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -190,6 +191,10 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
             if not isinstance(c, (int, float)) or isinstance(c, bool):
                 raise ValidationError(
                     f"{path}[{cidx}]: expected a number, got {c!r}"
+                )
+            if not math.isfinite(c):
+                raise ValidationError(
+                    f"{path}[{cidx}]: expected a finite number, got {c!r}"
                 )
         values[(u, v)] = Quaternion(*(float(c) for c in comps))
     weights = WeightMap(values)

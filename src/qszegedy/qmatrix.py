@@ -27,7 +27,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _schur
 from .errors import NumericalError, ValidationError
 from .quaternion import CLASS_TOL, ConjugacyClass, Quaternion, as_quaternion
 
@@ -270,7 +269,7 @@ def complex_eigen(c):
     ``[0, 2*pi)``.
     """
     c = np.asarray(c, dtype=complex)
-    values, vectors = _schur.eig(c)
+    values, vectors = np.linalg.eig(c)
     order = sorted(range(len(values)), key=lambda r: _eig_sort_key(values[r]))
     return [(complex(values[r]), vectors[:, r].copy()) for r in order]
 
@@ -291,7 +290,7 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
     eigenvalues of ``psi(M)`` and counts half of them.
     """
     n = _require_square(m)
-    values = _schur.eigvals(psi(m))
+    values = np.linalg.eigvals(psi(m))
     scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
     groups: list[list[complex]] = []
     for lam in values:
@@ -341,7 +340,7 @@ def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
     _require_square(m)
     lam = complex(lam)
     c = psi(m)
-    values, vectors = _schur.eig(c)
+    values, vectors = np.linalg.eig(c)
     dists = np.abs(values - lam)
     idx = int(np.argmin(dists))
     if dists[idx] > atol * max(1.0, abs(lam)):
@@ -561,7 +560,7 @@ def minimal_polynomial(
     then sensitive to the tolerance choice.
     """
     n = _require_square(m)
-    values = _schur.eigvals(psi(m))
+    values = np.linalg.eigvals(psi(m))
     scale = max(1.0, float(np.max(np.abs(values))))
     threshold = cluster_tol * scale
     clusters = _cluster_values(values, threshold)

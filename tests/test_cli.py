@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from qszegedy import __version__
@@ -99,6 +100,32 @@ class TestSpectrum:
         assert "direct" in out
         assert "right spectrum" in out
 
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum",), ("spectrum", "--force"), ("verify",)],
+        ids=["spectrum", "spectrum-force", "verify"],
+    )
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_weight_is_invalid(self, capsys, tmp_path, argv, bad):
+        raw = load_bundled("p3_tree").to_dict()
+        raw["weights"]["0->1"][0] = bad
+        path = tmp_path / "nonfinite.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert "weights['0->1'][0]: expected a finite number" in err
+
+    def test_linalg_error_exits_one(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvals", fail)
+        code, out, err = run(capsys, "spectrum", "p3_tree", "--oracle")
+        assert code == 1
+        assert err == "error: Eigenvalues did not converge\n"
+        assert "Traceback" not in out + err
+
     def test_unknown_instance(self, capsys):
         code, out, err = run(capsys, "spectrum", "nope")
         assert code == 2
@@ -167,6 +194,17 @@ class TestVerify:
         assert code == 0
         assert "--- seed 4 ---" in out
         assert "--- seed 5 ---" in out
+        assert out.rstrip().endswith("result: PASS")
+
+    @pytest.mark.parametrize("spec", ["P30", "star20+loop"])
+    def test_sylvester_holds_on_trees(self, capsys, spec):
+        # alpha = 2 sits on (or next to) an eigenvalue of psi(L* K) for
+        # tree-shaped graphs; the sample at 2i keeps clear of the real axis.
+        code, out, _ = run(
+            capsys, "verify", "--random", spec, "--count", "3", "--seed", "300"
+        )
+        assert code == 0
+        assert "sylvester" in out
         assert out.rstrip().endswith("result: PASS")
 
     def test_random_is_seeded(self, capsys):

@@ -7,7 +7,9 @@ import pytest
 
 from qszegedy.errors import NumericalError, ValidationError
 from qszegedy.qmatrix import (
+    EIG_TOL,
     QMatrix,
+    complex_eigen,
     from_psi,
     h_linear_independent,
     is_unitary,
@@ -222,3 +224,26 @@ def test_power():
     m = QMatrix.from_rows([[ONE, I], [J, K]])
     assert (m.power(3) - m @ m @ m).max_entry_norm() <= 1e-13
     assert (m.power(0) - QMatrix.eye(2)).max_entry_norm() == 0.0
+
+
+def test_complex_eigen_order_and_residuals():
+    rng = np.random.default_rng(11)
+    c = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
+    # Two eigenvalues of equal modulus, to exercise the argument tie-break.
+    c = np.block([[c, np.zeros((7, 2))], [np.zeros((2, 7)), np.diag([-3.0, 3j])]])
+    pairs = complex_eigen(c)
+    assert len(pairs) == 9
+    keys = []
+    for lam, z in pairs:
+        arg = math.atan2(lam.imag, lam.real) % (2.0 * math.pi)
+        keys.append((-abs(lam), arg))
+    assert keys == sorted(keys)
+    values = [lam for lam, _ in pairs]
+    tie = min(range(len(values)), key=lambda r: abs(values[r] - 3j))
+    assert abs(values[tie] - 3j) <= 1e-12
+    assert abs(values[tie + 1] + 3.0) <= 1e-12
+    scale = max(1.0, float(np.linalg.norm(c, 2)))
+    for lam, z in pairs:
+        assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
+        assert np.linalg.norm(c @ z - lam * z) <= EIG_TOL * scale
+
