@@ -14,6 +14,7 @@ tolerance (1e-8); ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -38,7 +39,6 @@ from .qmatrix import (
     minimal_polynomial,
     psi,
     qvec,
-    right_eigenbasis,
     right_eigenvalues,
     right_eigenvector,
     root_subspaces,
@@ -48,14 +48,17 @@ from .quaternion import J as QJ
 from .quaternion import K as QK
 from .quaternion import Quaternion, format_quaternion
 from .szegedy import (
+    SpectrumClass,
+    _base_spectrum,
     build_walk,
     check_unitary_condition,
     full_spectrum,
+    group_mus,
     lift_eigenvector,
-    match_multisets,
     random_instance,
     spectral_map,
     verify_structure,
+    walk_eigenvectors,
 )
 from .zeta import (
     default_samples,
@@ -64,7 +67,6 @@ from .zeta import (
     second_weighted_identity,
     sylvester_det_property,
 )
-from .szegedy import _base_spectrum, _walk_residual
 
 DEFAULT_TOL = 1e-8
 #: Loose matching window for user-supplied --mu values (CLI inputs are
@@ -163,17 +165,6 @@ def _unitarity_lines(unitarity) -> list[str]:
     return lines
 
 
-def _grouped(values, tol: float = 1e-8):
-    """Cluster a sorted sequence of floats into (value, count) pairs."""
-    groups: list[list[float]] = []
-    for value in values:
-        if groups and abs(value - groups[-1][0]) <= tol * max(1.0, abs(value)):
-            groups[-1].append(value)
-        else:
-            groups.append([value])
-    return [(sum(g) / len(g), len(g)) for g in groups]
-
-
 def _graph_line(graph: Graph) -> str:
     return (
         f"graph: {graph.n} vertices, {graph.m0} edges, {graph.m1} loops, "
@@ -228,7 +219,7 @@ def cmd_spectrum(args) -> int:
             f"base spectrum of the doubly weighted matrix "
             f"({len(spectrum.mu_spectrum)} values):"
         )
-        for value, count in _grouped(spectrum.mu_spectrum):
+        for value, count in group_mus(spectrum.mu_spectrum):
             lines.append(f"  {_fmt(value)} x{count}")
         lines.append(
             f"right spectrum ({len(spectrum.classes)} conjugacy classes, "
@@ -266,11 +257,7 @@ def cmd_spectrum(args) -> int:
         report["spectrum"] = {
             "tree_case": "direct-only",
             "classes": [
-                {
-                    "rep": [cls.rep.real, cls.rep.imag],
-                    "multiplicity": mult,
-                    "sources": ["direct"],
-                }
+                SpectrumClass(cls.rep, mult, ("direct",)).to_dict()
                 for cls, mult in classes
             ],
         }
@@ -304,93 +291,62 @@ def cmd_lift(args) -> int:
             f"{[v + 1 for v in unitarity.failing_vertices()]}"
         )
     ops = build_walk(instance.graph, instance.weights)
-    mus = _base_spectrum(ops.W)
-    distinct = _grouped(mus)
+    distinct = group_mus(_base_spectrum(ops.W))
 
     if args.all:
         targets = [value for value, _count in distinct]
+        boundary = (1.0, -1.0)
     else:
         requested = float(args.mu)
-        nearest = min(distinct, key=lambda item: abs(item[0] - requested))
-        if abs(nearest[0] - requested) > MU_MATCH_TOL * max(1.0, abs(requested)):
+        nearest = min(distinct, key=lambda item: abs(item[0] - requested))[0]
+        if abs(nearest - requested) > MU_MATCH_TOL * max(1.0, abs(requested)):
             available = ", ".join(_fmt(v) for v, _ in distinct)
             raise ValidationError(
                 f"no base eigenvalue near {requested}; available: {available}"
             )
-        targets = [nearest[0]]
+        targets = [nearest]
+        boundary = []
+        if abs(abs(nearest) - 2.0) <= tol:
+            # mu = +-2 maps to lambda = +-1, which is extracted directly.
+            boundary = [1.0 if nearest > 0 else -1.0]
 
     passed = True
     entries = []
-    boundary_needed = set()
-    for mu in targets:
-        if abs(abs(mu) - 2.0) <= tol:
-            boundary_needed.add(1.0 if mu > 0 else -1.0)
-            continue
-        lam_p, _ = spectral_map(mu)
-        count = next(c for v, c in distinct if v == mu)
-        lines.append(
-            f"base eigenvalue mu = {_fmt(mu)} (psi multiplicity {count}), "
-            f"lambda = {_fmt_c(lam_p)}"
-        )
-        basis = right_eigenbasis(ops.W, complex(mu))
-        lifted_group = []
-        for bidx, v in enumerate(basis):
-            lines.append(f"  base eigenvector {bidx + 1}:")
-            lines.extend(_vector_lines(instance.graph, v))
-            for vec, origin in ((v, "lift"), (v.right_scalar(QJ), "lift-companion")):
-                lifted = lift_eigenvector(ops, vec, lam_p)
-                residual = _walk_residual(ops, lifted, lam_p)
-                rel = residual / max(lifted.fro_norm(), 1e-300)
-                passed = passed and rel <= tol
-                lifted_group.append(lifted)
-                lines.append(f"  {origin} (relative residual {rel:.3g}):")
-                lines.extend(_vector_lines(instance.graph, lifted))
-                entries.append(
-                    {
-                        "mu": mu,
-                        "lambda": [lam_p.real, lam_p.imag],
-                        "origin": origin,
-                        "residual": rel,
-                        "vector": [
-                            list(lifted.entry(r, 0).components)
-                            for r in range(lifted.rows)
-                        ],
-                    }
-                )
-        independent = h_linear_independent(lifted_group)
-        passed = passed and independent
-        lines.append(
-            f"  independence: the {len(lifted_group)} lifted vectors are "
-            + ("H-linearly independent" if independent else "DEPENDENT")
-        )
-
-    if args.all:
-        boundary_needed.update((1.0, -1.0))
-    for target in sorted(boundary_needed, reverse=True):
-        try:
-            basis = right_eigenbasis(ops.U, complex(target))
-        except ValidationError:
-            continue  # this boundary value is absent from the spectrum
-        lines.append(
-            f"lambda = {_fmt(target)} eigenvectors (direct extraction, "
-            f"{len(basis)} found):"
-        )
-        for bidx, v in enumerate(basis):
-            residual = _walk_residual(ops, v, complex(target))
-            rel = residual / max(v.fro_norm(), 1e-300)
+    counts = dict(distinct)
+    vectors = walk_eigenvectors(ops, targets, boundary, tol)
+    for (mu, lam), group in itertools.groupby(
+        vectors, key=lambda item: (item.mu, item.lam)
+    ):
+        group = list(group)
+        if mu is None:
+            lines.append(
+                f"lambda = {_fmt(lam.real)} eigenvectors (direct extraction, "
+                f"{len(group)} found):"
+            )
+        else:
+            lines.append(
+                f"base eigenvalue mu = {_fmt(mu)} (psi multiplicity "
+                f"{counts[mu]}), lambda = {_fmt_c(lam)}"
+            )
+        for index, item in enumerate(group):
+            rel = item.relative_residual
             passed = passed and rel <= tol
-            lines.append(f"  vector {bidx + 1} (relative residual {rel:.3g}):")
-            lines.extend(_vector_lines(instance.graph, v))
-            entries.append(
-                {
-                    "mu": None,
-                    "lambda": [target, 0.0],
-                    "origin": "direct",
-                    "residual": rel,
-                    "vector": [
-                        list(v.entry(r, 0).components) for r in range(v.rows)
-                    ],
-                }
+            if item.origin == "lift":
+                lines.append(f"  base eigenvector {index // 2 + 1}:")
+                lines.extend(_vector_lines(instance.graph, item.base))
+            label = f"vector {index + 1}" if mu is None else item.origin
+            lines.append(f"  {label} (relative residual {rel:.3g}):")
+            lines.extend(_vector_lines(instance.graph, item.vector))
+            data = item.to_dict()
+            entries.append({"mu": mu, "lambda": data["lambda"],
+                            "origin": item.origin, "residual": rel,
+                            "vector": data["vector"]})
+        if mu is not None:
+            independent = h_linear_independent([item.vector for item in group])
+            passed = passed and independent
+            lines.append(
+                f"  independence: the {len(group)} lifted vectors are "
+                + ("H-linearly independent" if independent else "DEPENDENT")
             )
 
     report["eigenvectors"] = entries
@@ -450,11 +406,10 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     # Nonzero eigenvalues of psi(K L*) are real (psi(W) is Hermitian), so
     # 2i stays at distance >= 2 from them; alpha = 2 can sit on one.
     alphas = [2j] + default_samples(sample_count, radius=1.0)
-    syl_worst = 0.0
-    for alpha in alphas:
-        outcome = sylvester_det_property(psi(ops.K), psi(ops.L).conj().T, alpha)
-        syl_worst = max(syl_worst, outcome.max_rel_error)
-    syl_ok = syl_worst <= 1e-10
+    k, lh = psi(ops.K), psi(ops.L).conj().T
+    outcomes = [sylvester_det_property(k, lh, alpha) for alpha in alphas]
+    syl_worst = max(outcome.max_rel_error for outcome in outcomes)
+    syl_ok = all(outcome.passed for outcome in outcomes)
 
     lines.append(f"determinant identities ({len(samples)} sample points):")
     section["identities"] = []
@@ -618,7 +573,7 @@ def _golden_suite(tol: float):
     add("k3_loops: transition matrix spot entries", ok)
 
     spectrum = full_spectrum(graph, weights, want_oracle=True, tol=tol)
-    got_mu = _grouped(spectrum.mu_spectrum)
+    got_mu = group_mus(spectrum.mu_spectrum)
     ok = (
         len(got_mu) == 2
         and abs(got_mu[0][0] + 2.0 / 3.0) <= tol and got_mu[0][1] == 2
@@ -681,7 +636,7 @@ def _golden_suite(tol: float):
               Quaternion(-1.0), Quaternion(), Quaternion(1.0)]),
     ]
     ok = all(
-        _walk_residual(ops, g, complex(-1.0)) <= tol * g.fro_norm()
+        (ops.U @ g - g.right_scalar(-1.0)).fro_norm() <= tol * g.fro_norm()
         for g in direct_goldens
     ) and h_linear_independent(direct_goldens)
     add("k3_loops: three independent eigenvectors at lambda=-1", ok)

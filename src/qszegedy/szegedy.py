@@ -64,11 +64,13 @@ __all__ = [
     "build_walk",
     "check_unitary_condition",
     "full_spectrum",
+    "group_mus",
     "lift_eigenvector",
     "match_multisets",
     "random_instance",
     "spectral_map",
     "verify_structure",
+    "walk_eigenvectors",
 ]
 
 #: Per-vertex unitarity condition tolerance.
@@ -408,13 +410,22 @@ class OracleComparison:
 
 @dataclass(frozen=True)
 class LiftedVector:
-    """An eigenvector of the walk with its provenance and residual."""
+    """An eigenvector of the walk with its provenance and residual.
+
+    ``residual`` is the absolute ``|U e - e lam|``; ``base`` is the
+    eigenvector of W that a lift started from (None for "direct").
+    """
 
     lam: complex
     mu: float | None
     vector: QMatrix
     residual: float
     origin: str  # "lift", "lift-companion", or "direct"
+    base: QMatrix | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def relative_residual(self) -> float:
+        return self.residual / max(self.vector.fro_norm(), 1e-300)
 
     def to_dict(self) -> dict:
         return {
@@ -633,7 +644,16 @@ def full_spectrum(
 
     eigenvectors = None
     if want_eigenvectors:
-        eigenvectors = tuple(_spectrum_eigenvectors(ops, mus, classes, tol))
+        boundary = [
+            target for target in (1.0, -1.0)
+            if any(
+                abs(c.rep - target) <= tol and c.rep.imag == 0.0
+                for c in classes
+            )
+        ]
+        eigenvectors = tuple(walk_eigenvectors(
+            ops, [mu for mu, _count in group_mus(mus)], boundary, tol
+        ))
 
     return SpectrumReport(
         classes=classes,
@@ -647,46 +667,54 @@ def full_spectrum(
     )
 
 
-def _distinct_mus(mus, tol: float = SPECTRUM_TOL):
-    out: list[float] = []
+def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
+    """Cluster sorted base eigenvalues into (cluster mean, psi count) pairs."""
+    groups: list[list[float]] = []
     for mu in mus:
-        if not any(abs(mu - seen) <= tol * max(1.0, abs(seen)) for seen in out):
-            out.append(mu)
-    return out
+        if groups and abs(mu - groups[-1][0]) <= tol * max(1.0, abs(mu)):
+            groups[-1].append(mu)
+        else:
+            groups.append([mu])
+    return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def _spectrum_eigenvectors(ops: WalkOperators, mus, classes, tol):
-    """Lift eigenvectors for interior base eigenvalues; extract +-1 directly."""
+def walk_eigenvectors(
+    ops: WalkOperators, mus, boundary, tol: float = SPECTRUM_TOL
+) -> list[LiftedVector]:
+    """Walk eigenvectors lifted from base eigenvalues or extracted at +-1.
+
+    Every vector ``v`` of the right eigenbasis of W at each ``mu`` in
+    ``mus`` is lifted together with its companion ``v j`` to
+    ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``; base eigenvalues within
+    ``tol`` of +-2 map to +-1, where the lift degenerates, and are
+    skipped.  Each target in ``boundary`` (+1 or -1) then gets its
+    eigenbasis extracted directly from ``psi(U)``; a target that is not
+    an eigenvalue of the walk is skipped.
+    """
     vectors: list[LiftedVector] = []
-    for mu in _distinct_mus(mus):
+    for mu in mus:
         if abs(abs(mu) - 2.0) <= tol:
-            continue  # maps to +-1, covered by the direct extraction below
+            continue
         lam_p, _ = spectral_map(mu)
-        basis = right_eigenbasis(ops.W, complex(mu))
-        for v in basis:
-            for vec, origin in (
+        for v in right_eigenbasis(ops.W, complex(mu)):
+            for base, origin in (
                 (v, "lift"),
                 (v.right_scalar(Quaternion(0, 0, 1, 0)), "lift-companion"),
             ):
-                lifted = lift_eigenvector(ops, vec, lam_p)
+                lifted = lift_eigenvector(ops, base, lam_p)
                 residual = _walk_residual(ops, lifted, lam_p)
                 vectors.append(
-                    LiftedVector(lam_p, mu, lifted, residual, origin)
+                    LiftedVector(lam_p, mu, lifted, residual, origin, base)
                 )
-    for target in (1.0, -1.0):
-        if not any(
-            abs(c.rep - target) <= tol and c.rep.imag == 0.0 for c in classes
-        ):
-            continue
+    for target in boundary:
+        lam = complex(target)
         try:
-            basis = right_eigenbasis(ops.U, complex(target))
+            basis = right_eigenbasis(ops.U, lam)
         except ValidationError:
             continue
         for v in basis:
-            residual = _walk_residual(ops, v, complex(target))
-            vectors.append(
-                LiftedVector(complex(target), None, v, residual, "direct")
-            )
+            residual = _walk_residual(ops, v, lam)
+            vectors.append(LiftedVector(lam, None, v, residual, "direct"))
     return vectors
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from qszegedy import __version__
 from qszegedy.cli import main
-from qszegedy.instances import load_bundled, random_instance_dict
+from qszegedy.instances import bundled_names, load_bundled, random_instance_dict
 
 
 def run(capsys, *argv):
@@ -261,6 +261,23 @@ class TestLift:
     def test_requires_mu_or_all(self, capsys):
         code, _, err = run(capsys, "lift", "k3_loops")
         assert code == 2
+
+    @pytest.mark.parametrize("name", sorted(bundled_names()))
+    def test_all_matches_spectrum_eigenvectors(self, capsys, tmp_path, name):
+        lift_path = tmp_path / "lift.json"
+        spectrum_path = tmp_path / "spectrum.json"
+        code, _, _ = run(capsys, "lift", name, "--all",
+                         "--output", str(lift_path))
+        assert code == 0
+        code, _, _ = run(capsys, "spectrum", name, "--eigenvectors",
+                         "--output", str(spectrum_path))
+        assert code == 0
+        lifted = json.loads(lift_path.read_text())["eigenvectors"]
+        listed = json.loads(spectrum_path.read_text())["spectrum"]["eigenvectors"]
+        assert len(lifted) == len(listed)
+        for a, b in zip(lifted, listed):
+            for key in ("lambda", "mu", "origin", "vector"):
+                assert a[key] == b[key], key
 
 
 class TestExamples:
