@@ -48,6 +48,7 @@ from .quaternion import J as QJ
 from .quaternion import K as QK
 from .quaternion import Quaternion, format_quaternion
 from .szegedy import (
+    MU_SNAP_TOL,
     SpectrumClass,
     _base_spectrum,
     build_walk,
@@ -306,14 +307,14 @@ def cmd_lift(args) -> int:
             )
         targets = [nearest]
         boundary = []
-        if abs(abs(nearest) - 2.0) <= tol:
+        if abs(abs(nearest) - 2.0) <= MU_SNAP_TOL:
             # mu = +-2 maps to lambda = +-1, which is extracted directly.
             boundary = [1.0 if nearest > 0 else -1.0]
 
     passed = True
     entries = []
     counts = dict(distinct)
-    vectors = walk_eigenvectors(ops, targets, boundary, tol)
+    vectors = walk_eigenvectors(ops, targets, boundary)
     for (mu, lam), group in itertools.groupby(
         vectors, key=lambda item: (item.mu, item.lam)
     ):
@@ -385,8 +386,7 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     samples = default_samples(sample_count)
     identities = []
     a = [value * math.sqrt(2.0) for value in ops.q]
-    b = [ops.q[graph.inverse_index(i)] * math.sqrt(2.0)
-         for i in range(graph.m_prime)]
+    b = [ops.q[i] * math.sqrt(2.0) for i in graph.inverse]
     identities.append(quaternionic_identity(graph, a, b, samples, tol))
 
     if graph.m1 == 0 and graph.is_connected():

@@ -8,6 +8,10 @@ order is canonical: edge ``r`` (0-based, input order) yields arcs
 loops follow in input order.  The inversion permutation ``J0`` is then
 ``m0`` swap blocks ``[[0, 1], [1, 0]]`` followed by an identity block
 of size ``m1``; it is symmetric and squares to the identity.
+
+The arc structure is also kept as integer arrays ``origin``, ``terminus``
+and ``inverse`` in arc order, so arc matrices are numpy gathers and
+scatters, and ``J0 @ M`` is the row gather ``M[inverse]``.
 """
 
 from __future__ import annotations
@@ -48,6 +52,9 @@ class Graph:
     arcs: tuple[Arc, ...] = field(repr=False)
     _arc_lookup: dict = field(repr=False, hash=False, compare=False)
     _out_arcs: tuple = field(repr=False, hash=False, compare=False)
+    origin: np.ndarray = field(repr=False, hash=False, compare=False)
+    terminus: np.ndarray = field(repr=False, hash=False, compare=False)
+    inverse: np.ndarray = field(repr=False, hash=False, compare=False)
 
     @property
     def m0(self) -> int:
@@ -78,9 +85,7 @@ class Graph:
 
     def inverse_index(self, index: int) -> int:
         """Index of the inverse arc; loops are self-inverse."""
-        if index < 2 * self.m0:
-            return index ^ 1
-        return index
+        return int(self.inverse[index])
 
     def out_arcs(self, vertex: int) -> tuple[Arc, ...]:
         """Arcs leaving ``vertex``, in canonical order."""
@@ -88,36 +93,26 @@ class Graph:
 
     def j0_matrix(self) -> np.ndarray:
         """The arc-inversion permutation as a complex matrix."""
-        m = self.m_prime
-        j0 = np.zeros((m, m), dtype=complex)
-        for arc in self.arcs:
-            j0[arc.index, self.inverse_index(arc.index)] = 1.0
-        return j0
+        return np.eye(self.m_prime, dtype=complex)[self.inverse]
 
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix over non-loop edges."""
         a = np.zeros((self.n, self.n), dtype=complex)
-        for u, v in self.edges:
-            a[u, v] = 1.0
-            a[v, u] = 1.0
+        k = 2 * self.m0
+        a[self.origin[:k], self.terminus[:k]] = 1.0
         return a
 
     def arc_mask(self) -> np.ndarray:
         """Boolean n x n mask that is True exactly on arcs."""
         mask = np.zeros((self.n, self.n), dtype=bool)
-        for arc in self.arcs:
-            mask[arc.origin, arc.terminus] = True
+        mask[self.origin, self.terminus] = True
         return mask
 
     def degrees(self) -> np.ndarray:
         """Vertex degrees; a loop contributes 2 as usual."""
-        deg = np.zeros(self.n, dtype=int)
-        for u, v in self.edges:
-            deg[u] += 1
-            deg[v] += 1
-        for u in self.loops:
-            deg[u] += 2
-        return deg
+        # A loop is one arc but adds 2, so loop arcs are counted twice.
+        arcs = np.concatenate([self.origin, self.origin[2 * self.m0:]])
+        return np.bincount(arcs, minlength=self.n)
 
     def is_connected(self) -> bool:
         """Connectivity of the underlying loopless graph.
@@ -220,6 +215,12 @@ def build_graph(n: int, edges, loops=()) -> Graph:
     for arc in arcs:
         out[arc.origin].append(arc)
 
+    origin = np.array([arc.origin for arc in arcs], dtype=np.intp)
+    terminus = np.array([arc.terminus for arc in arcs], dtype=np.intp)
+    inverse = np.arange(len(arcs))
+    inverse[:2 * len(edge_list)] ^= 1
+    for values in (origin, terminus, inverse):
+        values.flags.writeable = False
     return Graph(
         n=n,
         edges=tuple(edge_list),
@@ -227,4 +228,7 @@ def build_graph(n: int, edges, loops=()) -> Graph:
         arcs=tuple(arcs),
         _arc_lookup=lookup,
         _out_arcs=tuple(tuple(row) for row in out),
+        origin=origin,
+        terminus=terminus,
+        inverse=inverse,
     )

@@ -149,6 +149,11 @@ class QMatrix:
     def column(self, c: int) -> "QMatrix":
         return QMatrix(self.a[:, c:c + 1], self.b[:, c:c + 1])
 
+    def take_rows(self, index) -> "QMatrix":
+        """Rows gathered by an index array: ``P @ M`` for the permutation
+        matrix ``P = eye[index]``, exactly and without a product."""
+        return QMatrix(self.a[index], self.b[index])
+
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":

@@ -209,21 +209,19 @@ def build_kl(graph: Graph, a, b) -> tuple[QMatrix, QMatrix]:
     """Incidence-type weight matrices from arc maps ``a`` and ``b``.
 
     ``K[e, o(e)] = a(e)`` and ``L[e, t(e)] = b(e)``; all other entries
-    vanish.  Inputs are sequences aligned with the canonical arc order.
+    vanish.  Inputs are sequences aligned with the canonical arc order,
+    or ``m' x 1`` QMatrix columns.
     """
-    m, n = graph.m_prime, graph.n
-    ka = np.zeros((m, n), dtype=complex)
-    kb = np.zeros((m, n), dtype=complex)
-    la = np.zeros((m, n), dtype=complex)
-    lb = np.zeros((m, n), dtype=complex)
-    for arc in graph.arcs:
-        av = as_quaternion(a[arc.index])
-        bv = as_quaternion(b[arc.index])
-        ka[arc.index, arc.origin] = av.simplex
-        kb[arc.index, arc.origin] = av.perplex
-        la[arc.index, arc.terminus] = bv.simplex
-        lb[arc.index, arc.terminus] = bv.perplex
-    return QMatrix(ka, kb), QMatrix(la, lb)
+    rows = np.arange(graph.m_prime)
+    out = []
+    for values, columns in ((a, graph.origin), (b, graph.terminus)):
+        if not isinstance(values, QMatrix):
+            values = qvec(values)
+        mat = QMatrix.zeros(graph.m_prime, graph.n)
+        mat.a[rows, columns] = values.a[:, 0]
+        mat.b[rows, columns] = values.b[:, 0]
+        out.append(mat)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -244,8 +242,6 @@ class WalkOperators:
         unitarity condition.
     T : QMatrix
         Halved doubly weighted matrix ``W / 2`` (the discriminant).
-    j0 : numpy.ndarray
-        Arc-inversion permutation, kept complex for convenience.
     """
 
     graph: Graph
@@ -256,7 +252,6 @@ class WalkOperators:
     W: QMatrix
     D: QMatrix
     T: QMatrix
-    j0: np.ndarray = field(repr=False)
 
 
 def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
@@ -269,54 +264,36 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
     required here: non-unitary instances still define all matrices.
     """
     q = _aligned_nonzero(graph, weights)
-    m = graph.m_prime
-    a = [value * _SQRT2 for value in q]
-    b = [q[graph.inverse_index(i)] * _SQRT2 for i in range(m)]
-    K, L = build_kl(graph, a, b)
-    j0 = graph.j0_matrix()
-    j0q = QMatrix.from_real(j0.real)
+    rows, inv = np.arange(graph.m_prime), graph.inverse
+    qcol = qvec(q)
+    qinv = qcol.take_rows(inv)
+    K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
 
-    # Direct entrywise construction.
-    ua = np.zeros((m, m), dtype=complex)
-    ub = np.zeros((m, m), dtype=complex)
-    for e in graph.arcs:
-        for f in graph.arcs:
-            if f.index == graph.inverse_index(e.index):
-                value = 2.0 * q[e.index].norm_sq() - 1.0
-                ua[e.index, f.index] = value
-                continue
-            if f.terminus == e.origin:
-                prod = q[e.index] * q[graph.inverse_index(f.index)].conjugate() * 2.0
-                ua[e.index, f.index] = prod.simplex
-                ub[e.index, f.index] = prod.perplex
-    U = QMatrix(ua, ub)
+    # Direct entrywise construction: 2 q(e) q(f^-1)* where t(f) = o(e),
+    # overwritten by 2 |q(e)|^2 - 1 at f = e^-1.
+    U = qcol.scale(2.0) @ qinv.H
+    off = graph.origin[:, None] != graph.terminus[None, :]
+    U.a[off] = 0.0
+    U.b[off] = 0.0
+    s, p = qcol.a[:, 0], qcol.b[:, 0]
+    norm_sq = s.real**2 + s.imag**2 + p.real**2 + p.imag**2
+    U.a[rows, inv] = 2.0 * norm_sq - 1.0
+    U.b[rows, inv] = 0.0
 
-    U_kl = K @ L.H - j0q
-    # Coin: C[e, f] = 2 q(e^-1) q(f^-1)* - delta when t(e) = t(f).
-    ca = np.zeros((m, m), dtype=complex)
-    cb = np.zeros((m, m), dtype=complex)
-    for e in graph.arcs:
-        for f in graph.arcs:
-            if e.terminus != f.terminus:
-                continue
-            value = (
-                q[graph.inverse_index(e.index)]
-                * q[graph.inverse_index(f.index)].conjugate()
-                * 2.0
-            )
-            if e.index == f.index:
-                value = value - Quaternion(1.0)
-            ca[e.index, f.index] = value.simplex
-            cb[e.index, f.index] = value.perplex
-    U_sc = j0q @ QMatrix(ca, cb)
-
-    for label, other in (("K L* - J0", U_kl), ("J0 (L L* - I)", U_sc)):
-        gap = (U - other).max_entry_norm()
-        if gap > CROSS_CHECK_TOL:
-            raise NumericalError(
-                f"transition-matrix construction paths disagree: direct vs "
-                f"{label} differ by {gap:.3g}"
-            )
+    U_kl = K @ L.H
+    U_kl.a[rows, inv] -= 1.0
+    _cross_check(U, U_kl, "K L* - J0")
+    del U_kl
+    # Coin: C[e, f] = 2 q(e^-1) q(f^-1)* - delta when t(e) = t(f); the
+    # shift J0 then permutes its rows.
+    coin = qinv.scale(2.0) @ qinv.H
+    off = graph.terminus[:, None] != graph.terminus[None, :]
+    coin.a[off] = 0.0
+    coin.b[off] = 0.0
+    coin.a[rows, rows] -= 1.0
+    coin = coin.take_rows(inv)
+    _cross_check(U, coin, "J0 (L L* - I)")
+    del coin
 
     W = L.H @ K
     herm_gap = (W.H - W).max_entry_norm()
@@ -324,7 +301,7 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
-    D = L.H @ j0q @ K
+    D = L.take_rows(inv).H @ K
     return WalkOperators(
         graph=graph,
         q=tuple(q),
@@ -334,8 +311,19 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
         W=W,
         D=D,
         T=W.scale(0.5),
-        j0=j0,
     )
+
+
+def _cross_check(U: QMatrix, other: QMatrix, label: str) -> None:
+    """Entrywise gap between two U constructions; overwrites ``other``."""
+    other.a -= U.a
+    other.b -= U.b
+    gap = other.max_entry_norm()
+    if gap > CROSS_CHECK_TOL:
+        raise NumericalError(
+            f"transition-matrix construction paths disagree: direct vs "
+            f"{label} differ by {gap:.3g}"
+        )
 
 
 def spectral_map(mu: float, clamp_tol: float = MU_CLAMP_TOL):
@@ -652,7 +640,7 @@ def full_spectrum(
             )
         ]
         eigenvectors = tuple(walk_eigenvectors(
-            ops, [mu for mu, _count in group_mus(mus)], boundary, tol
+            ops, [mu for mu, _count in group_mus(mus)], boundary
         ))
 
     return SpectrumReport(
@@ -678,22 +666,20 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
     return [(sum(g) / len(g), len(g)) for g in groups]
 
 
-def walk_eigenvectors(
-    ops: WalkOperators, mus, boundary, tol: float = SPECTRUM_TOL
-) -> list[LiftedVector]:
+def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     """Walk eigenvectors lifted from base eigenvalues or extracted at +-1.
 
     Every vector ``v`` of the right eigenbasis of W at each ``mu`` in
     ``mus`` is lifted together with its companion ``v j`` to
     ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``; base eigenvalues within
-    ``tol`` of +-2 map to +-1, where the lift degenerates, and are
-    skipped.  Each target in ``boundary`` (+1 or -1) then gets its
+    ``MU_SNAP_TOL`` of +-2 map to +-1, where the lift degenerates, and
+    are skipped.  Each target in ``boundary`` (+1 or -1) then gets its
     eigenbasis extracted directly from ``psi(U)``; a target that is not
     an eigenvalue of the walk is skipped.
     """
     vectors: list[LiftedVector] = []
     for mu in mus:
-        if abs(abs(mu) - 2.0) <= tol:
+        if abs(abs(mu) - 2.0) <= MU_SNAP_TOL:
             continue
         lam_p, _ = spectral_map(mu)
         for v in right_eigenbasis(ops.W, complex(mu)):
@@ -701,8 +687,7 @@ def walk_eigenvectors(
                 (v, "lift"),
                 (v.right_scalar(Quaternion(0, 0, 1, 0)), "lift-companion"),
             ):
-                lifted = lift_eigenvector(ops, base, lam_p)
-                residual = _walk_residual(ops, lifted, lam_p)
+                lifted, residual = _lift(ops, base, lam_p)
                 vectors.append(
                     LiftedVector(lam_p, mu, lifted, residual, origin, base)
                 )
@@ -739,6 +724,13 @@ def lift_eigenvector(
     ``lam = +-1`` the two branches coincide and the lift degenerates;
     a vanishing result raises DegenerateLiftError.
     """
+    return _lift(ops, v, lam, residual_tol)[0]
+
+
+def _lift(
+    ops: WalkOperators, v, lam, residual_tol: float = SPECTRUM_TOL
+) -> tuple[QMatrix, float]:
+    """:func:`lift_eigenvector` plus the absolute walk residual it checked."""
     if not isinstance(v, QMatrix):
         v = qvec(v)
     if v.cols != 1 or v.rows != ops.graph.n:
@@ -764,8 +756,7 @@ def lift_eigenvector(
             f"residual {base_residual:.3g} exceeds {residual_tol * vnorm:.3g}"
         )
     lv = ops.L @ v
-    j0q = QMatrix.from_real(ops.j0.real)
-    lifted = j0q @ lv - lv.right_scalar(1.0 / lam)
+    lifted = lv.take_rows(ops.graph.inverse) - lv.right_scalar(1.0 / lam)
     if lifted.fro_norm() <= 1e-10 * max(lv.fro_norm(), vnorm):
         raise DegenerateLiftError(
             f"lift at lambda = {lam:.6g} collapsed to zero; the classes of "
@@ -777,7 +768,7 @@ def lift_eigenvector(
             f"lifted vector residual {residual:.3g} exceeds "
             f"{residual_tol * lifted.fro_norm():.3g}"
         )
-    return lifted
+    return lifted, residual
 
 
 @dataclass(frozen=True)
@@ -825,19 +816,20 @@ def verify_structure(
     graph = ops.graph
     n, m = graph.n, graph.m_prime
     eye_n = QMatrix.eye(n)
-    j0q = QMatrix.from_real(ops.j0.real)
+    inv = graph.inverse
     two_eye = eye_n.scale(2.0)
     rows = [
         ("K* K = 2I", (ops.K.H @ ops.K - two_eye).max_entry_norm(), identity_tol),
         ("L* L = 2I", (ops.L.H @ ops.L - two_eye).max_entry_norm(), identity_tol),
         (
             "J0 K L* = L L*",
-            (j0q @ ops.K @ ops.L.H - ops.L @ ops.L.H).max_entry_norm(),
+            (ops.K.take_rows(inv) @ ops.L.H - ops.L @ ops.L.H)
+            .max_entry_norm(),
             identity_tol,
         ),
         (
             "L* J0 L = W",
-            (ops.L.H @ j0q @ ops.L - ops.W).max_entry_norm(),
+            (ops.L.take_rows(inv).H @ ops.L - ops.W).max_entry_norm(),
             identity_tol,
         ),
         ("D = 2I", (ops.D - two_eye).max_entry_norm(), identity_tol),

@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graph import Graph
-from .qmatrix import QMatrix, psi
+from .qmatrix import psi
 from .quaternion import as_quaternion
 from .szegedy import build_kl
 
@@ -101,17 +101,13 @@ def build_edge_matrices(graph: Graph, w=None) -> EdgeMatrices:
     ``B[e, f] = 1`` when ``t(e) = o(f)``; ``Bw`` scales column ``f`` by
     the arc weight ``w(f)`` drawn from a vertex-pair matrix.
     """
-    m = graph.m_prime
-    b = np.zeros((m, m), dtype=complex)
-    bw = np.zeros((m, m), dtype=complex) if w is not None else None
-    for e in graph.arcs:
-        for f in graph.arcs:
-            if e.terminus != f.origin:
-                continue
-            b[e.index, f.index] = 1.0
-            if bw is not None:
-                bw[e.index, f.index] = w[f.origin, f.terminus]
-    return EdgeMatrices(b=b, bw=bw, j0=graph.j0_matrix())
+    follows = graph.terminus[:, None] == graph.origin[None, :]
+    bw = None
+    if w is not None:
+        bw = np.where(follows, w[graph.origin, graph.terminus], 0.0)
+    return EdgeMatrices(
+        b=follows.astype(complex), bw=bw, j0=graph.j0_matrix()
+    )
 
 
 @dataclass(frozen=True)
@@ -342,10 +338,12 @@ def quaternionic_identity(
     b = _arc_map(graph, b, "b")
     samples = default_samples() if t_samples is None else t_samples
     K, L = build_kl(graph, a, b)
-    j0q = QMatrix.from_real(graph.j0_matrix().real)
-    u_edge = psi(K @ L.H - j0q)
+    # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
+    u_edge = K @ L.H
+    u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
+    u_edge = psi(u_edge)
     w_base = psi(L.H @ K)
-    d_base = psi(L.H @ j0q @ K)
+    d_base = psi(L.take_rows(graph.inverse).H @ K)
     two_m, two_n = u_edge.shape[0], w_base.shape[0]
     eye_m = np.eye(two_m, dtype=complex)
     eye_n = np.eye(two_n, dtype=complex)

@@ -280,6 +280,23 @@ class TestLift:
                 assert a[key] == b[key], key
 
 
+    def test_loose_tol_keeps_interior_eigenvalues(self, capsys, tmp_path):
+        # mu = -1.618 on c5 lies within 0.5 of -2 but is no boundary value,
+        # so --tol 0.5 must still lift it: 10 eigenvectors for 10 arcs.
+        lift_path = tmp_path / "lift.json"
+        spectrum_path = tmp_path / "spectrum.json"
+        code, _, _ = run(capsys, "lift", "c5", "--all", "--tol", "0.5",
+                         "--output", str(lift_path))
+        assert code == 0
+        code, _, _ = run(capsys, "spectrum", "c5", "--eigenvectors",
+                         "--tol", "0.5", "--output", str(spectrum_path))
+        assert code == 0
+        lifted = json.loads(lift_path.read_text())["eigenvectors"]
+        listed = json.loads(spectrum_path.read_text())["spectrum"]["eigenvectors"]
+        assert len(lifted) == 10
+        assert len(listed) == 10
+
+
 class TestExamples:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "examples")

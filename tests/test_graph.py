@@ -19,6 +19,11 @@ def test_triangle_with_loops_arc_order():
         (0, 0), (1, 1), (2, 2),
     ]
     assert [a.is_loop for a in g.arcs] == [False] * 6 + [True] * 3
+    assert g.origin.tolist() == [a.origin for a in g.arcs]
+    assert g.terminus.tolist() == [a.terminus for a in g.arcs]
+    assert g.inverse.tolist() == [
+        g.arc_index(a.terminus, a.origin) for a in g.arcs
+    ]
 
 
 def test_inverse_index():

@@ -1,17 +1,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qszegedy import szegedy
 from qszegedy.errors import (
     DegenerateLiftError,
     NumericalError,
     ValidationError,
 )
 from qszegedy.graph import build_graph
-from qszegedy.instances import load_bundled
+from qszegedy.instances import load_bundled, parse_graph_spec
 from qszegedy.qmatrix import (
     QMatrix,
     h_linear_independent,
@@ -351,3 +353,58 @@ def test_build_walk_cross_check_guard():
         inst = load_bundled(name)
         ops = build_walk(inst.graph, inst.weights)  # raises on mismatch
         assert ops.U.shape == (inst.graph.m_prime, inst.graph.m_prime)
+
+
+def test_build_walk_matches_entrywise_loop():
+    # Reference: the defining formula, entry by entry in Quaternion
+    # arithmetic.  The vectorised build multiplies in complex arithmetic,
+    # so entries of size <= 2 may differ by a few ulps.
+    graph = parse_graph_spec("K4+loops")
+    weights = random_instance(graph, 3)
+    q = weights.aligned(graph)
+    ops = build_walk(graph, weights)
+    for e in graph.arcs:
+        inv_e = graph.inverse_index(e.index)
+        assert ops.K.entry(e.index, e.origin) == q[e.index] * SQ2
+        assert ops.L.entry(e.index, e.terminus) == q[inv_e] * SQ2
+        for f in graph.arcs:
+            if f.index == inv_e:
+                want = Quaternion(2.0 * q[e.index].norm_sq() - 1.0)
+            elif f.terminus == e.origin:
+                q_inv_f = q[graph.inverse_index(f.index)]
+                want = q[e.index] * q_inv_f.conjugate() * 2.0
+            else:
+                want = Quaternion()
+            assert abs(ops.U.entry(e.index, f.index) - want) <= 1e-14
+
+
+def test_build_walk_cross_check_fires(monkeypatch):
+    # Of the three U constructions only K L* - J0 reads K; a 1e-12 error
+    # there is far above the 1e-14 gate.
+    unperturbed = szegedy.build_kl
+
+    def perturbed(graph, a, b):
+        K, L = unperturbed(graph, a, b)
+        K.a += 1e-12
+        return K, L
+
+    monkeypatch.setattr(szegedy, "build_kl", perturbed)
+    inst = load_bundled("k3_loops")
+    with pytest.raises(NumericalError, match=r"K L\* - J0"):
+        build_walk(inst.graph, inst.weights)
+
+
+def test_build_walk_peak_memory():
+    # Each alternative U is masked in place and dropped once checked, so
+    # the peak stays a small multiple of one dense m' x m' array: 8.5 of
+    # them with numpy 2.4, 10.5 if the masks copied (np.where) instead.
+    graph = parse_graph_spec("K12")
+    weights = random_instance(graph, 7)
+    unit = graph.m_prime ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        build_walk(graph, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * unit
