@@ -46,7 +46,7 @@ from .qmatrix import (
 from .quaternion import I as QI
 from .quaternion import J as QJ
 from .quaternion import K as QK
-from .quaternion import Quaternion, format_quaternion
+from .quaternion import Quaternion, format_components
 from .szegedy import (
     MU_SNAP_TOL,
     SpectrumClass,
@@ -84,16 +84,12 @@ def _fmt(value: float) -> str:
 
 def _fmt_c(z: complex) -> str:
     snap = 1e-12 * max(1.0, abs(z))
-    return format_quaternion(
-        Quaternion(
-            0.0 if abs(z.real) <= snap else z.real,
-            0.0 if abs(z.imag) <= snap else z.imag,
-        )
+    return format_components(
+        0.0 if abs(z.real) <= snap else z.real,
+        0.0 if abs(z.imag) <= snap else z.imag,
+        0.0,
+        0.0,
     )
-
-
-def _fmt_q(q: Quaternion) -> str:
-    return format_quaternion(q)
 
 
 def _resolve_tol(args) -> float:
@@ -181,9 +177,9 @@ def _arc_label(graph: Graph, index: int) -> str:
 def _vector_lines(graph: Graph, vec: QMatrix, indent: str = "    ") -> list[str]:
     lines = []
     vertexwise = vec.rows == graph.n
-    for r in range(vec.rows):
+    for r, entry in enumerate(vec.components()[:, 0].tolist()):
         label = f"v{r + 1}" if vertexwise else _arc_label(graph, r)
-        lines.append(f"{indent}{label}: {_fmt_q(vec.entry(r, 0))}")
+        lines.append(f"{indent}{label}: {format_components(*entry)}")
     return lines
 
 

@@ -82,6 +82,16 @@ class QMatrix:
         self.a = a
         self.b = b
 
+    @classmethod
+    def _adopt(cls, a: np.ndarray, b: np.ndarray) -> "QMatrix":
+        """Wrap freshly computed complex parts of one 2-D shape without
+        copying them; the caller must hold no other reference that it
+        writes through."""
+        out = cls.__new__(cls)
+        out.a = a
+        out.b = b
+        return out
+
     # -- constructors -------------------------------------------------
 
     @classmethod
@@ -140,6 +150,13 @@ class QMatrix:
     def entry(self, r: int, c: int) -> Quaternion:
         return Quaternion.from_symplectic(self.a[r, c], self.b[r, c])
 
+    def components(self) -> np.ndarray:
+        """Entries as a ``(rows, cols, 4)`` float array of quaternion
+        components, the values ``Quaternion.from_symplectic`` gives."""
+        return np.stack(
+            [self.a.real, self.a.imag, self.b.real, -self.b.imag], axis=-1
+        )
+
     def to_rows(self) -> list[list[Quaternion]]:
         return [
             [self.entry(r, c) for c in range(self.cols)]
@@ -152,18 +169,18 @@ class QMatrix:
     def take_rows(self, index) -> "QMatrix":
         """Rows gathered by an index array: ``P @ M`` for the permutation
         matrix ``P = eye[index]``, exactly and without a product."""
-        return QMatrix(self.a[index], self.b[index])
+        return QMatrix._adopt(self.a[index], self.b[index])
 
     # -- algebra ------------------------------------------------------
 
     def __add__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a + other.a, self.b + other.b)
+        return QMatrix._adopt(self.a + other.a, self.b + other.b)
 
     def __sub__(self, other: "QMatrix") -> "QMatrix":
-        return QMatrix(self.a - other.a, self.b - other.b)
+        return QMatrix._adopt(self.a - other.a, self.b - other.b)
 
     def __neg__(self) -> "QMatrix":
-        return QMatrix(-self.a, -self.b)
+        return QMatrix._adopt(-self.a, -self.b)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -173,11 +190,11 @@ class QMatrix:
         # (A1 + j B1)(A2 + j B2) = (A1 A2 - conj(B1) B2) + j (B1 A2 + conj(A1) B2)
         a = self.a @ other.a - np.conj(self.b) @ other.b
         b = self.b @ other.a + np.conj(self.a) @ other.b
-        return QMatrix(a, b)
+        return QMatrix._adopt(a, b)
 
     def scale(self, factor: float) -> "QMatrix":
         """Multiply by a real scalar (these commute with everything)."""
-        return QMatrix(self.a * float(factor), self.b * float(factor))
+        return QMatrix._adopt(self.a * float(factor), self.b * float(factor))
 
     def right_scalar(self, value) -> "QMatrix":
         """Right multiplication ``M * q`` by a quaternion scalar."""
@@ -185,12 +202,12 @@ class QMatrix:
         s, p = q.simplex, q.perplex
         a = self.a * s - np.conj(self.b) * p
         b = self.b * s + np.conj(self.a) * p
-        return QMatrix(a, b)
+        return QMatrix._adopt(a, b)
 
     def conj_transpose(self) -> "QMatrix":
         """Quaternionic conjugate transpose; satisfies psi(M*) = psi(M)^H
         exactly (no floating-point arithmetic involved)."""
-        return QMatrix(self.a.conj().T, -self.b.T)
+        return QMatrix._adopt(self.a.conj().T, -self.b.T)
 
     @property
     def H(self) -> "QMatrix":
@@ -379,14 +396,17 @@ def _pair_j_invariant(basis: np.ndarray) -> list[np.ndarray]:
     """Halve a j-invariant complex subspace into quaternionic generators.
 
     ``basis`` holds orthonormal columns of a subspace closed under
-    ``z -> J conj(z)``.  Greedily pick a vector, project out the plane it
-    spans with its companion, and repeat; each pick corresponds to one
-    quaternionic basis vector.
+    ``z -> J conj(z)``.  Pick column 0, project the plane it spans with
+    its companion out of every column, then pick the remaining column of
+    largest norm, and repeat (pivoted deflation, O(N k^2) for 2k
+    columns); each pick corresponds to one quaternionic basis vector.
     """
     picks: list[np.ndarray] = []
-    work = basis
-    while work.shape[1] > 0:
-        z = work[:, 0]
+    work = np.array(basis, dtype=complex)
+    count = (basis.shape[1] + 1) // 2
+    col = 0
+    for step in range(count):
+        z = work[:, col]
         z = z / np.linalg.norm(z)
         zj = _j_conj(z)
         # z and J conj(z) are orthogonal by construction; re-orthonormalize
@@ -394,11 +414,9 @@ def _pair_j_invariant(basis: np.ndarray) -> list[np.ndarray]:
         zj = zj - (np.conj(z) @ zj) * z
         zj = zj / np.linalg.norm(zj)
         picks.append(z)
-        if work.shape[1] == 1:
-            break
-        proj = work - np.outer(z, np.conj(z) @ work) - np.outer(zj, np.conj(zj) @ work)
-        u, s, _ = np.linalg.svd(proj, full_matrices=False)
-        work = u[:, s > 0.5]
+        if step + 1 < count:
+            work -= np.outer(z, np.conj(z) @ work) + np.outer(zj, np.conj(zj) @ work)
+            col = int(np.argmax(np.linalg.norm(work, axis=0)))
     return picks
 
 
@@ -418,8 +436,10 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
         raise ValidationError(
             f"{lam:.6g} is not an eigenvalue of psi(M) at rank tolerance"
         )
-    scale = max(1.0, float(np.linalg.norm(c, 2)))
-    if abs(lam.imag) > CLASS_TOL * scale:
+    # The spectral norm only scales the test for a non-real lam.
+    if lam.imag != 0.0 and abs(lam.imag) > CLASS_TOL * max(
+        1.0, float(np.linalg.norm(c, 2))
+    ):
         return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
     if ns.shape[1] % 2:
         raise NumericalError(

@@ -25,6 +25,7 @@ __all__ = [
     "ConjugacyClass",
     "Quaternion",
     "class_of",
+    "format_components",
     "format_quaternion",
     "same_class",
     "symplectic_decompose",
@@ -260,8 +261,16 @@ def format_quaternion(q: Quaternion, digits: int = 6) -> str:
 
     Zero components are dropped; the zero quaternion renders as "0".
     """
+    return format_components(q.x0, q.x1, q.x2, q.x3, digits)
+
+
+def format_components(
+    x0: float, x1: float, x2: float, x3: float, digits: int = 6
+) -> str:
+    """:func:`format_quaternion` of ``x0 + x1*i + x2*j + x3*k``, without
+    building the Quaternion."""
     parts = []
-    for value, unit in ((q.x0, ""), (q.x1, "i"), (q.x2, "j"), (q.x3, "k")):
+    for value, unit in ((x0, ""), (x1, "i"), (x2, "j"), (x3, "k")):
         if value == 0.0:
             continue
         body = f"{abs(value):.{digits}g}"

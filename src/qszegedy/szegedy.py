@@ -421,10 +421,7 @@ class LiftedVector:
             "mu": self.mu,
             "residual": self.residual,
             "origin": self.origin,
-            "vector": [
-                [c for c in self.vector.entry(r, 0).components]
-                for r in range(self.vector.rows)
-            ],
+            "vector": self.vector.components()[:, 0].tolist(),
         }
 
 
@@ -457,29 +454,33 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
     """Greedy globally-minimal pairing of two complex multisets.
 
     Returns ``(max_distance, matched)`` where ``matched`` requires equal
-    sizes and every pair within ``tol``.  Quadratic in size, which is
-    fine at desk scale and robust against near-ties that break
-    sort-based pairing.
+    sizes and every pair within ``tol``.  Pairs are taken closest first,
+    ties broken by left then right index, skipping any whose left or
+    right value is already paired: one stable sort of the N x N distance
+    matrix, robust against near-ties that break sort-based pairing.
     """
-    left = [complex(z) for z in left]
-    right = [complex(z) for z in right]
+    left = np.array([complex(z) for z in left], dtype=complex)
+    right = np.array([complex(z) for z in right], dtype=complex)
     if len(left) != len(right):
         return float("inf"), False
-    if not left:
+    size = len(left)
+    if not size:
         return 0.0, True
-    dist = np.abs(
-        np.array(left)[:, None] - np.array(right)[None, :]
-    )
+    dist = np.abs(left[:, None] - right[None, :])
+    order = np.argsort(dist, axis=None, kind="stable")
+    rows, cols = np.divmod(order, size)
+    used_l = [False] * size
+    used_r = [False] * size
     max_distance = 0.0
-    remaining_l = list(range(len(left)))
-    remaining_r = list(range(len(right)))
-    while remaining_l:
-        sub = dist[np.ix_(remaining_l, remaining_r)]
-        flat = int(np.argmin(sub))
-        r, c = divmod(flat, sub.shape[1])
-        max_distance = max(max_distance, float(sub[r, c]))
-        remaining_l.pop(r)
-        remaining_r.pop(c)
+    paired = 0
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if used_l[r] or used_r[c]:
+            continue
+        used_l[r] = used_r[c] = True
+        max_distance = max(max_distance, float(dist[r, c]))
+        paired += 1
+        if paired == size:
+            break
     return max_distance, max_distance <= tol
 
 

@@ -36,6 +36,7 @@ both sides as polynomials in ``t`` and compares coefficients.
 from __future__ import annotations
 
 import cmath
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -394,13 +395,38 @@ def _arc_map(graph: Graph, values, what: str):
     return values
 
 
+def _times_power(slogdet, alpha: complex, k: int) -> tuple[complex, float]:
+    """``det * alpha**k`` as (unit phase, log modulus) from the
+    ``slogdet`` of ``det``, with ``0**0 = 1``."""
+    phase, logabs = complex(slogdet[0]), float(slogdet[1])
+    if k == 0:
+        return phase, logabs
+    if alpha == 0:
+        return 0j, -math.inf
+    r = abs(alpha)
+    return phase * (alpha / r) ** k, logabs + k * math.log(r)
+
+
+def _from_log(phase: complex, logabs: float) -> complex:
+    # Overflows to an infinite part where the determinant exceeds the
+    # float range; the comparison itself never leaves log form.
+    with np.errstate(over="ignore"):
+        mag = float(np.exp(logabs))
+    return complex(
+        phase.real * mag if phase.real else 0.0,
+        phase.imag * mag if phase.imag else 0.0,
+    )
+
+
 def sylvester_det_property(
     a, b, alpha: complex, tol: float = SYLVESTER_TOL
 ) -> IdentityCheck:
     """Determinant cancellation ``det(aI - AB) a^n = a^m det(aI - BA)``.
 
     ``a`` is ``m x n`` and ``b`` is ``n x m``; holds for every complex
-    ``alpha``, including 0.
+    ``alpha``, including 0.  Both sides are compared in log form
+    (``slogdet`` plus ``k log alpha``), so the relative error stays
+    meaningful where the determinants overflow.
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -410,14 +436,20 @@ def sylvester_det_property(
         )
     m, n = a.shape
     alpha = complex(alpha)
-    lhs = np.linalg.det(alpha * np.eye(m) - a @ b) * alpha**n
-    rhs = alpha**m * np.linalg.det(alpha * np.eye(n) - b @ a)
-    err = _rel_error(lhs, rhs)
+    lphase, llog = _times_power(
+        np.linalg.slogdet(alpha * np.eye(m) - a @ b), alpha, n
+    )
+    rphase, rlog = _times_power(
+        np.linalg.slogdet(alpha * np.eye(n) - b @ a), alpha, m
+    )
+    # _rel_error with both sides divided by max(|lhs|, |rhs|, 1).
+    top = max(llog, rlog, 0.0)
+    err = abs(lphase * math.exp(llog - top) - rphase * math.exp(rlog - top))
     return IdentityCheck(
         name="sylvester",
         samples=(alpha,),
-        lhs=(complex(lhs),),
-        rhs=(complex(rhs),),
+        lhs=(_from_log(lphase, llog),),
+        rhs=(_from_log(rphase, rlog),),
         max_rel_error=err,
         passed=err <= tol,
     )

@@ -6,8 +6,15 @@ import numpy as np
 import pytest
 
 from qszegedy import __version__
-from qszegedy.cli import main
-from qszegedy.instances import bundled_names, load_bundled, random_instance_dict
+from qszegedy.cli import _vector_lines, main
+from qszegedy.instances import (
+    bundled_names,
+    load_bundled,
+    parse_graph_spec,
+    random_instance_dict,
+)
+from qszegedy.qmatrix import QMatrix
+from qszegedy.quaternion import format_quaternion
 
 
 def run(capsys, *argv):
@@ -295,6 +302,19 @@ class TestLift:
         listed = json.loads(spectrum_path.read_text())["spectrum"]["eigenvectors"]
         assert len(lifted) == 10
         assert len(listed) == 10
+
+
+@pytest.mark.parametrize("rows", [3, 4])  # vertexwise and arcwise labels
+def test_vector_lines_match_entry_formatting(rows):
+    graph = parse_graph_spec("P3")  # n = 3, m' = 4
+    a = np.array([-0.0, 1.5e-7 - 0.25j, complex(-0.0, 2.0), -3.0])
+    b = np.array([complex(0.0, -0.0), -0.5j, complex(-1.0, 0.0), 2.0 + 1j])
+    vec = QMatrix(a[:rows].reshape(-1, 1), b[:rows].reshape(-1, 1))
+    lines = _vector_lines(graph, vec, indent="  ")
+    expected = [format_quaternion(vec.entry(r, 0)) for r in range(rows)]
+    assert [line.split(": ", 1)[1] for line in lines] == expected
+    assert expected[:3] == ["0", "1.5e-07-0.25i+0.5k", "2i-1j"]
+    assert lines[0].startswith("  v1: " if rows == 3 else "  1->2: ")
 
 
 class TestExamples:

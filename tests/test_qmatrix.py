@@ -43,6 +43,35 @@ def test_entry_roundtrip_and_shapes():
         QMatrix.from_rows([[ONE], [I, J]])
 
 
+def test_results_own_their_parts():
+    # The constructor copies its inputs; algebra results adopt freshly
+    # computed arrays, which must never be views of an operand.
+    a = np.arange(6, dtype=complex).reshape(3, 2)
+    m = QMatrix(a, 1j * a)
+    assert not np.shares_memory(m.a, a)
+    n = _random_qmatrix(3, 2, 4)
+    results = [
+        m + n, m - n, -m, m.scale(2.0), m.right_scalar(J), m.H,
+        m @ n.H, m.take_rows(np.array([2, 0, 1])), m.column(1),
+    ]
+    for r in results:
+        for part in (r.a, r.b):
+            for operand in (m.a, m.b, n.a, n.b):
+                assert not np.shares_memory(part, operand)
+    col = m.column(0)
+    col.a[0, 0] = 99.0
+    assert m.a[0, 0] == 0.0
+
+
+def test_components_match_entries():
+    m = _random_qmatrix(4, 3, 9)
+    comps = m.components()
+    assert comps.shape == (4, 3, 4)
+    for r in range(4):
+        for c in range(3):
+            assert tuple(comps[r, c].tolist()) == m.entry(r, c).components
+
+
 def test_psi_golden_diag_1_k():
     m = QMatrix.diag([ONE, K])
     # A = diag(1, 0), B = diag(0, -i); psi = [[A, -conj(B)], [B, conj(A)]].

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qszegedy import szegedy
 from qszegedy.errors import (
@@ -16,13 +18,16 @@ from qszegedy.graph import build_graph
 from qszegedy.instances import load_bundled, parse_graph_spec
 from qszegedy.qmatrix import (
     QMatrix,
+    _j_conj,
     h_linear_independent,
+    psi,
     is_unitary,
     qvec,
     right_eigenbasis,
 )
 from qszegedy.quaternion import I, J, K, ONE, Quaternion
 from qszegedy.szegedy import (
+    LiftedVector,
     WeightMap,
     _base_spectrum,
     build_walk,
@@ -332,6 +337,95 @@ def test_match_multisets():
     assert not ok
     _dist, ok = match_multisets([0.0, 1.0], [0.5, 0.5])
     assert not ok
+
+
+def _greedy_match_reference(left, right, tol):
+    # The O(N^3) loop match_multisets replaced: repeatedly take the
+    # smallest remaining distance, first in row-major order on ties.
+    left = [complex(z) for z in left]
+    right = [complex(z) for z in right]
+    if len(left) != len(right):
+        return float("inf"), False
+    if not left:
+        return 0.0, True
+    dist = np.abs(np.array(left)[:, None] - np.array(right)[None, :])
+    max_distance = 0.0
+    remaining_l = list(range(len(left)))
+    remaining_r = list(range(len(right)))
+    while remaining_l:
+        sub = dist[np.ix_(remaining_l, remaining_r)]
+        r, c = divmod(int(np.argmin(sub)), sub.shape[1])
+        max_distance = max(max_distance, float(sub[r, c]))
+        remaining_l.pop(r)
+        remaining_r.pop(c)
+    return max_distance, max_distance <= tol
+
+
+# A coarse grid, so draws repeat values exactly and distances tie.
+_grid_points = st.builds(
+    complex,
+    st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0]),
+    st.sampled_from([-1.0, 0.0, 1.0]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    pairs=st.lists(st.tuples(_grid_points, _grid_points), max_size=12),
+    extra=st.lists(_grid_points, max_size=1),
+    tol=st.sampled_from([0.0, 0.5, 1.0]),
+)
+def test_match_multisets_equals_greedy_loop(pairs, extra, tol):
+    left = [a for a, _ in pairs] + extra
+    right = [b for _, b in pairs]
+    assert match_multisets(left, right, tol) == _greedy_match_reference(
+        left, right, tol
+    )
+    # Right is a reordering of left: everything pairs at distance 0.
+    assert match_multisets(left, left[::-1], tol) == (0.0, True)
+
+
+@pytest.mark.parametrize("lam", [1.0, -1.0])
+def test_right_eigenbasis_pm1_on_k12(monkeypatch, lam):
+    graph = parse_graph_spec("K12")
+    ops = build_walk(graph, random_instance(graph, 7))
+    c = psi(ops.U) - lam * np.eye(2 * graph.m_prime)
+    s = np.linalg.svd(c, compute_uv=False)
+    nullity = int(np.sum(s <= 1e-8 * s[0]))
+    assert nullity >= 4 and nullity % 2 == 0
+
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    vectors = right_eigenbasis(ops.U, lam)
+    monkeypatch.undo()
+    # One SVD for the nullspace; the per-pick SVD loop would add one per
+    # quaternionic vector.
+    assert len(calls) <= 1
+    assert len(vectors) == nullity // 2
+
+    picks = np.hstack([np.vstack([v.a, v.b]) for v in vectors])
+    frame = np.hstack([picks, _j_conj(picks)])
+    gram = frame.conj().T @ frame
+    assert np.max(np.abs(gram - np.eye(gram.shape[0]))) <= 1e-12
+    assert h_linear_independent(vectors)
+    for v in vectors:
+        assert (ops.U @ v - v.scale(lam)).fro_norm() <= 1e-8
+
+
+def test_lifted_vector_to_dict_matches_entry_path():
+    a = np.array([0.0, -0.0, 1.5 - 0.25j, complex(-0.0, 2.0), -3.0])
+    b = np.array([complex(0.0, -0.0), -0.5j, 0.0, complex(-1.0, 0.0), 2.0 + 1j])
+    vec = QMatrix(a.reshape(-1, 1), b.reshape(-1, 1))
+    data = LiftedVector(1j, None, vec, 0.0, "direct").to_dict()
+    expected = [list(vec.entry(r, 0).components) for r in range(vec.rows)]
+    # repr tells -0.0 from 0.0, which == does not.
+    assert repr(data["vector"]) == repr(expected)
 
 
 def test_random_instance_deterministic_and_unitary():

@@ -196,3 +196,16 @@ def test_sylvester_alpha_zero_and_random():
             assert sylvester_det_property(a, b, alpha).passed
     with pytest.raises(ValidationError, match="m x n"):
         sylvester_det_property(np.ones((2, 2)), np.ones((3, 2)), 1.0)
+
+
+def test_sylvester_large_m_in_log_form():
+    # det(2i I - AB) has modulus about 2^1200, past the float range, as
+    # does (2i)^m; the log-form comparison neither overflows nor raises.
+    rng = np.random.default_rng(5)
+    m, n = 1200, 6
+    a = (rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))) / 40
+    b = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) / 40
+    check = sylvester_det_property(a, b, 2j)
+    assert check.passed and check.max_rel_error <= 1e-10
+    check = sylvester_det_property(a, b, 0.0)
+    assert check.passed and check.max_rel_error == 0.0
