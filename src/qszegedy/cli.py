@@ -94,16 +94,22 @@ def _fmt_c(z: complex) -> str:
 
 def _resolve_tol(args) -> float:
     if getattr(args, "tol", None) is not None:
-        return float(args.tol)
-    env = os.environ.get("QWALK_TOL")
-    if env is not None:
+        source, tol = "--tol", float(args.tol)
+    else:
+        env = os.environ.get("QWALK_TOL")
+        if env is None:
+            return DEFAULT_TOL
         try:
-            return float(env)
+            source, tol = "QWALK_TOL", float(env)
         except ValueError:
             raise ValidationError(
                 f"QWALK_TOL={env!r} is not a number"
             ) from None
-    return DEFAULT_TOL
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(
+            f"{source} must be a finite number >= 0, got {tol!r}"
+        )
+    return tol
 
 
 def _header(command: str, tol: float, instance: Instance | None = None,
@@ -279,6 +285,8 @@ def cmd_lift(args) -> int:
         raise ValidationError("lift needs --mu VALUE or --all")
     if args.mu is not None and args.all:
         raise ValidationError("--mu and --all are mutually exclusive")
+    if args.mu is not None and not math.isfinite(args.mu):
+        raise ValidationError(f"--mu must be a finite number, got {args.mu!r}")
     instance = resolve_instance(args.instance)
     report, lines = _header("lift", tol, instance)
     unitarity = check_unitary_condition(instance.graph, instance.weights)

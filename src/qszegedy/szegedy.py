@@ -16,15 +16,12 @@ cross-checked entrywise whenever a walk is built.
 The right spectrum comes from the doubly weighted matrix
 ``W = L* K`` through the spectral mapping: every eigenvalue ``mu`` of
 ``psi(W)`` (real, in ``[-2, 2]``) maps to the pair
-``lam = mu/2 +- i sqrt(1 - (mu/2)^2)``, and the remaining eigenvalues
-are +1 and -1 with multiplicities fixed by the cycle structure:
-
-* loopless-core not a tree: 4n mapped values plus ``2 m0 - 2n`` copies
-  of +1 and ``2 m0 + 2 m1 - 2n`` copies of -1;
-* tree core, no loops: mapped values minus one pair {+1, +1} and one
-  pair {-1, -1};
-* tree core with loops: mapped values minus one pair {+1, +1} plus
-  ``2 m1 - 2`` copies of -1.
+``lam = mu/2 +- i sqrt(1 - (mu/2)^2)``, 4n mapped values in all.  The
+prefactor ``(1 - t^2)^(2 m0 - 2n) (1 + t)^(2 m1)`` of the quaternionic
+Bass identity fixes the rest as signed multiplicities: ``2 m0 - 2n``
+more copies of +1 and ``2 m0 + 2 m1 - 2n`` more copies of -1.  Only a
+tree core (``m0 = n - 1``) makes a count negative; each missing pair
+then cancels a mapped pair {+1, +1} or {-1, -1}.
 
 Eigenvectors for non-real classes lift from eigenvectors ``v`` of the
 doubly weighted matrix via ``e = J0 L v - L v (1/lam)``; eigenvectors
@@ -240,8 +237,6 @@ class WalkOperators:
     D : QMatrix
         Weighted-degree diagonal ``L* J0 K``; equals ``2 I`` under the
         unitarity condition.
-    T : QMatrix
-        Halved doubly weighted matrix ``W / 2`` (the discriminant).
     """
 
     graph: Graph
@@ -251,7 +246,6 @@ class WalkOperators:
     L: QMatrix
     W: QMatrix
     D: QMatrix
-    T: QMatrix
 
 
 def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
@@ -310,7 +304,6 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
         L=L,
         W=W,
         D=D,
-        T=W.scale(0.5),
     )
 
 
@@ -524,26 +517,6 @@ class _ClassLedger:
         return tuple(out)
 
 
-def _remove_boundary_pair(mapped, target: float):
-    """Drop the mapped pair closest to ``target`` (+1 or -1).
-
-    Tree cases guarantee such a pair exists; if none sits within 1e-8
-    the branch bookkeeping is broken and we refuse to continue.
-    """
-    best = None
-    best_gap = float("inf")
-    for idx, (lam_p, _mu) in enumerate(mapped):
-        gap = abs(lam_p - target)
-        if gap < best_gap:
-            best_gap = gap
-            best = idx
-    if best is None or best_gap > SPECTRUM_TOL:
-        raise NumericalError(
-            f"tree-case spectrum lacks the required eigenvalue {target:+g}"
-        )
-    mapped.pop(best)
-
-
 def full_spectrum(
     graph: Graph,
     weights: WeightMap,
@@ -555,10 +528,11 @@ def full_spectrum(
     """Right spectrum of the walk via the spectral mapping theorem.
 
     Requires the unitarity condition and a connected graph (the
-    branch bookkeeping is per component).  With ``want_oracle`` the
-    theorem-path multiset is matched against direct diagonalization of
-    ``psi(U)``; with ``want_eigenvectors`` lifted eigenvectors for the
-    non-real classes and directly extracted ones for +-1 are attached.
+    multiplicities at +-1 are counted for one component).  With
+    ``want_oracle`` the theorem-path multiset is matched against direct
+    diagonalization of ``psi(U)``; with ``want_eigenvectors`` lifted
+    eigenvectors for the non-real classes and directly extracted ones
+    for +-1 are attached.
     """
     unitarity = check_unitary_condition(graph, weights)
     if not unitarity.passed:
@@ -573,48 +547,33 @@ def full_spectrum(
     ops = build_walk(graph, weights)
     n, m0, m1 = graph.n, graph.m0, graph.m1
     mus = _base_spectrum(ops.W)
+    mapped = [spectral_map(mu)[0] for mu in mus]
 
-    mapped: list[tuple[complex, float]] = []
-    for mu in mus:
-        lam_p, _ = spectral_map(mu)
-        mapped.append((lam_p, mu))
-
-    if not graph.is_tree_core():
-        tree_case = "non-tree"
-        plus_extra = 2 * m0 - 2 * n
-        minus_extra = 2 * m0 + 2 * m1 - 2 * n
-        if plus_extra < 0 or minus_extra < 0:
-            raise NumericalError(
-                "non-tree branch found negative trivial multiplicities"
-            )
-    elif m1 == 0:
-        tree_case = "tree"
-        _remove_boundary_pair(mapped, 1.0)
-        _remove_boundary_pair(mapped, -1.0)
-        plus_extra = 0
-        minus_extra = 0
-    else:
-        tree_case = "tree-with-loops"
-        _remove_boundary_pair(mapped, 1.0)
-        plus_extra = 0
-        minus_extra = 2 * m1 - 2
+    # The Bass prefactor as signed psi counts at +1 and -1.  A negative
+    # count (tree core only) cancels mapped values, which sit exactly at
+    # +-1 because base eigenvalues within MU_SNAP_TOL of +-2 are snapped.
+    extra = {1.0: 2 * m0 - 2 * n, -1.0: 2 * m0 + 2 * m1 - 2 * n}
+    for target, count in extra.items():
+        for _ in range(max(-count, 0) // 2):
+            if complex(target) not in mapped:
+                raise NumericalError(
+                    "tree-case spectrum lacks the required eigenvalue "
+                    f"{target:+g}"
+                )
+            mapped.remove(complex(target))
 
     ledger = _ClassLedger()
-    for lam_p, _mu in mapped:
-        ledger.add(lam_p, 2, "mapped")
-    ledger.add(complex(1.0), plus_extra, "trivial+1")
-    ledger.add(complex(-1.0), minus_extra, "trivial-1")
+    theorem_values: list[complex] = []
+    for lam in mapped:
+        ledger.add(lam, 2, "mapped")
+        # A real value goes in twice as itself: conjugating it would
+        # write -0.0 into the report.
+        theorem_values += (lam, lam.conjugate() if lam.imag else lam)
+    for target, count in extra.items():
+        ledger.add(complex(target), count, f"trivial{target:+g}")
+        theorem_values += [complex(target)] * max(count, 0)
     classes = ledger.classes()
 
-    theorem_values: list[complex] = []
-    for lam_p, _mu in mapped:
-        theorem_values.append(lam_p)
-        if lam_p.imag != 0.0:
-            theorem_values.append(lam_p.conjugate())
-        else:
-            theorem_values.append(lam_p)
-    theorem_values.extend([complex(1.0)] * plus_extra)
-    theorem_values.extend([complex(-1.0)] * minus_extra)
     if len(theorem_values) != 2 * graph.m_prime:
         raise NumericalError(
             f"theorem path produced {len(theorem_values)} eigenvalues, "
@@ -634,11 +593,8 @@ def full_spectrum(
     eigenvectors = None
     if want_eigenvectors:
         boundary = [
-            target for target in (1.0, -1.0)
-            if any(
-                abs(c.rep - target) <= tol and c.rep.imag == 0.0
-                for c in classes
-            )
+            target for target, count in extra.items()
+            if count > 0 or complex(target) in mapped
         ]
         eigenvectors = tuple(walk_eigenvectors(
             ops, [mu for mu, _count in group_mus(mus)], boundary
@@ -650,7 +606,10 @@ def full_spectrum(
         psi_u_spectrum=tuple(
             sorted(theorem_values, key=lambda z: (z.real, z.imag))
         ),
-        tree_case=tree_case,
+        tree_case=(
+            "non-tree" if not graph.is_tree_core()
+            else "tree-with-loops" if m1 else "tree"
+        ),
         oracle=oracle,
         eigenvectors=eigenvectors,
     )

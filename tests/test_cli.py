@@ -178,6 +178,25 @@ class TestSpectrum:
         assert code == 2
         assert "QWALK_TOL" in err
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("source", ["--tol", "QWALK_TOL"])
+    def test_tol_out_of_range_is_invalid(self, capsys, monkeypatch, source,
+                                         value):
+        argv = ["spectrum", "k3_loops"]
+        if source == "--tol":
+            argv.append(f"--tol={value}")
+        else:
+            monkeypatch.setenv("QWALK_TOL", value)
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert source in err
+
+    def test_zero_tol_allowed(self, capsys):
+        code, out, _ = run(capsys, "spectrum", "k3_loops", "--tol", "0")
+        assert code == 0
+        assert "tolerance: 0" in out
+
 
 class TestVerify:
     def test_bundled_pass(self, capsys):
@@ -260,6 +279,13 @@ class TestLift:
         assert code == 2
         assert "no base eigenvalue near" in err
         assert "-0.666666666667" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_mu_is_invalid(self, capsys, value):
+        code, out, err = run(capsys, "lift", "k4", f"--mu={value}")
+        assert code == 2
+        assert out == ""
+        assert "--mu" in err
 
     def test_mu_and_all_conflict(self, capsys):
         code, _, err = run(capsys, "lift", "k3_loops", "--mu", "1.3", "--all")

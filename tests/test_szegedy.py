@@ -111,7 +111,6 @@ def test_walk_matrices_match_frozen_example():
         assert abs(got - weights.get(*arc.key) * SQ2) <= 1e-14
     w_golden = QMatrix.from_real(np.full((3, 3), -T23) + np.diag([2 * T23] * 3))
     assert (ops.W - w_golden).max_entry_norm() <= 1e-14
-    assert (ops.T - ops.W.scale(0.5)).max_entry_norm() == 0.0
     assert (ops.D - QMatrix.eye(3).scale(2.0)).max_entry_norm() <= 1e-14
 
 
@@ -234,6 +233,62 @@ def test_full_spectrum_rejects_bad_inputs():
     disconnected = build_graph(4, [(0, 1), (2, 3)])
     with pytest.raises(ValidationError, match="connected"):
         full_spectrum(disconnected, WeightMap.uniform(disconnected))
+
+
+# Tree, tree-with-loops and non-tree families; uniform weights (seed None)
+# are real and degenerate, random ones generic.
+@pytest.mark.parametrize("seed", [None, 1, 2, 3])
+@pytest.mark.parametrize(
+    "spec, tree_case",
+    [
+        ("P2", "tree"),
+        ("P5", "tree"),
+        ("star4", "tree"),
+        ("star3+loop", "tree-with-loops"),
+        ("P4+loops", "tree-with-loops"),
+        ("C6", "non-tree"),
+        ("C7+loop", "non-tree"),
+        ("K5", "non-tree"),
+        ("K4+loops", "non-tree"),
+    ],
+)
+def test_full_spectrum_pm1_multiplicities(spec, tree_case, seed):
+    graph = parse_graph_spec(spec)
+    weights = (
+        WeightMap.uniform(graph) if seed is None
+        else random_instance(graph, seed)
+    )
+    report = full_spectrum(
+        graph, weights, want_oracle=True, want_eigenvectors=True
+    )
+    assert report.tree_case == tree_case
+    assert report.oracle.matched
+    assert len(report.eigenvectors) == graph.m_prime
+    for target in (1.0, -1.0):
+        direct = [
+            v for v in report.eigenvectors
+            if v.origin == "direct" and v.lam == target
+        ]
+        multiplicity = sum(
+            c.multiplicity for c in report.classes if c.rep == target
+        )
+        assert len(direct) == multiplicity, target
+
+
+def test_full_spectrum_tree_guard(monkeypatch):
+    # A tree core needs one mapped pair at +1 to cancel; without it the
+    # multiplicity bookkeeping must refuse rather than report.
+    inst = load_bundled("p3_tree")
+    base_spectrum = szegedy._base_spectrum
+    monkeypatch.setattr(
+        szegedy,
+        "_base_spectrum",
+        lambda w: [1.9 if mu == 2.0 else mu for mu in base_spectrum(w)],
+    )
+    with pytest.raises(
+        NumericalError, match=r"lacks the required eigenvalue \+1"
+    ):
+        full_spectrum(inst.graph, inst.weights)
 
 
 U1_PLUS = qvec([
@@ -490,8 +545,8 @@ def test_build_walk_cross_check_fires(monkeypatch):
 
 def test_build_walk_peak_memory():
     # Each alternative U is masked in place and dropped once checked, so
-    # the peak stays a small multiple of one dense m' x m' array: 8.5 of
-    # them with numpy 2.4, 10.5 if the masks copied (np.where) instead.
+    # the peak stays a small multiple of one dense m' x m' array: 6.5 of
+    # them with numpy 2.4, 8.5 if the masks copied (np.where) instead.
     graph = parse_graph_spec("K12")
     weights = random_instance(graph, 7)
     unit = graph.m_prime ** 2 * np.dtype(complex).itemsize
