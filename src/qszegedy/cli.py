@@ -52,6 +52,7 @@ from .szegedy import (
     SpectrumClass,
     _base_spectrum,
     build_walk,
+    check_pm1_eigenspaces,
     check_unitary_condition,
     full_spectrum,
     group_mus,
@@ -432,6 +433,34 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     )
     section["sylvester"] = {"max_rel_error": syl_worst, "passed": syl_ok}
     passed = passed and syl_ok
+
+    # The theorem path needs unitary weights and a connected graph.
+    if not unitarity.passed:
+        eig_skip = "weights violate the unitarity condition"
+    elif not graph.is_connected():
+        eig_skip = "graph is disconnected"
+    else:
+        eig_skip = None
+    if eig_skip:
+        lines.append(f"eigenspaces skipped: {eig_skip}")
+        section["eigenspaces"] = {"skipped": eig_skip}
+    else:
+        counts = check_pm1_eigenspaces(ops)
+        ok = all(count.ok for count in counts)
+        lines.append(
+            "eigenspaces (birth + inherited = multiplicity): "
+            + ", ".join(
+                f"{count.lam:+g}: {count.birth} + {count.inherited} = "
+                f"{count.multiplicity}"
+                for count in counts
+            )
+            + (" ok" if ok else " FAIL")
+        )
+        section["eigenspaces"] = {
+            "passed": ok,
+            "targets": [count.to_dict() for count in counts],
+        }
+        passed = passed and ok
     return section, lines, passed
 
 

@@ -42,6 +42,7 @@ __all__ = [
     "complex_eigen",
     "from_psi",
     "h_linear_independent",
+    "h_rank",
     "is_unitary",
     "minimal_polynomial",
     "psi",
@@ -117,6 +118,14 @@ class QMatrix:
     @classmethod
     def from_complex(cls, mat) -> "QMatrix":
         return cls(np.asarray(mat, dtype=complex))
+
+    @classmethod
+    def hstack(cls, blocks) -> "QMatrix":
+        """Side-by-side concatenation of matrices with equal row counts."""
+        blocks = list(blocks)
+        return cls._adopt(
+            np.hstack([m.a for m in blocks]), np.hstack([m.b for m in blocks])
+        )
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
@@ -467,15 +476,17 @@ def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
                 raise ValidationError(
                     "expected column vectors of a common length"
                 )
-        stacked = QMatrix(
-            np.hstack([v.a for v in vectors]),
-            np.hstack([v.b for v in vectors]),
-        )
-    s = np.linalg.svd(psi(stacked), compute_uv=False)
-    if s[0] == 0.0:
-        return False
-    rank = int(np.sum(s > rank_tol * s[0]))
-    return rank == 2 * stacked.cols
+        stacked = QMatrix.hstack(vectors)
+    return h_rank(stacked, rank_tol) == stacked.cols
+
+
+def h_rank(m: QMatrix, rank_tol: float = RANK_TOL) -> int:
+    """Right H-rank of ``m``: half the numerical rank of ``psi(m)``, with
+    singular values below ``rank_tol * sigma_max`` counted as zero."""
+    s = np.linalg.svd(psi(m), compute_uv=False)
+    if s.size == 0 or s[0] == 0.0:
+        return 0
+    return int(np.sum(s > rank_tol * s[0])) // 2
 
 
 def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:

@@ -24,8 +24,13 @@ tree core (``m0 = n - 1``) makes a count negative; each missing pair
 then cancels a mapped pair {+1, +1} or {-1, -1}.
 
 Eigenvectors for non-real classes lift from eigenvectors ``v`` of the
-doubly weighted matrix via ``e = J0 L v - L v (1/lam)``; eigenvectors
-for the classes of +-1 are extracted directly from ``psi(U)``.
+doubly weighted matrix via ``e = J0 L v - L v (1/lam)``.  At ``lam = +-1``
+the lift degenerates, and the split ``U = K L* - J0`` gives the
+eigenspace instead: *birth* vectors with ``L* e = 0`` and
+``J0 e = -lam e`` (a kernel of an n x d matrix), plus *inherited*
+vectors ``L v`` for the eigenvectors of W at ``mu = 2 lam``.  They keep
+the origin label ``"direct"``; no step diagonalizes ``psi(U)`` except
+the oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +45,9 @@ from .errors import DegenerateLiftError, NumericalError, ValidationError
 from .graph import Graph
 from .qmatrix import (
     QMatrix,
+    _nullspace,
+    _pair_j_invariant,
+    h_rank,
     psi,
     qvec,
     right_eigenbasis,
@@ -47,6 +55,7 @@ from .qmatrix import (
 from .quaternion import CLASS_TOL, Quaternion, as_quaternion
 
 __all__ = [
+    "EigenspaceCount",
     "LiftedVector",
     "OracleComparison",
     "SpectrumClass",
@@ -59,6 +68,7 @@ __all__ = [
     "WeightMap",
     "build_kl",
     "build_walk",
+    "check_pm1_eigenspaces",
     "check_unitary_condition",
     "full_spectrum",
     "group_mus",
@@ -449,8 +459,11 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
     Returns ``(max_distance, matched)`` where ``matched`` requires equal
     sizes and every pair within ``tol``.  Pairs are taken closest first,
     ties broken by left then right index, skipping any whose left or
-    right value is already paired: one stable sort of the N x N distance
-    matrix, robust against near-ties that break sort-based pairing.
+    right value is already paired: the order of one stable sort of the
+    N x N distance matrix, robust against near-ties that break
+    sort-based pairing.  Only a prefix of that order is sorted, all
+    distances up to the k-th smallest, with k doubling until the scan
+    has paired every value.
     """
     left = np.array([complex(z) for z in left], dtype=complex)
     right = np.array([complex(z) for z in right], dtype=complex)
@@ -459,21 +472,35 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
     size = len(left)
     if not size:
         return 0.0, True
-    dist = np.abs(left[:, None] - right[None, :])
-    order = np.argsort(dist, axis=None, kind="stable")
-    rows, cols = np.divmod(order, size)
+    dist = np.abs(left[:, None] - right[None, :]).ravel()
     used_l = [False] * size
     used_r = [False] * size
     max_distance = 0.0
     paired = 0
-    for r, c in zip(rows.tolist(), cols.tolist()):
-        if used_l[r] or used_r[c]:
-            continue
-        used_l[r] = used_r[c] = True
-        max_distance = max(max_distance, float(dist[r, c]))
-        paired += 1
-        if paired == size:
-            break
+    low = -np.inf
+    k = 16 * size
+    while paired < size:
+        if k < dist.size:
+            high = np.partition(dist, k - 1)[k - 1]
+            chunk = np.flatnonzero((dist > low) & (dist <= high))
+        else:
+            high = np.inf
+            chunk = np.flatnonzero(~(dist <= low))  # the rest, NaN included
+        # Row-major indices, less the pairs earlier chunks ruled out,
+        # stably sorted: the next stretch of the order.
+        rows, cols = np.divmod(chunk, size)
+        live = ~(np.array(used_l)[rows] | np.array(used_r)[cols])
+        order = np.argsort(dist[chunk[live]], kind="stable")
+        for r, c in zip(rows[live][order].tolist(), cols[live][order].tolist()):
+            if used_l[r] or used_r[c]:
+                continue
+            used_l[r] = used_r[c] = True
+            max_distance = max(max_distance, float(dist[r * size + c]))
+            paired += 1
+            if paired == size:
+                break
+        low = high
+        k *= 2
     return max_distance, max_distance <= tol
 
 
@@ -530,9 +557,9 @@ def full_spectrum(
     Requires the unitarity condition and a connected graph (the
     multiplicities at +-1 are counted for one component).  With
     ``want_oracle`` the theorem-path multiset is matched against direct
-    diagonalization of ``psi(U)``; with ``want_eigenvectors`` lifted
-    eigenvectors for the non-real classes and directly extracted ones
-    for +-1 are attached.
+    diagonalization of ``psi(U)``; with ``want_eigenvectors`` the
+    eigenvectors of :func:`walk_eigenvectors` (lifted for the non-real
+    classes, from the birth/inherited split at +-1) are attached.
     """
     unitarity = check_unitary_condition(graph, weights)
     if not unitarity.passed:
@@ -544,7 +571,24 @@ def full_spectrum(
         raise ValidationError(
             "spectral mapping bookkeeping requires a connected graph"
         )
-    ops = build_walk(graph, weights)
+    return _walk_spectrum(
+        build_walk(graph, weights),
+        want_oracle=want_oracle,
+        want_eigenvectors=want_eigenvectors,
+        tol=tol,
+    )
+
+
+def _walk_spectrum(
+    ops: WalkOperators,
+    *,
+    want_oracle: bool = False,
+    want_eigenvectors: bool = False,
+    tol: float = SPECTRUM_TOL,
+) -> SpectrumReport:
+    """:func:`full_spectrum` of a walk whose weights satisfy the
+    unitarity condition on a connected graph."""
+    graph = ops.graph
     n, m0, m1 = graph.n, graph.m0, graph.m1
     mus = _base_spectrum(ops.W)
     mapped = [spectral_map(mu)[0] for mu in mus]
@@ -592,12 +636,8 @@ def full_spectrum(
 
     eigenvectors = None
     if want_eigenvectors:
-        boundary = [
-            target for target, count in extra.items()
-            if count > 0 or complex(target) in mapped
-        ]
         eigenvectors = tuple(walk_eigenvectors(
-            ops, [mu for mu, _count in group_mus(mus)], boundary
+            ops, [mu for mu, _count in group_mus(mus)], (1.0, -1.0)
         ))
 
     return SpectrumReport(
@@ -627,15 +667,16 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
 
 
 def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
-    """Walk eigenvectors lifted from base eigenvalues or extracted at +-1.
+    """Walk eigenvectors lifted from base eigenvalues or built at +-1.
 
     Every vector ``v`` of the right eigenbasis of W at each ``mu`` in
     ``mus`` is lifted together with its companion ``v j`` to
     ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``; base eigenvalues within
     ``MU_SNAP_TOL`` of +-2 map to +-1, where the lift degenerates, and
-    are skipped.  Each target in ``boundary`` (+1 or -1) then gets its
-    eigenbasis extracted directly from ``psi(U)``; a target that is not
-    an eigenvalue of the walk is skipped.
+    are skipped.  Each target in ``boundary`` (+1 or -1) then gets a
+    unit-norm basis of its eigenspace from the birth/inherited split of
+    :func:`_pm1_eigenspace` (origin label ``"direct"``); a target that is
+    not an eigenvalue of the walk yields no vectors.
     """
     vectors: list[LiftedVector] = []
     for mu in mus:
@@ -652,15 +693,139 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
                     LiftedVector(lam_p, mu, lifted, residual, origin, base)
                 )
     for target in boundary:
-        lam = complex(target)
-        try:
-            basis = right_eigenbasis(ops.U, lam)
-        except ValidationError:
-            continue
-        for v in basis:
-            residual = _walk_residual(ops, v, lam)
-            vectors.append(LiftedVector(lam, None, v, residual, "direct"))
+        lam = float(target)
+        basis = QMatrix.hstack(_pm1_eigenspace(ops, mus, lam))
+        norms = _column_norms(basis)
+        basis = QMatrix._adopt(basis.a / norms, basis.b / norms)
+        residuals = _column_norms(ops.U @ basis - basis.scale(lam))
+        for c, residual in enumerate(residuals.tolist()):
+            vectors.append(LiftedVector(
+                complex(lam), None, basis.column(c), residual, "direct"
+            ))
     return vectors
+
+
+def _pm1_eigenspace(ops: WalkOperators, mus, lam: float):
+    """Birth and inherited bases of the walk's eigenspace at ``lam = +-1``.
+
+    Returns two ``m' x k`` QMatrix blocks whose columns are right
+    eigenvectors for ``lam``, H-independent and together spanning the
+    eigenspace.  From ``U = K L* - J0``:
+
+    * *birth* vectors satisfy ``L* x = 0`` and ``J0 x = -lam x``: they
+      are ``B c`` for the right H-kernel of the n x d matrix ``P = L* B``
+      of :func:`_birth_matrix`, an SVD of ``psi(P)``, never of the walk;
+    * *inherited* vectors are ``L v`` for the eigenvectors ``v`` of W at
+      ``mu = 2 lam`` (``J0 L = K`` and ``K v = lam L v`` there), taken
+      from ``eigh(psi(W))`` within ``MU_SNAP_TOL`` of ``2 lam`` when
+      ``mus`` holds such a value.
+
+    ``L* B c = 0`` while ``L* L v = 2 v``, so the parts are orthogonal.
+    """
+    graph = ops.graph
+    p, (first, edge, second) = _birth_matrix(ops, lam)
+    kernel = _h_basis(_nullspace(psi(p)))  # right H-kernel of P
+    birth = QMatrix.zeros(graph.m_prime, kernel.cols)
+    for part, c in ((birth.a, kernel.a), (birth.b, kernel.b)):
+        part[first] = c
+        part[second] = -lam * c[edge]
+    base = QMatrix.zeros(graph.n, 0)
+    if any(abs(mu - 2.0 * lam) <= MU_SNAP_TOL for mu in mus):
+        # The eigenvalues _base_spectrum snaps to 2 lam, so the count
+        # matches the theorem path's exactly.
+        values, vecs = np.linalg.eigh(psi(ops.W))
+        base = _h_basis(vecs[:, np.abs(values - 2.0 * lam) <= MU_SNAP_TOL])
+    return birth, ops.L @ base
+
+
+def _birth_matrix(ops: WalkOperators, lam: float):
+    """``P = L* B`` for the basis ``B`` of ``J0 x = -lam x``, and B's layout.
+
+    Column ``c`` of ``B`` is ``e_first[c] - lam e_inv(first[c])`` for an
+    edge (``edge[c]``, partner arc in ``second``) and ``e_first[c]`` for a
+    loop, which only -1 admits; ``P`` is gathered from the columns of
+    ``L*`` at those arcs.
+    """
+    inv = ops.graph.inverse
+    arcs = np.arange(ops.graph.m_prime)
+    first = np.flatnonzero(arcs < inv if lam > 0 else arcs <= inv)
+    edge = inv[first] != first
+    second = inv[first][edge]
+    lh = ops.L.H
+    p = QMatrix._adopt(lh.a[:, first], lh.b[:, first])
+    p.a[:, edge] -= lam * lh.a[:, second]
+    p.b[:, edge] -= lam * lh.b[:, second]
+    return p, (first, edge, second)
+
+
+@dataclass(frozen=True)
+class EigenspaceCount:
+    """The walk's eigenspace at +1 or -1 counted two ways.
+
+    ``birth`` is the nullity of the birth matrix ``P`` and ``inherited``
+    the dimension of W's eigenspace at ``mu = 2 lam``: the sizes of the
+    two parts :func:`_pm1_eigenspace` builds.  ``multiplicity`` is the
+    theorem path's class multiplicity.
+    """
+
+    lam: float
+    birth: int
+    inherited: int
+    multiplicity: int
+
+    @property
+    def ok(self) -> bool:
+        return self.birth + self.inherited == self.multiplicity
+
+    def to_dict(self) -> dict:
+        return {
+            "lambda": self.lam,
+            "birth": self.birth,
+            "inherited": self.inherited,
+            "multiplicity": self.multiplicity,
+            "ok": self.ok,
+        }
+
+
+def check_pm1_eigenspaces(ops: WalkOperators) -> tuple[EigenspaceCount, ...]:
+    """The rank identity at +-1 for a walk ``ops``.
+
+    Counts the birth kernel and inherited dimensions against the class
+    multiplicity that the theorem path (Bass-prefactor count plus
+    mapped values, as :func:`full_spectrum` reports it) gives at each of
+    +1 and -1.  Only ranks are taken, no eigenvectors.  The weights must
+    satisfy the unitarity condition on a connected graph.
+    """
+    spectrum = _walk_spectrum(ops)
+    out = []
+    for lam in (1.0, -1.0):
+        p = _birth_matrix(ops, lam)[0]
+        # The psi multiplicity of the snapped base eigenvalue 2 lam is
+        # twice the H-dimension of W's eigenspace there.
+        inherited = spectrum.mu_spectrum.count(2.0 * lam) // 2
+        multiplicity = sum(
+            c.multiplicity for c in spectrum.classes if c.rep == lam
+        )
+        out.append(EigenspaceCount(
+            lam, p.cols - h_rank(p), inherited, multiplicity
+        ))
+    return tuple(out)
+
+
+def _h_basis(ns: np.ndarray) -> QMatrix:
+    """Quaternionic basis of the j-invariant span of orthonormal ``ns``."""
+    if ns.shape[1] % 2:
+        raise NumericalError(
+            "a j-invariant complex subspace has odd dimension"
+        )
+    picks = _pair_j_invariant(ns)
+    z = np.column_stack(picks) if picks else ns
+    half = z.shape[0] // 2
+    return QMatrix._adopt(z[:half], z[half:])
+
+
+def _column_norms(m: QMatrix) -> np.ndarray:
+    return np.sqrt(np.sum(np.abs(m.a) ** 2 + np.abs(m.b) ** 2, axis=0))
 
 
 def _walk_residual(ops: WalkOperators, vec: QMatrix, lam: complex) -> float:

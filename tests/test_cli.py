@@ -256,6 +256,77 @@ class TestVerify:
         assert report["passed"] is True
 
 
+    @pytest.mark.parametrize("name", bundled_names())
+    def test_eigenspaces_rank_identity_bundled(self, capsys, tmp_path, name):
+        path = tmp_path / "verify.json"
+        code, out, _ = run(capsys, "verify", name, "--output", str(path))
+        assert code == 0
+        line = next(x for x in out.splitlines() if x.startswith("eigenspaces"))
+        assert line.endswith(" ok")
+        section = json.loads(path.read_text(encoding="utf-8"))["eigenspaces"]
+        assert section["passed"] is True
+        assert [t["lambda"] for t in section["targets"]] == [1.0, -1.0]
+        for target in section["targets"]:
+            assert target["ok"]
+            assert (
+                target["birth"] + target["inherited"] == target["multiplicity"]
+            )
+
+    @pytest.mark.parametrize(
+        "spec", ["C40", "K8", "K6+loops", "P30", "star20+loop"]
+    )
+    def test_eigenspaces_rank_identity_families(self, capsys, tmp_path, spec):
+        path = tmp_path / "verify.json"
+        run(capsys, "verify", "--random", spec, "--count", "2", "--seed", "7",
+            "--output", str(path))
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        assert len(runs) == 2
+        for item in runs:
+            assert item["eigenspaces"]["passed"] is True, item["seed"]
+
+    def test_eigenspaces_check_fires(self, capsys, tmp_path, monkeypatch):
+        from qszegedy import szegedy
+
+        h_rank = szegedy.h_rank
+        # One more rank for P is one vector fewer in its kernel.
+        monkeypatch.setattr(szegedy, "h_rank", lambda p: h_rank(p) + 1)
+        path = tmp_path / "verify.json"
+        # k3_loops has a 3-dimensional birth kernel at -1.
+        code, out, _ = run(capsys, "verify", "k3_loops", "--output", str(path))
+        assert code == 1
+        assert "-1: 2 + 0 = 3" in out
+        line = next(x for x in out.splitlines() if x.startswith("eigenspaces"))
+        assert line.endswith(" FAIL")
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["eigenspaces"]["passed"] is False
+        assert report["passed"] is False
+
+    def test_eigenspaces_skipped(self, capsys, tmp_path):
+        raw = load_bundled("p3_tree").to_dict()
+        raw["weights"]["0->1"] = [0.9, 0.0, 0.0, 0.0]
+        broken = tmp_path / "broken.json"
+        broken.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(broken))
+        assert code == 1
+        assert "eigenspaces skipped: weights violate" in out
+
+        raw = {
+            "metadata": {"name": "two-edges", "seed": None},
+            "graph": {"n": 4, "edges": [[0, 1], [2, 3]], "loops": []},
+            "weights": {
+                key: [1.0, 0.0, 0.0, 0.0]
+                for key in ("0->1", "1->0", "2->3", "3->2")
+            },
+        }
+        split = tmp_path / "split.json"
+        split.write_text(json.dumps(raw), encoding="utf-8")
+        path = tmp_path / "verify.json"
+        code, out, _ = run(capsys, "verify", str(split), "--output", str(path))
+        assert "eigenspaces skipped: graph is disconnected" in out
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["eigenspaces"] == {"skipped": "graph is disconnected"}
+
+
 class TestLift:
     def test_single_mu(self, capsys):
         code, out, _ = run(capsys, "lift", "k3_loops", "--mu", "-0.6667")

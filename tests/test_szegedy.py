@@ -15,11 +15,12 @@ from qszegedy.errors import (
     ValidationError,
 )
 from qszegedy.graph import build_graph
-from qszegedy.instances import load_bundled, parse_graph_spec
+from qszegedy.instances import bundled_names, load_bundled, parse_graph_spec
 from qszegedy.qmatrix import (
     QMatrix,
     _j_conj,
     h_linear_independent,
+    h_rank,
     psi,
     is_unitary,
     qvec,
@@ -31,13 +32,16 @@ from qszegedy.szegedy import (
     WeightMap,
     _base_spectrum,
     build_walk,
+    check_pm1_eigenspaces,
     check_unitary_condition,
     full_spectrum,
+    group_mus,
     lift_eigenvector,
     match_multisets,
     random_instance,
     spectral_map,
     verify_structure,
+    walk_eigenvectors,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -438,6 +442,93 @@ def test_match_multisets_equals_greedy_loop(pairs, extra, tol):
     )
     # Right is a reordering of left: everything pairs at distance 0.
     assert match_multisets(left, left[::-1], tol) == (0.0, True)
+
+
+@pytest.mark.parametrize("seed", range(12))
+@pytest.mark.parametrize("size, grid", [(30, 3), (45, 5), (70, 3), (70, 9)])
+def test_match_multisets_prefix_rounds_equal_greedy_loop(size, grid, seed):
+    # N^2 exceeds the first prefix of 16 N distances, and coarse grids
+    # make clusters whose ties need further rounds.
+    rng = np.random.default_rng(seed)
+    points = np.linspace(-1.0, 1.0, grid)
+    left = points[rng.integers(grid, size=size)] + 1j * points[
+        rng.integers(grid, size=size)
+    ]
+    right = left[rng.permutation(size)] + 1e-3 * rng.integers(
+        -1, 2, size=size
+    )
+    for tol in (0.0, 1e-3, 0.5):
+        assert match_multisets(left, right, tol) == _greedy_match_reference(
+            left, right, tol
+        )
+
+
+def _pm1_cases():
+    for name in ("c5", "k3_loops", "k4", "p3_tree", "star_loop"):
+        yield name, None
+    for spec in ("P5", "star4+loop", "C6", "C7", "K4", "C8+loop", "K5",
+                 "K4+loops", "K8+loops"):
+        for seed in (None, 1, 2, 3):
+            yield spec, seed
+
+
+def _h_rank(vectors) -> int:
+    return h_rank(QMatrix.hstack(vectors)) if vectors else 0
+
+
+@pytest.mark.parametrize("spec, seed", list(_pm1_cases()))
+def test_pm1_eigenspaces_match_psi_u(spec, seed):
+    if seed is None and spec in bundled_names():
+        inst = load_bundled(spec)
+        graph, weights = inst.graph, inst.weights
+    else:
+        graph = parse_graph_spec(spec)
+        weights = (
+            WeightMap.uniform(graph) if seed is None
+            else random_instance(graph, seed)
+        )
+    ops = build_walk(graph, weights)
+    mus = [mu for mu, _count in group_mus(_base_spectrum(ops.W))]
+    vectors = walk_eigenvectors(ops, mus, (1.0, -1.0))
+    counts = {count.lam: count for count in check_pm1_eigenspaces(ops)}
+    for lam in (1.0, -1.0):
+        # verify's rank count sizes the same two parts that are built.
+        birth, inherited = szegedy._pm1_eigenspace(ops, mus, lam)
+        assert counts[lam].ok
+        assert (counts[lam].birth, counts[lam].inherited) == (
+            birth.cols, inherited.cols
+        )
+        items = [v for v in vectors if v.origin == "direct" and v.lam == lam]
+        new = [item.vector for item in items]
+        try:
+            old = right_eigenbasis(ops.U, lam)
+        except ValidationError:
+            old = []
+        assert len(new) == len(old), lam
+        assert _h_rank(new + old) == _h_rank(new) == _h_rank(old) == len(old)
+        if new:
+            assert h_linear_independent(new)
+        for item in items:
+            assert abs(item.vector.fro_norm() - 1.0) <= 1e-12
+            assert item.relative_residual <= 1e-12
+
+
+def test_walk_eigenvectors_no_walk_sized_svd(monkeypatch):
+    graph = parse_graph_spec("K12")
+    weights = random_instance(graph, 7)
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    report = full_spectrum(graph, weights, want_eigenvectors=True)
+    monkeypatch.undo()
+    assert len(report.eigenvectors) == graph.m_prime
+    assert shapes
+    assert max(max(shape) for shape in shapes) < 2 * graph.m_prime
 
 
 @pytest.mark.parametrize("lam", [1.0, -1.0])
