@@ -391,14 +391,23 @@ def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
     return _vec_from_complex(z)
 
 
-def _nullspace(c: np.ndarray, rank_tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal nullspace basis (columns) of a complex matrix."""
+def _rank(s: np.ndarray, rank_tol: float, scale: float = 0.0) -> int:
+    """Count the descending singular values ``s`` above
+    ``rank_tol * max(sigma_max, scale)``."""
+    return int(np.sum(s > rank_tol * max(s[0] if s.size else 0.0, scale)))
+
+
+def _nullspace(
+    c: np.ndarray, rank_tol: float = RANK_TOL, scale: float = 0.0
+) -> np.ndarray:
+    """Orthonormal nullspace basis (columns) of a complex matrix.
+
+    ``scale`` floors the rank threshold: the size of the terms that
+    cancel in ``c`` (``|lam|`` for ``psi(M) - lam I``), so a ``c`` that
+    is only rounding noise of ``M`` has a full kernel.
+    """
     u, s, vh = np.linalg.svd(c)
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > rank_tol * s[0]))
-    return vh[rank:, :].conj().T
+    return vh[_rank(s, rank_tol, scale):, :].conj().T
 
 
 def _pair_j_invariant(basis: np.ndarray) -> list[np.ndarray]:
@@ -440,7 +449,7 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
     _require_square(m)
     lam = complex(lam)
     c = psi(m)
-    ns = _nullspace(c - lam * np.eye(c.shape[0]), rank_tol)
+    ns = _nullspace(c - lam * np.eye(c.shape[0]), rank_tol, abs(lam))
     if ns.shape[1] == 0:
         raise ValidationError(
             f"{lam:.6g} is not an eigenvalue of psi(M) at rank tolerance"
@@ -482,11 +491,9 @@ def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
 
 def h_rank(m: QMatrix, rank_tol: float = RANK_TOL) -> int:
     """Right H-rank of ``m``: half the numerical rank of ``psi(m)``, with
-    singular values below ``rank_tol * sigma_max`` counted as zero."""
-    s = np.linalg.svd(psi(m), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > rank_tol * s[0])) // 2
+    singular values below ``rank_tol * sigma_max`` counted as zero (``m``
+    is not shifted, so ``sigma_max`` is its own scale)."""
+    return _rank(np.linalg.svd(psi(m), compute_uv=False), rank_tol) // 2
 
 
 def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
@@ -663,14 +670,17 @@ def minimal_polynomial(
 
     factors = []
     for coeffs, root in raw_factors:
-        base = PolyFactor(coeffs, 1, root)
-        block = base.evaluate_matrix(m)
+        block = PolyFactor(coeffs, 1, root).evaluate_matrix(m)
         power = block
-        nullity = _nullspace(psi(power), rank_tol).shape[1]
+        # |root|^degree is the size of what cancels in the factor at M.
+        scale = abs(root) ** (len(coeffs) - 1)
+        nullity = _nullspace(psi(power), rank_tol, scale).shape[1]
         exponent = 1
         while True:
             nxt = power @ block
-            nullity_next = _nullspace(psi(nxt), rank_tol).shape[1]
+            nullity_next = _nullspace(
+                psi(nxt), rank_tol, scale ** (exponent + 1)
+            ).shape[1]
             if nullity_next == nullity:
                 break
             exponent += 1
@@ -724,7 +734,8 @@ def root_subspaces(
     out: list[RootSubspace] = []
     for factor in mp.factors:
         power = factor.evaluate_matrix(m).power(factor.exponent)
-        ns = _nullspace(psi(power), rank_tol)
+        scale = abs(factor.root) ** (factor.degree * factor.exponent)
+        ns = _nullspace(psi(power), rank_tol, scale)
         if ns.shape[1] % 2:
             raise NumericalError(
                 "root subspace has odd complex dimension; rank tolerance "

@@ -50,7 +50,6 @@ from .qmatrix import (
     h_rank,
     psi,
     qvec,
-    right_eigenbasis,
 )
 from .quaternion import CLASS_TOL, Quaternion, as_quaternion
 
@@ -357,8 +356,12 @@ def spectral_map(mu: float, clamp_tol: float = MU_CLAMP_TOL):
 
 def _base_spectrum(w: QMatrix) -> list[float]:
     """Real eigenvalues of psi(W), ascending, boundary values snapped."""
+    return _snap_boundary(np.linalg.eigvalsh(psi(w)))
+
+
+def _snap_boundary(values: np.ndarray) -> list[float]:
     out = []
-    for value in np.linalg.eigvalsh(psi(w)).tolist():
+    for value in values.tolist():
         for boundary in (-2.0, 2.0):
             if abs(value - boundary) <= MU_SNAP_TOL:
                 value = boundary
@@ -669,21 +672,29 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
 def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     """Walk eigenvectors lifted from base eigenvalues or built at +-1.
 
-    Every vector ``v`` of the right eigenbasis of W at each ``mu`` in
-    ``mus`` is lifted together with its companion ``v j`` to
-    ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``; base eigenvalues within
-    ``MU_SNAP_TOL`` of +-2 map to +-1, where the lift degenerates, and
-    are skipped.  Each target in ``boundary`` (+1 or -1) then gets a
-    unit-norm basis of its eigenspace from the birth/inherited split of
-    :func:`_pm1_eigenspace` (origin label ``"direct"``); a target that is
-    not an eigenvalue of the walk yields no vectors.
+    Each ``mu`` in ``mus`` names one cluster of :func:`group_mus` over
+    the snapped eigenvalues of one ``eigh(psi(W))``; the cluster's
+    columns, halved into a right H-basis, are lifted together with their
+    companions ``v j`` to ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``.  Base
+    eigenvalues within ``MU_SNAP_TOL`` of +-2 map to +-1, where the lift
+    degenerates, and are skipped.  Each target in ``boundary`` (+1 or
+    -1) then gets a unit-norm basis of its eigenspace from the
+    birth/inherited split of :func:`_pm1_eigenspace` (origin label
+    ``"direct"``); a target that is not an eigenvalue of the walk yields
+    no vectors.
     """
+    values, vecs = np.linalg.eigh(psi(ops.W))
+    clusters = group_mus(_snap_boundary(values))
+    ends = np.cumsum([count for _mean, count in clusters])
     vectors: list[LiftedVector] = []
     for mu in mus:
         if abs(abs(mu) - 2.0) <= MU_SNAP_TOL:
             continue
+        # _lift rejects the cluster's vectors if mu is not its mean.
+        k = int(np.argmin([abs(mean - mu) for mean, _count in clusters]))
+        basis = _h_basis(vecs[:, ends[k] - clusters[k][1]:ends[k]])
         lam_p, _ = spectral_map(mu)
-        for v in right_eigenbasis(ops.W, complex(mu)):
+        for v in (basis.column(c) for c in range(basis.cols)):
             for base, origin in (
                 (v, "lift"),
                 (v.right_scalar(Quaternion(0, 0, 1, 0)), "lift-companion"),

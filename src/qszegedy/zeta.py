@@ -22,9 +22,12 @@ vertex-level ones:
           = (1 - t^2)^(2 m0 - 2 n) (1 + t)^(2 m1)
             det(I - t psi(W) + t^2 (psi(D) - I)).
 
-Tree-shaped graphs make the prefactor exponent negative; the check then
-cross-multiplies the factor to the arc side instead of dividing, so both
-sides stay polynomial.  The underlying cancellation lemma
+All three read ``det(I - t X) = (1 - t^2)^e (1 + t)^l
+det(I - t V + t^2 (D - I))`` for their own ``(X, V, D, e, l)`` and go
+through one evaluator.  Tree-shaped graphs make ``e`` negative; the
+check then cross-multiplies ``(1 - t^2)^|e|`` to the arc side instead of
+dividing, so both sides stay polynomial.  The underlying cancellation
+lemma
 
     det(alpha I_m - A B) alpha^n = alpha^m det(alpha I_n - B A)
 
@@ -37,7 +40,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -90,10 +93,6 @@ class EdgeMatrices:
     b: np.ndarray
     bw: np.ndarray | None
     j0: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return self.b.shape[0]
 
 
 def build_edge_matrices(graph: Graph, w=None) -> EdgeMatrices:
@@ -195,15 +194,48 @@ def _poly_coeff_error(lhs_fn, rhs_fn, degree: int) -> float:
     return float(np.max(np.abs(lhs - rhs))) / scale
 
 
-def _splitfactor(exponent: int):
-    """Return (lhs_multiplier, rhs_multiplier) for (1-t^2)**exponent.
+def _bass_identity(
+    name, variants, d, e: int, l: int, t_samples, tol, polynomial
+) -> IdentityCheck:
+    """Compare ``det(I - t X)`` with ``(1 - t^2)^e (1 + t)^l
+    det(I - t V + t^2 (D - I))`` for each ``{label: (X, V)}``.
 
-    Negative exponents move the factor to the arc side so both sides
-    stay polynomial on tree-shaped graphs.
+    A negative ``e`` puts ``(1 - t^2)^|e|`` on the arc side instead, so
+    both sides stay polynomial; their degree is at most
+    ``size(X) + 2 size(V) + 2|e| + 2l``, the degree polynomial mode
+    interpolates the first variant at.
     """
-    if exponent >= 0:
-        return (lambda t: 1.0), (lambda t: (1.0 - t * t) ** exponent)
-    return (lambda t: (1.0 - t * t) ** (-exponent)), (lambda t: 1.0)
+    samples = default_samples() if t_samples is None else t_samples
+
+    def sides(x, v):
+        eye_x = np.eye(x.shape[0], dtype=complex)
+        eye_v = np.eye(v.shape[0], dtype=complex)
+
+        def lhs(t):
+            return np.linalg.det(eye_x - t * x) * (1.0 - t * t) ** max(-e, 0)
+
+        def rhs(t):
+            return (
+                (1.0 + t) ** l
+                * np.linalg.det(eye_v - t * v + t * t * (d - eye_v))
+                * (1.0 - t * t) ** max(e, 0)
+            )
+
+        return lhs, rhs
+
+    built = {label: sides(x, v) for label, (x, v) in variants.items()}
+    check = _compare(name, samples, built, tol)
+    if not polynomial:
+        return check
+    x, v = next(iter(variants.values()))
+    degree = x.shape[0] + 2 * v.shape[0] + 2 * abs(e) + 2 * l
+    err = _poly_coeff_error(*next(iter(built.values())), degree)
+    check.variants["polynomial"] = err
+    return replace(
+        check,
+        max_rel_error=max(check.max_rel_error, err),
+        passed=check.passed and err <= POLY_TOL,
+    )
 
 
 def _require_loopless_connected(graph: Graph, what: str):
@@ -221,35 +253,13 @@ def ihara_identity(
 ) -> IdentityCheck:
     """Bass determinant form of the Ihara zeta function."""
     _require_loopless_connected(graph, "the Ihara identity")
-    samples = default_samples() if t_samples is None else t_samples
     em = build_edge_matrices(graph)
-    n, m = graph.n, graph.m0
-    adjacency = graph.adjacency()
-    deg = np.diag(graph.degrees().astype(complex))
-    eye_m = np.eye(em.size, dtype=complex)
-    eye_n = np.eye(n, dtype=complex)
-    lhs_mul, rhs_mul = _splitfactor(m - n)
-
-    def lhs(t):
-        return np.linalg.det(eye_m - t * (em.b - em.j0)) * lhs_mul(t)
-
-    def rhs(t):
-        return (
-            np.linalg.det(eye_n - t * adjacency + t * t * (deg - eye_n))
-            * rhs_mul(t)
-        )
-
-    check = _compare("ihara", samples, {"standard": (lhs, rhs)}, tol)
-    if polynomial:
-        err = _poly_coeff_error(lhs, rhs, 2 * em.size + 2 * abs(m - n) + 2)
-        check.variants["polynomial"] = err
-        check = IdentityCheck(
-            check.name, check.samples, check.lhs, check.rhs,
-            max(check.max_rel_error, err),
-            check.passed and err <= POLY_TOL,
-            check.variants,
-        )
-    return check
+    return _bass_identity(
+        "ihara",
+        {"standard": (em.b - em.j0, graph.adjacency())},
+        np.diag(graph.degrees().astype(complex)),
+        graph.m0 - graph.n, 0, t_samples, tol, polynomial,
+    )
 
 
 def _validate_weight_matrix(graph: Graph, w) -> np.ndarray:
@@ -282,42 +292,16 @@ def second_weighted_identity(
     """
     _require_loopless_connected(graph, "the second weighted identity")
     w = _validate_weight_matrix(graph, w)
-    samples = default_samples() if t_samples is None else t_samples
     em = build_edge_matrices(graph, w)
-    n, m = graph.n, graph.m0
-    dw = np.diag(np.sum(w, axis=1))
-    eye_m = np.eye(em.size, dtype=complex)
-    eye_n = np.eye(n, dtype=complex)
-    lhs_mul, rhs_mul = _splitfactor(m - n)
-
-    def make_sides(arc_mat, vert_mat):
-        def lhs(t):
-            return np.linalg.det(eye_m - t * (arc_mat - em.j0)) * lhs_mul(t)
-
-        def rhs(t):
-            return (
-                np.linalg.det(eye_n - t * vert_mat + t * t * (dw - eye_n))
-                * rhs_mul(t)
-            )
-
-        return lhs, rhs
-
-    sides = {
-        "standard": make_sides(em.bw, w),
-        "transposed": make_sides(em.bw.T, w.T),
-    }
-    check = _compare("second-weighted", samples, sides, tol)
-    if polynomial:
-        lhs, rhs = sides["standard"]
-        err = _poly_coeff_error(lhs, rhs, 2 * em.size + 2 * abs(m - n) + 2)
-        check.variants["polynomial"] = err
-        check = IdentityCheck(
-            check.name, check.samples, check.lhs, check.rhs,
-            max(check.max_rel_error, err),
-            check.passed and err <= POLY_TOL,
-            check.variants,
-        )
-    return check
+    return _bass_identity(
+        "second-weighted",
+        {
+            "standard": (em.bw - em.j0, w),
+            "transposed": (em.bw.T - em.j0, w.T),
+        },
+        np.diag(np.sum(w, axis=1)),
+        graph.m0 - graph.n, 0, t_samples, tol, polynomial,
+    )
 
 
 def quaternionic_identity(
@@ -337,43 +321,16 @@ def quaternionic_identity(
     """
     a = _arc_map(graph, a, "a")
     b = _arc_map(graph, b, "b")
-    samples = default_samples() if t_samples is None else t_samples
     K, L = build_kl(graph, a, b)
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
-    u_edge = psi(u_edge)
-    w_base = psi(L.H @ K)
-    d_base = psi(L.take_rows(graph.inverse).H @ K)
-    two_m, two_n = u_edge.shape[0], w_base.shape[0]
-    eye_m = np.eye(two_m, dtype=complex)
-    eye_n = np.eye(two_n, dtype=complex)
-    exponent = 2 * graph.m0 - 2 * graph.n
-    lhs_mul, rhs_mul = _splitfactor(exponent)
-
-    def lhs(t):
-        return np.linalg.det(eye_m - t * u_edge) * lhs_mul(t)
-
-    def rhs(t):
-        return (
-            (1.0 + t) ** (2 * graph.m1)
-            * np.linalg.det(eye_n - t * w_base + t * t * (d_base - eye_n))
-            * rhs_mul(t)
-        )
-
-    check = _compare("quaternionic", samples, {"standard": (lhs, rhs)}, tol)
-    if polynomial:
-        err = _poly_coeff_error(
-            lhs, rhs, two_m + two_n + 2 * abs(exponent) + 2 * graph.m1 + 2
-        )
-        check.variants["polynomial"] = err
-        check = IdentityCheck(
-            check.name, check.samples, check.lhs, check.rhs,
-            max(check.max_rel_error, err),
-            check.passed and err <= POLY_TOL,
-            check.variants,
-        )
-    return check
+    return _bass_identity(
+        "quaternionic",
+        {"standard": (psi(u_edge), psi(L.H @ K))},
+        psi(L.take_rows(graph.inverse).H @ K),
+        2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol, polynomial,
+    )
 
 
 def _arc_map(graph: Graph, values, what: str):

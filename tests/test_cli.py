@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output text, JSON reports."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ from qszegedy import __version__
 from qszegedy.cli import _vector_lines, main
 from qszegedy.instances import (
     bundled_names,
+    instance_to_dict,
     load_bundled,
     parse_graph_spec,
     random_instance_dict,
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_quaternion
+from qszegedy.szegedy import WeightMap
 
 
 def run(capsys, *argv):
@@ -399,6 +402,30 @@ class TestLift:
         listed = json.loads(spectrum_path.read_text())["spectrum"]["eigenvectors"]
         assert len(lifted) == 10
         assert len(listed) == 10
+
+    @pytest.mark.parametrize("spec, share", [("K4", 1 / 3), ("C6", 1 / 2)])
+    def test_all_near_degenerate_clusters(self, capsys, tmp_path, spec,
+                                          share):
+        # Vertex 0 at sqrt(share +- 1e-8) splits a base eigenvalue into
+        # clusters 1e-8 apart, each lifting only its own vectors.
+        payload = instance_to_dict(
+            parse_graph_spec(spec), WeightMap.uniform(parse_graph_spec(spec))
+        )
+        first, second = [
+            key for key in payload["weights"] if key.startswith("0->")
+        ][:2]
+        payload["weights"][first][0] = math.sqrt(share + 1e-8)
+        payload["weights"][second][0] = math.sqrt(share - 1e-8)
+        path = tmp_path / "split.json"
+        path.write_text(json.dumps(payload))
+        for argv in (["lift", "--all"], ["spectrum", "--eigenvectors"]):
+            out_path = tmp_path / "out.json"
+            code, _, err = run(capsys, argv[0], str(path), *argv[1:],
+                               "--output", str(out_path))
+            assert code == 0, err
+            report = json.loads(out_path.read_text())
+            listed = report.get("eigenvectors") or report["spectrum"]["eigenvectors"]
+            assert len(listed) == 2 * len(payload["graph"]["edges"])
 
 
 @pytest.mark.parametrize("rows", [3, 4])  # vertexwise and arcwise labels

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qszegedy.errors import NumericalError, ValidationError
+from qszegedy.graph import build_graph
 from qszegedy.qmatrix import (
     EIG_TOL,
     QMatrix,
@@ -22,6 +23,7 @@ from qszegedy.qmatrix import (
     root_subspaces,
 )
 from qszegedy.quaternion import I, J, K, ONE, Quaternion
+from qszegedy.szegedy import WeightMap, build_walk
 
 SQ2 = math.sqrt(2.0)
 
@@ -276,3 +278,29 @@ def test_complex_eigen_order_and_residuals():
         assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
         assert np.linalg.norm(c @ z - lam * z) <= EIG_TOL * scale
 
+
+
+# psi(M) - lam I below is rounding noise of M, about 4.4e-16 times the
+# identity; the rank threshold is floored by |lam|, the scale that
+# cancelled, so the whole space is the kernel.
+NOISY_EYE = QMatrix(np.eye(3) * (1 + 4.4e-16))
+
+
+def test_right_eigenbasis_of_rounding_noise_is_full():
+    basis = right_eigenbasis(NOISY_EYE, 1.0)
+    assert len(basis) == 3
+    assert h_linear_independent(basis)
+
+
+def test_root_subspaces_of_rounding_noise_are_full():
+    subspaces = root_subspaces(NOISY_EYE)
+    assert [s.dimension for s in subspaces] == [3]
+
+
+def test_right_eigenbasis_one_vertex_loop():
+    graph = build_graph(1, [], loops=[0])
+    w = build_walk(graph, WeightMap.uniform(graph)).W
+    assert w.a[0, 0] != 2.0  # 2.0000000000000004
+    basis = right_eigenbasis(w, 2.0)
+    assert len(basis) == 1
+    assert (w @ basis[0] - basis[0].scale(2.0)).max_entry_norm() <= 1e-15

@@ -513,6 +513,36 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
             assert item.relative_residual <= 1e-12
 
 
+def _split_weights(spec: str, share: float, eps: float):
+    """Uniform weights, except vertex 0's first two arcs at
+    ``sqrt(share +- eps)``; unitary whenever ``share`` is the uniform one."""
+    graph = parse_graph_spec(spec)
+    values = dict(WeightMap.uniform(graph).values)
+    first, second = (arc.key for arc in graph.out_arcs(0)[:2])
+    values[first] = Quaternion(math.sqrt(share + eps))
+    values[second] = Quaternion(math.sqrt(share - eps))
+    return graph, WeightMap(values)
+
+
+@pytest.mark.parametrize("spec, share", [("K4", 1 / 3), ("C6", 1 / 2)])
+def test_walk_eigenvectors_near_degenerate_clusters(spec, share):
+    # Base eigenvalues about 1e-8 apart: group_mus keeps them in separate
+    # clusters, and each cluster lifts only its own eigh columns rather
+    # than a kernel that spans its neighbours too.
+    graph, weights = _split_weights(spec, share, 1e-8)
+    report = full_spectrum(
+        graph, weights, want_oracle=True, want_eigenvectors=True
+    )
+    assert report.oracle.matched
+    assert len(report.eigenvectors) == graph.m_prime
+    assert h_linear_independent([item.vector for item in report.eigenvectors])
+    for item in report.eigenvectors:
+        # The +-1 vectors carry W's top eigenvalue 2 - O(1e-17), snapped
+        # to 2, at the walk's square-root scale: O(1e-9).
+        bound = 1e-8 if item.origin == "direct" else 1e-12
+        assert item.relative_residual <= bound
+
+
 def test_walk_eigenvectors_no_walk_sized_svd(monkeypatch):
     graph = parse_graph_spec("K12")
     weights = random_instance(graph, 7)

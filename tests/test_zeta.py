@@ -5,12 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from qszegedy import zeta
 from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.instances import load_bundled
+from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import Quaternion
 from qszegedy.szegedy import build_walk
 from qszegedy.zeta import (
+    EdgeMatrices,
     build_edge_matrices,
     default_samples,
     ihara_identity,
@@ -209,3 +212,48 @@ def test_sylvester_large_m_in_log_form():
     assert check.passed and check.max_rel_error <= 1e-10
     check = sylvester_det_property(a, b, 0.0)
     assert check.passed and check.max_rel_error == 0.0
+
+
+def _perturbed(monkeypatch, name, make):
+    real = getattr(zeta, name)
+    monkeypatch.setattr(zeta, name, lambda *args: make(real(*args)))
+
+
+@pytest.mark.parametrize("which", ["ihara", "second-weighted"])
+def test_perturbed_arc_side_fails(monkeypatch, which):
+    # B (and Bw) feed only the arc side, so 1e-3 on them must fail the
+    # comparison: the evaluator cannot be comparing a side with itself.
+    g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    w = g.adjacency() * (1.0 + 0.5j)
+    check = (
+        (lambda: ihara_identity(g)) if which == "ihara"
+        else (lambda: second_weighted_identity(g, w))
+    )
+    assert check().passed
+    _perturbed(monkeypatch, "build_edge_matrices", lambda em: EdgeMatrices(
+        em.b + 1e-3, None if em.bw is None else em.bw + 1e-3, em.j0
+    ))
+    result = check()
+    assert not result.passed and result.max_rel_error > 1e-5
+
+
+def test_quaternionic_perturbed_arc_side_fails(monkeypatch):
+    inst = load_bundled("k3_loops")
+    graph = inst.graph
+    ops = build_walk(graph, inst.weights)
+    a = [q * SQ2 for q in ops.q]
+    b = [ops.q[graph.inverse_index(r)] * SQ2 for r in range(graph.m_prime)]
+    assert quaternionic_identity(graph, a, b).passed
+    # K enters both sides, and the identity holds for every (K, L), so a
+    # perturbed K still passes.
+    _perturbed(monkeypatch, "build_kl", lambda kl: (
+        kl[0] + QMatrix(np.full(kl[0].shape, 1e-3)), kl[1]
+    ))
+    assert quaternionic_identity(graph, a, b).passed
+    monkeypatch.undo()
+    # psi(K L* - J0) is the only 2m' x 2m' embedding: perturb it alone.
+    _perturbed(monkeypatch, "psi", lambda c: (
+        c + 1e-3 if c.shape[0] == 2 * graph.m_prime else c
+    ))
+    result = quaternionic_identity(graph, a, b)
+    assert not result.passed and result.max_rel_error > 1e-5
