@@ -10,8 +10,12 @@ which is unitary exactly when the squared weight norms leaving each
 vertex sum to 1.  With the incidence-type matrices ``K`` (origin) and
 ``L`` (terminus) built from ``a(e) = sqrt(2) q(e)`` and
 ``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0`` and
-``U = J0 (L L* - I)``; both alternative constructions are evaluated and
-cross-checked entrywise whenever a walk is built.
+``U = J0 (L L* - I)``.  U is non-zero only on its support
+``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries; all three
+constructions are evaluated there and cross-checked entrywise whenever
+a walk is built.  The dense ``m' x m'`` U is formed only where it is
+read (the oracle, ``verify``, the direct ``--force`` path and
+``examples``); walk residuals apply ``U x = K (L* x) - J0 x`` instead.
 
 The right spectrum comes from the doubly weighted matrix
 ``W = L* K`` through the spectral mapping: every eigenvalue ``mu`` of
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -234,69 +239,93 @@ def build_kl(graph: Graph, a, b) -> tuple[QMatrix, QMatrix]:
 class WalkOperators:
     """All matrices attached to one walk instance.
 
+    ``build_walk`` forms K, L and W and checks the three constructions
+    of U on U's support; the dense matrices U and D are built only when
+    first read, and so is the eigendecomposition of ``psi(W)``.
+
     Attributes
     ----------
-    U : QMatrix
-        Transition matrix on arcs.
     K, L : QMatrix
         Origin/terminus incidence weight matrices with rows indexed by
         arcs and columns by vertices.
     W : QMatrix
         Doubly weighted matrix ``L* K``; Hermitian by construction.
+    support : tuple of two integer arrays
+        Row and column indices ``(e, f)`` of U's support ``t(f) = o(e)``,
+        in row-major order.
+    support_values : QMatrix
+        ``|S| x 1`` column of U's entries on the support, as the direct
+        formula gives them and the cross-check compared.
+    U : QMatrix
+        Transition matrix on arcs (dense, built on first access and
+        compared with ``support_values`` before it is returned).
     D : QMatrix
         Weighted-degree diagonal ``L* J0 K``; equals ``2 I`` under the
-        unitarity condition.
+        unitarity condition (built on first access).
+    w_eigh : tuple of arrays
+        ``np.linalg.eigh(psi(W))``, read-only, computed on first access.
     """
 
     graph: Graph
     q: tuple[Quaternion, ...]
-    U: QMatrix
     K: QMatrix
     L: QMatrix
     W: QMatrix
-    D: QMatrix
+    support: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
+    support_values: QMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def U(self) -> QMatrix:
+        graph = self.graph
+        rows, inv = np.arange(graph.m_prime), graph.inverse
+        qcol = qvec(self.q)
+        # 2 q(e) q(f^-1)* zeroed where o(e) != t(f), overwritten by
+        # 2 |q(e)|^2 - 1 at f = e^-1.
+        U = qcol.scale(2.0) @ qcol.take_rows(inv).H
+        off = graph.origin[:, None] != graph.terminus[None, :]
+        U.a[off] = 0.0
+        U.b[off] = 0.0
+        U.a[rows, inv] = _diagonal_of_inverse(qcol)
+        U.b[rows, inv] = 0.0
+        e, f = self.support
+        _cross_check(
+            self.support_values,
+            QMatrix._adopt(U.a[e, f][:, None], U.b[e, f][:, None]),
+            "dense U",
+        )
+        return U
+
+    @cached_property
+    def D(self) -> QMatrix:
+        return self.L.take_rows(self.graph.inverse).H @ self.K
+
+    @cached_property
+    def w_eigh(self) -> tuple[np.ndarray, np.ndarray]:
+        values, vecs = np.linalg.eigh(psi(self.W))
+        values.flags.writeable = False
+        vecs.flags.writeable = False
+        return values, vecs
 
 
 def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
     """Construct the walk matrices, cross-checking three U constructions.
 
     The direct entrywise formula, the factorization ``K L* - J0``, and
-    the shift-times-coin product ``J0 (L L* - I)`` must agree entrywise
-    to ``1e-14``; disagreement indicates a broken invariant, not bad
-    input, and raises NumericalError.  Unitarity of the weights is NOT
+    the shift-times-coin product ``J0 (L L* - I)`` are each evaluated on
+    the pairs where its own factors are non-zero, and must give the same
+    support and agree entrywise to ``1e-14``; disagreement indicates a
+    broken invariant, not bad input, and raises NumericalError.  No
+    ``m' x m'`` array is formed.  Unitarity of the weights is NOT
     required here: non-unitary instances still define all matrices.
     """
     q = _aligned_nonzero(graph, weights)
-    rows, inv = np.arange(graph.m_prime), graph.inverse
     qcol = qvec(q)
-    qinv = qcol.take_rows(inv)
+    qinv = qcol.take_rows(graph.inverse)
     K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
 
-    # Direct entrywise construction: 2 q(e) q(f^-1)* where t(f) = o(e),
-    # overwritten by 2 |q(e)|^2 - 1 at f = e^-1.
-    U = qcol.scale(2.0) @ qinv.H
-    off = graph.origin[:, None] != graph.terminus[None, :]
-    U.a[off] = 0.0
-    U.b[off] = 0.0
-    s, p = qcol.a[:, 0], qcol.b[:, 0]
-    norm_sq = s.real**2 + s.imag**2 + p.real**2 + p.imag**2
-    U.a[rows, inv] = 2.0 * norm_sq - 1.0
-    U.b[rows, inv] = 0.0
-
-    U_kl = K @ L.H
-    U_kl.a[rows, inv] -= 1.0
-    _cross_check(U, U_kl, "K L* - J0")
-    del U_kl
-    # Coin: C[e, f] = 2 q(e^-1) q(f^-1)* - delta when t(e) = t(f); the
-    # shift J0 then permutes its rows.
-    coin = qinv.scale(2.0) @ qinv.H
-    off = graph.terminus[:, None] != graph.terminus[None, :]
-    coin.a[off] = 0.0
-    coin.b[off] = 0.0
-    coin.a[rows, rows] -= 1.0
-    coin = coin.take_rows(inv)
-    _cross_check(U, coin, "J0 (L L* - I)")
-    del coin
+    direct = _direct_entries(graph, qcol)
+    _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0")
+    _support_check(graph, direct, _coin_entries(graph, qinv), "J0 (L L* - I)")
 
     W = L.H @ K
     herm_gap = (W.H - W).max_entry_norm()
@@ -304,16 +333,101 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
-    D = L.take_rows(inv).H @ K
     return WalkOperators(
         graph=graph,
         q=tuple(q),
-        U=U,
         K=K,
         L=L,
         W=W,
-        D=D,
+        support=direct[:2],
+        support_values=direct[2],
     )
+
+
+def _direct_entries(graph: Graph, qcol: QMatrix):
+    """U on its support from the defining formula, in row-major order:
+    ``2 q(e) q(f^-1)*`` on the pairs ``t(f) = o(e)``, with
+    ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns ``(rows, cols, values)``
+    with the values an ``|S| x 1`` column."""
+    e, f = _pairs(graph.origin, graph.terminus)
+    inv = graph.inverse
+    values = _times_conj(
+        qcol.scale(2.0).take_rows(e), qcol.take_rows(inv[f])
+    )
+    back = f == inv[e]
+    values.a[back, 0] = _diagonal_of_inverse(qcol)[e[back]]
+    values.b[back] = 0.0
+    return e, f, values
+
+
+def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix):
+    """``K L* - J0`` on the pairs where K's row e and L's row f have
+    non-zero entries in a shared vertex column: their product, minus 1
+    at ``f = e^-1``."""
+    k_rows, k_cols = np.nonzero((K.a != 0) | (K.b != 0))
+    l_rows, l_cols = np.nonzero((L.a != 0) | (L.b != 0))
+    i, j = _pairs(k_cols, l_cols)
+    e, f = k_rows[i], l_rows[j]
+    values = _times_conj(
+        QMatrix._adopt(K.a[e, k_cols[i], None], K.b[e, k_cols[i], None]),
+        QMatrix._adopt(L.a[f, l_cols[j], None], L.b[f, l_cols[j], None]),
+    )
+    values.a[f == graph.inverse[e]] -= 1.0
+    return e, f, values
+
+
+def _coin_entries(graph: Graph, qinv: QMatrix):
+    """``J0 (L L* - I)`` from the coin ``C[e', f] = 2 q(e'^-1) q(f^-1)* -
+    delta`` on the pairs ``t(e') = t(f)``; the shift J0 moves row e' to
+    ``inverse[e']``."""
+    rows, cols = _pairs(graph.terminus, graph.terminus)
+    values = _times_conj(
+        qinv.scale(2.0).take_rows(rows), qinv.take_rows(cols)
+    )
+    values.a[rows == cols] -= 1.0
+    return graph.inverse[rows], cols, values
+
+
+def _pairs(left: np.ndarray, right: np.ndarray):
+    """All index pairs ``(i, j)`` with ``left[i] == right[j]``, ordered by
+    ``i`` and then ``j``."""
+    order = np.argsort(right, kind="stable")
+    start = np.searchsorted(right[order], left, "left")
+    counts = np.searchsorted(right[order], left, "right") - start
+    i = np.repeat(np.arange(len(left)), counts)
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    return i, order[np.repeat(start, counts) + np.arange(len(i)) - first]
+
+
+def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
+    """Entrywise quaternion products ``x y*`` of two equal-shape matrices."""
+    return QMatrix._adopt(
+        x.a * np.conj(y.a) + np.conj(x.b) * y.b,
+        x.b * np.conj(y.a) - np.conj(x.a) * y.b,
+    )
+
+
+def _diagonal_of_inverse(qcol: QMatrix) -> np.ndarray:
+    """``2 |q(e)|^2 - 1``, U's entry at ``(e, e^-1)``."""
+    s, p = qcol.a[:, 0], qcol.b[:, 0]
+    return 2.0 * (s.real**2 + s.imag**2 + p.real**2 + p.imag**2) - 1.0
+
+
+def _support_check(graph: Graph, direct, other, label: str) -> None:
+    """Compare two U constructions given as ``(rows, cols, values)``
+    entries: the same support, and entries within ``CROSS_CHECK_TOL``.
+    ``direct`` is in row-major order; ``other``'s values are
+    overwritten."""
+    rows, cols, values = other
+    keys = rows * graph.m_prime + cols
+    order = np.argsort(keys, kind="stable")
+    e, f, reference = direct
+    if not np.array_equal(keys[order], e * graph.m_prime + f):
+        raise NumericalError(
+            f"transition-matrix construction paths disagree: direct vs "
+            f"{label} differ in support ({len(e)} vs {len(keys)} entries)"
+        )
+    _cross_check(reference, values.take_rows(order), label)
 
 
 def _cross_check(U: QMatrix, other: QMatrix, label: str) -> None:
@@ -512,18 +626,31 @@ class _ClassLedger:
 
     def __init__(self):
         self.entries: list[list] = []  # [rep, psi_count, set(sources)]
+        # Entry anchors and merge radii CLASS_TOL * max(1, |anchor|), in
+        # buffers that double when full; only the first len(entries) count.
+        self._anchors = np.empty(16, dtype=complex)
+        self._radii = np.empty(16)
 
     def add(self, rep: complex, psi_count: int, source: str):
+        """Merge into the first-inserted entry whose anchor lies within
+        its radius of ``rep``, or start a new entry."""
         if psi_count <= 0:
             return
         rep = complex(rep.real, abs(rep.imag))
-        for entry in self.entries:
-            anchor = entry[0]
-            scale = max(1.0, abs(anchor))
-            if abs(anchor - rep) <= CLASS_TOL * scale:
-                entry[1] += psi_count
-                entry[2].add(source)
-                return
+        count = len(self.entries)
+        hits = np.flatnonzero(
+            np.abs(self._anchors[:count] - rep) <= self._radii[:count]
+        )
+        if hits.size:
+            entry = self.entries[hits[0]]
+            entry[1] += psi_count
+            entry[2].add(source)
+            return
+        if count == len(self._anchors):
+            self._anchors = np.concatenate([self._anchors, self._anchors])
+            self._radii = np.concatenate([self._radii, self._radii])
+        self._anchors[count] = rep
+        self._radii[count] = CLASS_TOL * max(1.0, abs(rep))
         self.entries.append([rep, psi_count, {source}])
 
     def classes(self) -> tuple[SpectrumClass, ...]:
@@ -683,7 +810,7 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     ``"direct"``); a target that is not an eigenvalue of the walk yields
     no vectors.
     """
-    values, vecs = np.linalg.eigh(psi(ops.W))
+    values, vecs = ops.w_eigh
     clusters = group_mus(_snap_boundary(values))
     ends = np.cumsum([count for _mean, count in clusters])
     vectors: list[LiftedVector] = []
@@ -708,7 +835,7 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
         basis = QMatrix.hstack(_pm1_eigenspace(ops, mus, lam))
         norms = _column_norms(basis)
         basis = QMatrix._adopt(basis.a / norms, basis.b / norms)
-        residuals = _column_norms(ops.U @ basis - basis.scale(lam))
+        residuals = _column_norms(_apply_walk(ops, basis) - basis.scale(lam))
         for c, residual in enumerate(residuals.tolist()):
             vectors.append(LiftedVector(
                 complex(lam), None, basis.column(c), residual, "direct"
@@ -744,7 +871,7 @@ def _pm1_eigenspace(ops: WalkOperators, mus, lam: float):
     if any(abs(mu - 2.0 * lam) <= MU_SNAP_TOL for mu in mus):
         # The eigenvalues _base_spectrum snaps to 2 lam, so the count
         # matches the theorem path's exactly.
-        values, vecs = np.linalg.eigh(psi(ops.W))
+        values, vecs = ops.w_eigh
         base = _h_basis(vecs[:, np.abs(values - 2.0 * lam) <= MU_SNAP_TOL])
     return birth, ops.L @ base
 
@@ -839,8 +966,13 @@ def _column_norms(m: QMatrix) -> np.ndarray:
     return np.sqrt(np.sum(np.abs(m.a) ** 2 + np.abs(m.b) ** 2, axis=0))
 
 
+def _apply_walk(ops: WalkOperators, x: QMatrix) -> QMatrix:
+    """``U x`` without U, as ``K (L* x) - J0 x``: O(m' n) per column."""
+    return ops.K @ (ops.L.H @ x) - x.take_rows(ops.graph.inverse)
+
+
 def _walk_residual(ops: WalkOperators, vec: QMatrix, lam: complex) -> float:
-    return (ops.U @ vec - vec.right_scalar(lam)).fro_norm()
+    return (_apply_walk(ops, vec) - vec.right_scalar(lam)).fro_norm()
 
 
 def lift_eigenvector(

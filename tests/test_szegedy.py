@@ -5,10 +5,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qszegedy import szegedy
+from qszegedy.cli import main
 from qszegedy.errors import (
     DegenerateLiftError,
     NumericalError,
@@ -26,7 +27,7 @@ from qszegedy.qmatrix import (
     qvec,
     right_eigenbasis,
 )
-from qszegedy.quaternion import I, J, K, ONE, Quaternion
+from qszegedy.quaternion import CLASS_TOL, I, J, K, ONE, Quaternion
 from qszegedy.szegedy import (
     LiftedVector,
     WeightMap,
@@ -665,9 +666,9 @@ def test_build_walk_cross_check_fires(monkeypatch):
 
 
 def test_build_walk_peak_memory():
-    # Each alternative U is masked in place and dropped once checked, so
-    # the peak stays a small multiple of one dense m' x m' array: 6.5 of
-    # them with numpy 2.4, 8.5 if the masks copied (np.where) instead.
+    # The three U constructions are compared on U's support and no dense
+    # m' x m' array is formed: the peak is 1.5 m'^2-sized complex arrays
+    # with numpy 2.4, against 6.5 when each construction was dense.
     graph = parse_graph_spec("K12")
     weights = random_instance(graph, 7)
     unit = graph.m_prime ** 2 * np.dtype(complex).itemsize
@@ -678,3 +679,169 @@ def test_build_walk_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 10 * unit
+
+
+def test_build_walk_coin_check_fires(monkeypatch):
+    # The coin reads only q(e^-1); a 1e-12 error in its input is far
+    # above the 1e-14 gate.
+    unperturbed = szegedy._coin_entries
+
+    def perturbed(graph, qinv):
+        return unperturbed(graph, QMatrix(qinv.a + 1e-12, qinv.b))
+
+    monkeypatch.setattr(szegedy, "_coin_entries", perturbed)
+    inst = load_bundled("k3_loops")
+    with pytest.raises(NumericalError, match=r"J0 \(L L\* - I\) differ by"):
+        build_walk(inst.graph, inst.weights)
+
+
+@pytest.mark.parametrize("name, label", [
+    ("_direct_entries", r"K L\* - J0"),
+    ("_kl_entries", r"K L\* - J0"),
+    ("_coin_entries", r"J0 \(L L\* - I\)"),
+])
+def test_build_walk_support_check_fires(monkeypatch, name, label):
+    # One construction loses a pair of U's support: the remaining values
+    # still agree, but the key sets differ.
+    unpatched = getattr(szegedy, name)
+
+    def dropped(*args):
+        rows, cols, values = unpatched(*args)
+        return rows[1:], cols[1:], values.take_rows(slice(1, None))
+
+    monkeypatch.setattr(szegedy, name, dropped)
+    inst = load_bundled("k3_loops")
+    with pytest.raises(NumericalError, match=label + " differ in support"):
+        build_walk(inst.graph, inst.weights)
+
+
+def test_dense_u_matches_support_on_first_access():
+    graph = parse_graph_spec("K4+loops")
+    weights = random_instance(graph, 3)
+    ops = build_walk(graph, weights)
+    assert "U" not in vars(ops)
+    e, f = ops.support
+    u = ops.U
+    on_support = QMatrix(u.a[e, f][:, None], u.b[e, f][:, None])
+    assert (on_support - ops.support_values).max_entry_norm() <= 1e-14
+    off = np.ones(u.shape, dtype=bool)
+    off[e, f] = False
+    assert not u.a[off].any() and not u.b[off].any()
+    assert ops.U is u
+    # The comparison on first access fires like the build's cross-check.
+    ops = build_walk(graph, weights)
+    ops.support_values.a[0] += 1e-12
+    with pytest.raises(NumericalError, match="direct vs dense U differ by"):
+        ops.U
+
+
+def test_theorem_path_never_reads_dense_u(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("dense U was read")
+
+    monkeypatch.setattr(szegedy.WalkOperators, "U", property(refuse))
+    graph = parse_graph_spec("K4+loops")
+    weights = random_instance(graph, 3)
+    report = full_spectrum(graph, weights, want_eigenvectors=True)
+    assert len(report.eigenvectors) == graph.m_prime
+    assert all(v.residual <= 1e-12 for v in report.eigenvectors)
+    assert main(["lift", "k3_loops", "--all"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    # The oracle is the one theorem-path option that diagonalises psi(U).
+    with pytest.raises(AssertionError, match="dense U was read"):
+        full_spectrum(graph, weights, want_oracle=True)
+
+
+def test_full_spectrum_diagonalises_psi_w_once(monkeypatch):
+    # The lifts and both +-1 eigenspaces share one eigh(psi(W)).
+    graph = parse_graph_spec("P30")
+    weights = random_instance(graph, 7)
+    unpatched = np.linalg.eigh
+    shapes = []
+
+    def counted(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return unpatched(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    full_spectrum(graph, weights, want_eigenvectors=True)
+    assert shapes == [(60, 60)]
+
+
+def test_theorem_path_peak_memory():
+    # build_walk compares the three U constructions on U's support and
+    # the theorem path reads no dense U: 0.73 m'^2-sized complex arrays
+    # with numpy 2.4, against 6.25 when every build formed U three times.
+    graph = parse_graph_spec("K24+loops")
+    weights = random_instance(graph, 7)
+    unit = graph.m_prime ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        build_walk(graph, weights)
+        full_spectrum(graph, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * unit
+
+
+class _LoopLedger:
+    """The class ledger's merge rule as a scan over every entry."""
+
+    def __init__(self):
+        self.entries = []
+
+    def add(self, rep, psi_count, source):
+        if psi_count <= 0:
+            return
+        rep = complex(rep.real, abs(rep.imag))
+        for entry in self.entries:
+            anchor = entry[0]
+            scale = max(1.0, abs(anchor))
+            if abs(anchor - rep) <= CLASS_TOL * scale:
+                entry[1] += psi_count
+                entry[2].add(source)
+                return
+        self.entries.append([rep, psi_count, {source}])
+
+
+_LEDGER_VALUES = st.one_of(
+    # Integer multiples of CLASS_TOL: spacings of exactly one merge
+    # radius where |anchor| <= 1.
+    st.builds(
+        lambda k, l: complex(k * CLASS_TOL, l * CLASS_TOL),
+        st.integers(-2, 2),
+        st.integers(-1, 1),
+    ),
+    # Radius-sized steps off anchors of modulus above 1.
+    st.builds(
+        lambda a, k: complex(a * (1.0 + k * CLASS_TOL), 0.0),
+        st.sampled_from([-2.0, -1.0, 1.5, 3.0]),
+        st.integers(-2, 2),
+    ),
+    st.complex_numbers(max_magnitude=4.0, allow_nan=False,
+                       allow_infinity=False),
+)
+
+
+@settings(max_examples=200, deadline=None)
+# A value within one radius of two entries merges into the first.
+@example([(0j, 2, "mapped"), (complex(2 * CLASS_TOL), 2, "trivial+1"),
+          (complex(CLASS_TOL), 2, "trivial-1")])
+@given(st.lists(
+    st.tuples(
+        _LEDGER_VALUES,
+        st.integers(-2, 3).map(lambda k: 2 * k),
+        st.sampled_from(["mapped", "trivial+1", "trivial-1"]),
+    ),
+    max_size=40,
+))
+def test_class_ledger_matches_entry_scan(contributions):
+    ledger, reference = szegedy._ClassLedger(), _LoopLedger()
+    for rep, count, source in contributions:
+        ledger.add(rep, count, source)
+        reference.add(rep, count, source)
+    assert ledger.entries == reference.entries
+    expected = szegedy._ClassLedger()
+    expected.entries = reference.entries
+    assert ledger.classes() == expected.classes()
