@@ -28,6 +28,7 @@ from .graph import Graph
 from .instances import (
     Instance,
     bundled_names,
+    bundled_spec,
     load_bundled,
     parse_graph_spec,
     random_instance_dict,
@@ -48,9 +49,7 @@ from .quaternion import J as QJ
 from .quaternion import K as QK
 from .quaternion import Quaternion, format_components
 from .szegedy import (
-    MU_SNAP_TOL,
     SpectrumClass,
-    _base_spectrum,
     build_walk,
     check_pm1_eigenspaces,
     check_unitary_condition,
@@ -297,7 +296,7 @@ def cmd_lift(args) -> int:
             f"{[v + 1 for v in unitarity.failing_vertices()]}"
         )
     ops = build_walk(instance.graph, instance.weights)
-    distinct = group_mus(_base_spectrum(ops.W))
+    distinct = group_mus(ops.mu_spectrum)
 
     if args.all:
         targets = [value for value, _count in distinct]
@@ -312,7 +311,7 @@ def cmd_lift(args) -> int:
             )
         targets = [nearest]
         boundary = []
-        if abs(abs(nearest) - 2.0) <= MU_SNAP_TOL:
+        if abs(nearest) == 2.0:
             # mu = +-2 maps to lambda = +-1, which is extracted directly.
             boundary = [1.0 if nearest > 0 else -1.0]
 
@@ -704,9 +703,7 @@ def cmd_generate(args) -> int:
         if args.seed is None:
             payload = load_bundled(args.spec).to_dict()
         else:
-            from .instances import _BUNDLED_SPECS
-
-            payload = random_instance_dict(_BUNDLED_SPECS[args.spec], args.seed)
+            payload = random_instance_dict(bundled_spec(args.spec), args.seed)
     else:
         parse_graph_spec(args.spec)  # reject malformed specs first
         if args.seed is None:

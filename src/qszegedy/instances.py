@@ -34,6 +34,7 @@ from .szegedy import WeightMap, random_instance
 __all__ = [
     "Instance",
     "bundled_names",
+    "bundled_spec",
     "instance_from_dict",
     "instance_to_dict",
     "instance_hash",
@@ -266,13 +267,19 @@ def bundled_names() -> tuple[str, ...]:
     return tuple(sorted(_BUNDLED_SPECS))
 
 
-def load_bundled(name: str) -> Instance:
-    """Load one of the instances shipped with the package."""
+def bundled_spec(name: str) -> str:
+    """The graph family spec of a bundled instance (``k4`` -> ``K4``)."""
     if name not in _BUNDLED_SPECS:
         raise ValidationError(
             f"unknown bundled instance {name!r}; available: "
             f"{', '.join(bundled_names())}"
         )
+    return _BUNDLED_SPECS[name]
+
+
+def load_bundled(name: str) -> Instance:
+    """Load one of the instances shipped with the package."""
+    bundled_spec(name)  # rejects unknown names
     ref = resources.files("qszegedy").joinpath(f"instances/{name}.json")
     raw = json.loads(ref.read_text(encoding="utf-8"))
     return instance_from_dict(raw, source=f"bundled:{name}")

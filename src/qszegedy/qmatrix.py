@@ -321,36 +321,15 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
     eigenvalues of ``psi(M)`` and counts half of them.
     """
     n = _require_square(m)
-    values = np.linalg.eigvals(psi(m))
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
-    groups: list[list[complex]] = []
-    for lam in values:
-        key = complex(lam.real, abs(lam.imag))
-        placed = False
-        for group in groups:
-            anchor = group[0]
-            if (
-                abs(anchor.real - key.real) <= tol * scale
-                and abs(abs(anchor) - abs(key)) <= tol * scale
-            ):
-                group.append(key)
-                placed = True
-                break
-        if not placed:
-            groups.append([key])
     out = []
     total = 0
-    for group in groups:
-        if len(group) % 2:
+    for rep, count in _psi_classes(np.linalg.eigvals(psi(m)), tol):
+        if count % 2:
             raise NumericalError(
                 "conjugate pairing failed: a class received an odd number "
-                f"of psi eigenvalues near {group[0]:.6g}"
+                f"of psi eigenvalues near {rep:.6g}"
             )
-        rep = complex(
-            float(np.mean([g.real for g in group])),
-            float(np.mean([g.imag for g in group])),
-        )
-        mult = len(group) // 2
+        mult = count // 2
         total += mult
         out.append((ConjugacyClass(rep), mult))
     if total != n:
@@ -358,6 +337,37 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
             f"class multiplicities sum to {total}, expected {n}"
         )
     out.sort(key=lambda item: (item[0].rep.real, item[0].rep.imag))
+    return out
+
+
+def _psi_classes(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
+    """Group eigenvalues of a psi image into conjugacy classes.
+
+    Each value is folded into the upper half-plane and joins the first
+    class whose first member matches it in real part and modulus within
+    ``tol`` times the spectral radius (floored at 1).  Returns each
+    class's folded mean and its count of psi eigenvalues, in order of
+    first appearance.
+    """
+    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
+    groups: list[list[complex]] = []
+    for lam in values:
+        key = complex(lam.real, abs(lam.imag))
+        for group in groups:
+            anchor = group[0]
+            if (
+                abs(anchor.real - key.real) <= tol * scale
+                and abs(abs(anchor) - abs(key)) <= tol * scale
+            ):
+                group.append(key)
+                break
+        else:
+            groups.append([key])
+    out = []
+    for group in groups:
+        real = float(np.mean([g.real for g in group]))
+        imag = float(np.mean([g.imag for g in group]))
+        out.append((complex(real, imag), len(group)))
     return out
 
 
@@ -410,18 +420,23 @@ def _nullspace(
     return vh[_rank(s, rank_tol, scale):, :].conj().T
 
 
-def _pair_j_invariant(basis: np.ndarray) -> list[np.ndarray]:
-    """Halve a j-invariant complex subspace into quaternionic generators.
+def _h_basis(ns: np.ndarray) -> QMatrix:
+    """Halve a j-invariant complex subspace into a quaternionic basis.
 
-    ``basis`` holds orthonormal columns of a subspace closed under
-    ``z -> J conj(z)``.  Pick column 0, project the plane it spans with
-    its companion out of every column, then pick the remaining column of
-    largest norm, and repeat (pivoted deflation, O(N k^2) for 2k
-    columns); each pick corresponds to one quaternionic basis vector.
+    ``ns`` holds orthonormal columns of a subspace closed under
+    ``z -> J conj(z)``, so its dimension must be even.  Pick column 0,
+    project the plane it spans with its companion out of every column,
+    then pick the remaining column of largest norm, and repeat (pivoted
+    deflation, O(N k^2) for 2k columns); each pick is one column of the
+    returned right H-basis.
     """
+    if ns.shape[1] % 2:
+        raise NumericalError(
+            "a j-invariant complex subspace has odd dimension"
+        )
     picks: list[np.ndarray] = []
-    work = np.array(basis, dtype=complex)
-    count = (basis.shape[1] + 1) // 2
+    work = np.array(ns, dtype=complex)
+    count = ns.shape[1] // 2
     col = 0
     for step in range(count):
         z = work[:, col]
@@ -435,7 +450,9 @@ def _pair_j_invariant(basis: np.ndarray) -> list[np.ndarray]:
         if step + 1 < count:
             work -= np.outer(z, np.conj(z) @ work) + np.outer(zj, np.conj(zj) @ work)
             col = int(np.argmax(np.linalg.norm(work, axis=0)))
-    return picks
+    z = np.column_stack(picks) if picks else ns
+    half = z.shape[0] // 2
+    return QMatrix._adopt(z[:half], z[half:])
 
 
 def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
@@ -459,11 +476,8 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
         1.0, float(np.linalg.norm(c, 2))
     ):
         return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
-    if ns.shape[1] % 2:
-        raise NumericalError(
-            "eigenspace of a real eigenvalue has odd complex dimension"
-        )
-    return [_vec_from_complex(z) for z in _pair_j_invariant(ns)]
+    basis = _h_basis(ns)
+    return [basis.column(c) for c in range(basis.cols)]
 
 
 def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
@@ -567,27 +581,6 @@ class MinimalPolynomial:
         return out
 
 
-def _cluster_values(values: np.ndarray, threshold: float):
-    """Single-linkage clustering of complex values at ``threshold``."""
-    n = len(values)
-    parent = list(range(n))
-
-    def find(r):
-        while parent[r] != r:
-            parent[r] = parent[parent[r]]
-            r = parent[r]
-        return r
-
-    for r in range(n):
-        for s in range(r + 1, n):
-            if abs(values[r] - values[s]) <= threshold:
-                parent[find(r)] = find(s)
-    groups: dict[int, list[int]] = {}
-    for r in range(n):
-        groups.setdefault(find(r), []).append(r)
-    return [np.array([values[i] for i in idx]) for idx in groups.values()]
-
-
 def minimal_polynomial(
     m: QMatrix,
     cluster_tol: float = CLUSTER_TOL,
@@ -595,27 +588,34 @@ def minimal_polynomial(
 ) -> MinimalPolynomial:
     """Minimal polynomial of a square quaternionic matrix.
 
-    Eigenvalues of ``psi(M)`` are clustered at ``cluster_tol`` (relative
-    to the spectral radius, floored at 1) into candidate roots; factor
-    exponents come from nullity stabilization of factor powers.  When
-    two clusters pass within three times the merge threshold a warning
-    is emitted and recorded on the result, since the factorization is
-    then sensitive to the tolerance choice.
+    The candidate roots are the classes of the psi spectrum, grouped as
+    :func:`right_eigenvalues` groups them but at ``cluster_tol`` (relative
+    to the spectral radius, floored at 1): a root whose imaginary part is
+    within that threshold is real and gives a degree-1 factor, any other
+    a degree-2 factor with its conjugate.  Factor exponents come from
+    nullity stabilization of factor powers.  When two roots, or a root
+    and the conjugate of another, pass within three times the threshold
+    a warning is emitted and recorded on the result, since the
+    factorization is then sensitive to the tolerance choice.
     """
     n = _require_square(m)
     values = np.linalg.eigvals(psi(m))
-    scale = max(1.0, float(np.max(np.abs(values))))
-    threshold = cluster_tol * scale
-    clusters = _cluster_values(values, threshold)
+    threshold = cluster_tol * max(1.0, float(np.max(np.abs(values))))
+    raw_factors: list[tuple[tuple[float, ...], complex]] = []
+    for root, _count in _psi_classes(values, cluster_tol):
+        if root.imag <= threshold:
+            root = complex(root.real, 0.0)
+            coeffs = (1.0, -root.real)
+        else:
+            coeffs = (1.0, -2.0 * root.real, abs(root) ** 2)
+        raw_factors.append((coeffs, root))
 
+    roots = np.array([root for _coeffs, root in raw_factors])
+    points = np.concatenate([roots, roots[roots.imag != 0].conj()])
+    gaps = np.abs(points[:, None] - points[None, :])
+    np.fill_diagonal(gaps, np.inf)
     notes: list[str] = []
-    min_gap = np.inf
-    for r in range(len(clusters)):
-        for s in range(r + 1, len(clusters)):
-            gap = np.min(
-                np.abs(clusters[r][:, None] - clusters[s][None, :])
-            )
-            min_gap = min(min_gap, float(gap))
+    min_gap = float(np.min(gaps, initial=np.inf))
     if min_gap < 3.0 * threshold:
         message = (
             f"eigenvalue clusters separated by {min_gap:.3g}, close to the "
@@ -624,47 +624,6 @@ def minimal_polynomial(
         )
         warnings.warn(message)
         notes.append(message)
-
-    # Conjugation-closed bookkeeping: process upper-half-plane clusters,
-    # consume their mirror clusters, emit degree-1 or degree-2 factors.
-    centers = [complex(np.mean(c)) for c in clusters]
-    consumed = [False] * len(clusters)
-    raw_factors: list[tuple[tuple[float, ...], complex]] = []
-    for idx, center in enumerate(centers):
-        if consumed[idx]:
-            continue
-        if abs(center.imag) <= threshold:
-            consumed[idx] = True
-            root = complex(center.real, 0.0)
-            raw_factors.append(((1.0, -root.real), root))
-            continue
-        if center.imag < 0.0:
-            continue
-        mirror = None
-        for jdx, other in enumerate(centers):
-            if jdx == idx or consumed[jdx] or other.imag > 0:
-                continue
-            if abs(np.conj(other) - center) <= 10.0 * threshold:
-                mirror = jdx
-                break
-        if mirror is None:
-            raise NumericalError(
-                f"no conjugate partner for eigenvalue cluster at {center:.6g}"
-            )
-        consumed[idx] = True
-        consumed[mirror] = True
-        root = complex(
-            0.5 * (center.real + centers[mirror].real),
-            0.5 * (center.imag - centers[mirror].imag),
-        )
-        raw_factors.append(
-            ((1.0, -2.0 * root.real, abs(root) ** 2), root)
-        )
-    for idx, done in enumerate(consumed):
-        if not done:
-            raise NumericalError(
-                f"unpaired lower-half-plane cluster at {centers[idx]:.6g}"
-            )
 
     raw_factors.sort(key=lambda item: (item[1].real, abs(item[1])))
 
@@ -735,14 +694,10 @@ def root_subspaces(
     for factor in mp.factors:
         power = factor.evaluate_matrix(m).power(factor.exponent)
         scale = abs(factor.root) ** (factor.degree * factor.exponent)
-        ns = _nullspace(psi(power), rank_tol, scale)
-        if ns.shape[1] % 2:
-            raise NumericalError(
-                "root subspace has odd complex dimension; rank tolerance "
-                "is ambiguous here"
-            )
-        basis = tuple(_vec_from_complex(z) for z in _pair_j_invariant(ns))
-        out.append(RootSubspace(factor, basis))
+        basis = _h_basis(_nullspace(psi(power), rank_tol, scale))
+        out.append(RootSubspace(
+            factor, tuple(basis.column(c) for c in range(basis.cols))
+        ))
     total = sum(s.dimension for s in out)
     if total != n:
         raise NumericalError(

@@ -48,14 +48,7 @@ import numpy as np
 
 from .errors import DegenerateLiftError, NumericalError, ValidationError
 from .graph import Graph
-from .qmatrix import (
-    QMatrix,
-    _nullspace,
-    _pair_j_invariant,
-    h_rank,
-    psi,
-    qvec,
-)
+from .qmatrix import QMatrix, _h_basis, _nullspace, h_rank, psi, qvec
 from .quaternion import CLASS_TOL, Quaternion, as_quaternion
 
 __all__ = [
@@ -241,7 +234,8 @@ class WalkOperators:
 
     ``build_walk`` forms K, L and W and checks the three constructions
     of U on U's support; the dense matrices U and D are built only when
-    first read, and so is the eigendecomposition of ``psi(W)``.
+    first read, and so are the base spectrum and the eigendecomposition
+    of ``psi(W)``.
 
     Attributes
     ----------
@@ -257,13 +251,19 @@ class WalkOperators:
         ``|S| x 1`` column of U's entries on the support, as the direct
         formula gives them and the cross-check compared.
     U : QMatrix
-        Transition matrix on arcs (dense, built on first access and
-        compared with ``support_values`` before it is returned).
+        Transition matrix on arcs (dense, built on first access by
+        scattering the checked ``support_values`` onto ``support``).
     D : QMatrix
         Weighted-degree diagonal ``L* J0 K``; equals ``2 I`` under the
         unitarity condition (built on first access).
+    mu_spectrum : tuple of float
+        The eigenvalues of ``psi(W)``, ascending, with those within
+        ``MU_SNAP_TOL`` of +-2 snapped to exactly +-2: the one snap
+        decision of the walk, which the theorem path, the eigenvector
+        clusters, the +-1 eigenspaces and their rank count all read.
     w_eigh : tuple of arrays
-        ``np.linalg.eigh(psi(W))``, read-only, computed on first access.
+        ``np.linalg.eigh(psi(W))``, read-only, computed on first access;
+        its columns are in the order of ``mu_spectrum``.
     """
 
     graph: Graph
@@ -276,28 +276,19 @@ class WalkOperators:
 
     @cached_property
     def U(self) -> QMatrix:
-        graph = self.graph
-        rows, inv = np.arange(graph.m_prime), graph.inverse
-        qcol = qvec(self.q)
-        # 2 q(e) q(f^-1)* zeroed where o(e) != t(f), overwritten by
-        # 2 |q(e)|^2 - 1 at f = e^-1.
-        U = qcol.scale(2.0) @ qcol.take_rows(inv).H
-        off = graph.origin[:, None] != graph.terminus[None, :]
-        U.a[off] = 0.0
-        U.b[off] = 0.0
-        U.a[rows, inv] = _diagonal_of_inverse(qcol)
-        U.b[rows, inv] = 0.0
+        U = QMatrix.zeros(self.graph.m_prime, self.graph.m_prime)
         e, f = self.support
-        _cross_check(
-            self.support_values,
-            QMatrix._adopt(U.a[e, f][:, None], U.b[e, f][:, None]),
-            "dense U",
-        )
+        U.a[e, f] = self.support_values.a[:, 0]
+        U.b[e, f] = self.support_values.b[:, 0]
         return U
 
     @cached_property
     def D(self) -> QMatrix:
         return self.L.take_rows(self.graph.inverse).H @ self.K
+
+    @cached_property
+    def mu_spectrum(self) -> tuple[float, ...]:
+        return tuple(_base_spectrum(self.W))
 
     @cached_property
     def w_eigh(self) -> tuple[np.ndarray, np.ndarray]:
@@ -355,7 +346,9 @@ def _direct_entries(graph: Graph, qcol: QMatrix):
         qcol.scale(2.0).take_rows(e), qcol.take_rows(inv[f])
     )
     back = f == inv[e]
-    values.a[back, 0] = _diagonal_of_inverse(qcol)[e[back]]
+    s, p = qcol.a[e[back], 0], qcol.b[e[back], 0]
+    norm_sq = s.real**2 + s.imag**2 + p.real**2 + p.imag**2
+    values.a[back, 0] = 2.0 * norm_sq - 1.0
     values.b[back] = 0.0
     return e, f, values
 
@@ -407,17 +400,10 @@ def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
     )
 
 
-def _diagonal_of_inverse(qcol: QMatrix) -> np.ndarray:
-    """``2 |q(e)|^2 - 1``, U's entry at ``(e, e^-1)``."""
-    s, p = qcol.a[:, 0], qcol.b[:, 0]
-    return 2.0 * (s.real**2 + s.imag**2 + p.real**2 + p.imag**2) - 1.0
-
-
 def _support_check(graph: Graph, direct, other, label: str) -> None:
     """Compare two U constructions given as ``(rows, cols, values)``
     entries: the same support, and entries within ``CROSS_CHECK_TOL``.
-    ``direct`` is in row-major order; ``other``'s values are
-    overwritten."""
+    ``direct`` is in row-major order."""
     rows, cols, values = other
     keys = rows * graph.m_prime + cols
     order = np.argsort(keys, kind="stable")
@@ -427,14 +413,7 @@ def _support_check(graph: Graph, direct, other, label: str) -> None:
             f"transition-matrix construction paths disagree: direct vs "
             f"{label} differ in support ({len(e)} vs {len(keys)} entries)"
         )
-    _cross_check(reference, values.take_rows(order), label)
-
-
-def _cross_check(U: QMatrix, other: QMatrix, label: str) -> None:
-    """Entrywise gap between two U constructions; overwrites ``other``."""
-    other.a -= U.a
-    other.b -= U.b
-    gap = other.max_entry_norm()
+    gap = (values.take_rows(order) - reference).max_entry_norm()
     if gap > CROSS_CHECK_TOL:
         raise NumericalError(
             f"transition-matrix construction paths disagree: direct vs "
@@ -463,9 +442,15 @@ def spectral_map(mu: float, clamp_tol: float = MU_CLAMP_TOL):
             f"clamping base eigenvalue {mu!r} to the interval [-2, 2]"
         )
         mu = 2.0 if mu > 0 else -2.0
+    lam = _walk_value(mu)
+    return lam, lam.conjugate()
+
+
+def _walk_value(mu: float) -> complex:
+    """``mu/2 + i sqrt(1 - (mu/2)^2)``, the upper value of the spectral
+    map, without its range check (beyond +-2 the root reads 0)."""
     half = 0.5 * mu
-    imag = math.sqrt(max(0.0, 1.0 - half * half))
-    return complex(half, imag), complex(half, -imag)
+    return complex(half, math.sqrt(max(0.0, 1.0 - half * half)))
 
 
 def _base_spectrum(w: QMatrix) -> list[float]:
@@ -621,57 +606,54 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
     return max_distance, max_distance <= tol
 
 
-class _ClassLedger:
-    """Accumulates (representative, psi-count, source) contributions."""
+def _spectrum_classes(mapped, extra) -> tuple[SpectrumClass, ...]:
+    """Conjugacy classes of the theorem path in one pass.
 
-    def __init__(self):
-        self.entries: list[list] = []  # [rep, psi_count, set(sources)]
-        # Entry anchors and merge radii CLASS_TOL * max(1, |anchor|), in
-        # buffers that double when full; only the first len(entries) count.
-        self._anchors = np.empty(16, dtype=complex)
-        self._radii = np.empty(16)
+    ``mapped`` holds the upper walk values of ascending base eigenvalues,
+    so they run along the upper unit semicircle from -1 to +1: each joins
+    the newest class when it lies within that class's radius
+    ``CLASS_TOL * max(1, |anchor|)`` of its first member (the anchor), or
+    starts a new class.  ``extra`` maps +1 and -1 to the signed psi counts
+    of the Bass prefactor; a positive count joins the first class within
+    radius of its target, or starts one.
+    """
+    entries: list[list] = []  # [anchor, psi count, sources]
 
-    def add(self, rep: complex, psi_count: int, source: str):
-        """Merge into the first-inserted entry whose anchor lies within
-        its radius of ``rep``, or start a new entry."""
-        if psi_count <= 0:
-            return
-        rep = complex(rep.real, abs(rep.imag))
-        count = len(self.entries)
-        hits = np.flatnonzero(
-            np.abs(self._anchors[:count] - rep) <= self._radii[:count]
-        )
-        if hits.size:
-            entry = self.entries[hits[0]]
-            entry[1] += psi_count
+    def within(rep: complex, anchor: complex) -> bool:
+        return abs(anchor - rep) <= CLASS_TOL * max(1.0, abs(anchor))
+
+    for lam in mapped:
+        if entries and within(lam, entries[-1][0]):
+            entries[-1][1] += 2
+        else:
+            entries.append([lam, 2, {"mapped"}])
+    for target, count in extra.items():
+        if count <= 0:
+            continue
+        rep, source = complex(target), f"trivial{target:+g}"
+        entry = next((e for e in entries if within(rep, e[0])), None)
+        if entry is None:
+            entries.append([rep, count, {source}])
+        else:
+            entry[1] += count
             entry[2].add(source)
-            return
-        if count == len(self._anchors):
-            self._anchors = np.concatenate([self._anchors, self._anchors])
-            self._radii = np.concatenate([self._radii, self._radii])
-        self._anchors[count] = rep
-        self._radii[count] = CLASS_TOL * max(1.0, abs(rep))
-        self.entries.append([rep, psi_count, {source}])
 
-    def classes(self) -> tuple[SpectrumClass, ...]:
-        out = []
-        for rep, count, sources in self.entries:
-            if count % 2:
-                raise NumericalError(
-                    f"class at {rep:.6g} received an odd psi count {count}"
-                )
-            # Snap components drowned by rounding; 1e-12 sits far below
-            # the CLASS_TOL merge window, so this only cleans zeros.
-            snap = 1e-12 * max(1.0, abs(rep))
-            rep = complex(
-                0.0 if abs(rep.real) <= snap else rep.real,
-                0.0 if abs(rep.imag) <= snap else rep.imag,
+    out = []
+    for rep, count, sources in entries:
+        if count % 2:
+            raise NumericalError(
+                f"class at {rep:.6g} received an odd psi count {count}"
             )
-            out.append(
-                SpectrumClass(rep, count // 2, tuple(sorted(sources)))
-            )
-        out.sort(key=lambda c: (c.rep.real, c.rep.imag))
-        return tuple(out)
+        # Snap components drowned by rounding; 1e-12 sits far below
+        # the CLASS_TOL merge window, so this only cleans zeros.
+        snap = 1e-12 * max(1.0, abs(rep))
+        rep = complex(
+            0.0 if abs(rep.real) <= snap else rep.real,
+            0.0 if abs(rep.imag) <= snap else rep.imag,
+        )
+        out.append(SpectrumClass(rep, count // 2, tuple(sorted(sources))))
+    out.sort(key=lambda c: (c.rep.real, c.rep.imag))
+    return tuple(out)
 
 
 def full_spectrum(
@@ -720,7 +702,7 @@ def _walk_spectrum(
     unitarity condition on a connected graph."""
     graph = ops.graph
     n, m0, m1 = graph.n, graph.m0, graph.m1
-    mus = _base_spectrum(ops.W)
+    mus = ops.mu_spectrum
     mapped = [spectral_map(mu)[0] for mu in mus]
 
     # The Bass prefactor as signed psi counts at +1 and -1.  A negative
@@ -736,17 +718,14 @@ def _walk_spectrum(
                 )
             mapped.remove(complex(target))
 
-    ledger = _ClassLedger()
     theorem_values: list[complex] = []
     for lam in mapped:
-        ledger.add(lam, 2, "mapped")
         # A real value goes in twice as itself: conjugating it would
         # write -0.0 into the report.
         theorem_values += (lam, lam.conjugate() if lam.imag else lam)
     for target, count in extra.items():
-        ledger.add(complex(target), count, f"trivial{target:+g}")
         theorem_values += [complex(target)] * max(count, 0)
-    classes = ledger.classes()
+    classes = _spectrum_classes(mapped, extra)
 
     if len(theorem_values) != 2 * graph.m_prime:
         raise NumericalError(
@@ -772,7 +751,7 @@ def _walk_spectrum(
 
     return SpectrumReport(
         classes=classes,
-        mu_spectrum=tuple(mus),
+        mu_spectrum=mus,
         psi_u_spectrum=tuple(
             sorted(theorem_values, key=lambda z: (z.real, z.imag))
         ),
@@ -786,10 +765,23 @@ def _walk_spectrum(
 
 
 def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
-    """Cluster sorted base eigenvalues into (cluster mean, psi count) pairs."""
+    """Cluster sorted base eigenvalues into (cluster mean, psi count) pairs.
+
+    A value joins the current cluster when it lies within
+    ``tol * max(1, |mu|)`` of the cluster's first member and its walk
+    value ``mu/2 + i sqrt(1 - (mu/2)^2)`` within ``tol`` of that member's.
+    Near +-2 the square root stretches base gaps, so the walk test splits
+    values whose classes the theorem path tells apart.  On the snapped
+    spectrum a cluster at +-2 therefore holds only snapped values, and its
+    mean is exactly +-2.0.
+    """
     groups: list[list[float]] = []
     for mu in mus:
-        if groups and abs(mu - groups[-1][0]) <= tol * max(1.0, abs(mu)):
+        if (
+            groups
+            and abs(mu - groups[-1][0]) <= tol * max(1.0, abs(mu))
+            and abs(_walk_value(mu) - _walk_value(groups[-1][0])) <= tol
+        ):
             groups[-1].append(mu)
         else:
             groups.append([mu])
@@ -800,22 +792,22 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     """Walk eigenvectors lifted from base eigenvalues or built at +-1.
 
     Each ``mu`` in ``mus`` names one cluster of :func:`group_mus` over
-    the snapped eigenvalues of one ``eigh(psi(W))``; the cluster's
-    columns, halved into a right H-basis, are lifted together with their
-    companions ``v j`` to ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``.  Base
-    eigenvalues within ``MU_SNAP_TOL`` of +-2 map to +-1, where the lift
-    degenerates, and are skipped.  Each target in ``boundary`` (+1 or
-    -1) then gets a unit-norm basis of its eigenspace from the
-    birth/inherited split of :func:`_pm1_eigenspace` (origin label
-    ``"direct"``); a target that is not an eigenvalue of the walk yields
-    no vectors.
+    ``ops.mu_spectrum``; the cluster's columns of ``ops.w_eigh`` (the
+    same index range, as both solvers sort ascending), halved into a
+    right H-basis, are lifted together with their companions ``v j`` to
+    ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``.  The snapped clusters, whose
+    mean is exactly +-2.0, map to +-1, where the lift degenerates, and
+    are skipped.  Each target in ``boundary`` (+1 or -1) then gets a
+    unit-norm basis of its eigenspace from the birth/inherited split of
+    :func:`_pm1_eigenspace` (origin label ``"direct"``); a target that is
+    not an eigenvalue of the walk yields no vectors.
     """
-    values, vecs = ops.w_eigh
-    clusters = group_mus(_snap_boundary(values))
+    vecs = ops.w_eigh[1]
+    clusters = group_mus(ops.mu_spectrum)
     ends = np.cumsum([count for _mean, count in clusters])
     vectors: list[LiftedVector] = []
     for mu in mus:
-        if abs(abs(mu) - 2.0) <= MU_SNAP_TOL:
+        if abs(mu) == 2.0:
             continue
         # _lift rejects the cluster's vectors if mu is not its mean.
         k = int(np.argmin([abs(mean - mu) for mean, _count in clusters]))
@@ -832,7 +824,7 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
                 )
     for target in boundary:
         lam = float(target)
-        basis = QMatrix.hstack(_pm1_eigenspace(ops, mus, lam))
+        basis = QMatrix.hstack(_pm1_eigenspace(ops, lam))
         norms = _column_norms(basis)
         basis = QMatrix._adopt(basis.a / norms, basis.b / norms)
         residuals = _column_norms(_apply_walk(ops, basis) - basis.scale(lam))
@@ -843,7 +835,7 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     return vectors
 
 
-def _pm1_eigenspace(ops: WalkOperators, mus, lam: float):
+def _pm1_eigenspace(ops: WalkOperators, lam: float):
     """Birth and inherited bases of the walk's eigenspace at ``lam = +-1``.
 
     Returns two ``m' x k`` QMatrix blocks whose columns are right
@@ -854,9 +846,9 @@ def _pm1_eigenspace(ops: WalkOperators, mus, lam: float):
       are ``B c`` for the right H-kernel of the n x d matrix ``P = L* B``
       of :func:`_birth_matrix`, an SVD of ``psi(P)``, never of the walk;
     * *inherited* vectors are ``L v`` for the eigenvectors ``v`` of W at
-      ``mu = 2 lam`` (``J0 L = K`` and ``K v = lam L v`` there), taken
-      from ``eigh(psi(W))`` within ``MU_SNAP_TOL`` of ``2 lam`` when
-      ``mus`` holds such a value.
+      ``mu = 2 lam`` (``J0 L = K`` and ``K v = lam L v`` there): the
+      columns of ``ops.w_eigh`` where ``ops.mu_spectrum`` is snapped to
+      exactly ``2 lam``, so the count is the theorem path's.
 
     ``L* B c = 0`` while ``L* L v = 2 v``, so the parts are orthogonal.
     """
@@ -868,11 +860,9 @@ def _pm1_eigenspace(ops: WalkOperators, mus, lam: float):
         part[first] = c
         part[second] = -lam * c[edge]
     base = QMatrix.zeros(graph.n, 0)
-    if any(abs(mu - 2.0 * lam) <= MU_SNAP_TOL for mu in mus):
-        # The eigenvalues _base_spectrum snaps to 2 lam, so the count
-        # matches the theorem path's exactly.
-        values, vecs = ops.w_eigh
-        base = _h_basis(vecs[:, np.abs(values - 2.0 * lam) <= MU_SNAP_TOL])
+    snapped = np.array(ops.mu_spectrum) == 2.0 * lam
+    if snapped.any():
+        base = _h_basis(ops.w_eigh[1][:, snapped])
     return birth, ops.L @ base
 
 
@@ -940,7 +930,7 @@ def check_pm1_eigenspaces(ops: WalkOperators) -> tuple[EigenspaceCount, ...]:
         p = _birth_matrix(ops, lam)[0]
         # The psi multiplicity of the snapped base eigenvalue 2 lam is
         # twice the H-dimension of W's eigenspace there.
-        inherited = spectrum.mu_spectrum.count(2.0 * lam) // 2
+        inherited = ops.mu_spectrum.count(2.0 * lam) // 2
         multiplicity = sum(
             c.multiplicity for c in spectrum.classes if c.rep == lam
         )
@@ -948,18 +938,6 @@ def check_pm1_eigenspaces(ops: WalkOperators) -> tuple[EigenspaceCount, ...]:
             lam, p.cols - h_rank(p), inherited, multiplicity
         ))
     return tuple(out)
-
-
-def _h_basis(ns: np.ndarray) -> QMatrix:
-    """Quaternionic basis of the j-invariant span of orthonormal ``ns``."""
-    if ns.shape[1] % 2:
-        raise NumericalError(
-            "a j-invariant complex subspace has odd dimension"
-        )
-    picks = _pair_j_invariant(ns)
-    z = np.column_stack(picks) if picks else ns
-    half = z.shape[0] // 2
-    return QMatrix._adopt(z[:half], z[half:])
 
 
 def _column_norms(m: QMatrix) -> np.ndarray:

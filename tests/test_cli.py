@@ -1,12 +1,14 @@
 """Command line interface: exit codes, output text, JSON reports."""
 
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qszegedy import __version__
+from qszegedy import __version__, cli
 from qszegedy.cli import _vector_lines, main
 from qszegedy.instances import (
     bundled_names,
@@ -24,6 +26,20 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_imports_no_private_names():
+    # The CLI only formats: everything it takes from the library is public.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("qszegedy"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.startswith("__")
+    ]
+    assert private == []
 
 
 def test_version_flag(capsys):
@@ -475,6 +491,11 @@ class TestGenerate:
         _, second, _ = run(capsys, "generate", "K4", "--seed", "3")
         assert first == second
         assert json.loads(first) == random_instance_dict("K4", 3)
+
+    def test_bundled_with_seed_draws_its_family(self, capsys):
+        code, out, _ = run(capsys, "generate", "k4", "--seed", "3")
+        assert code == 0
+        assert json.loads(out) == random_instance_dict("K4", 3)
 
     def test_generated_file_round_trips(self, capsys, tmp_path):
         path = tmp_path / "gen.json"

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import tracemalloc
 
@@ -16,7 +17,12 @@ from qszegedy.errors import (
     ValidationError,
 )
 from qszegedy.graph import build_graph
-from qszegedy.instances import bundled_names, load_bundled, parse_graph_spec
+from qszegedy.instances import (
+    bundled_names,
+    instance_to_dict,
+    load_bundled,
+    parse_graph_spec,
+)
 from qszegedy.qmatrix import (
     QMatrix,
     _j_conj,
@@ -494,7 +500,7 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
     counts = {count.lam: count for count in check_pm1_eigenspaces(ops)}
     for lam in (1.0, -1.0):
         # verify's rank count sizes the same two parts that are built.
-        birth, inherited = szegedy._pm1_eigenspace(ops, mus, lam)
+        birth, inherited = szegedy._pm1_eigenspace(ops, lam)
         assert counts[lam].ok
         assert (counts[lam].birth, counts[lam].inherited) == (
             birth.cols, inherited.cols
@@ -542,6 +548,35 @@ def test_walk_eigenvectors_near_degenerate_clusters(spec, share):
         # to 2, at the walk's square-root scale: O(1e-9).
         bound = 1e-8 if item.origin == "direct" else 1e-12
         assert item.relative_residual <= bound
+
+
+def test_bridged_triangles_split_clusters_at_walk_scale(tmp_path):
+    # Two triangles joined by an edge of weight 1e-4: W has 2 and
+    # 2 - 1.3e-8, one base tolerance apart but 1.15e-4 apart as walk
+    # values.  Clustered together, the lift at their mean missed both.
+    graph = build_graph(
+        6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
+    )
+    values = {}
+    for arc in graph.arcs:
+        if arc.key in ((2, 3), (3, 2)):
+            weight = 1e-4
+        elif arc.origin in (2, 3):
+            weight = math.sqrt((1 - 1e-8) / 2)
+        else:
+            weight = 1 / SQ2
+        values[arc.key] = Quaternion(weight)
+    weights = WeightMap(values)
+    report = full_spectrum(
+        graph, weights, want_oracle=True, want_eigenvectors=True
+    )
+    assert report.oracle.matched
+    assert len(report.eigenvectors) == graph.m_prime == 14
+    assert h_linear_independent([item.vector for item in report.eigenvectors])
+    assert all(item.relative_residual <= 1e-8 for item in report.eigenvectors)
+    path = tmp_path / "bridge.json"
+    path.write_text(json.dumps(instance_to_dict(graph, weights)))
+    assert main(["lift", str(path), "--all"]) == 0
 
 
 def test_walk_eigenvectors_no_walk_sized_svd(monkeypatch):
@@ -728,11 +763,6 @@ def test_dense_u_matches_support_on_first_access():
     off[e, f] = False
     assert not u.a[off].any() and not u.b[off].any()
     assert ops.U is u
-    # The comparison on first access fires like the build's cross-check.
-    ops = build_walk(graph, weights)
-    ops.support_values.a[0] += 1e-12
-    with pytest.raises(NumericalError, match="direct vs dense U differ by"):
-        ops.U
 
 
 def test_theorem_path_never_reads_dense_u(monkeypatch, capsys):
@@ -786,7 +816,8 @@ def test_theorem_path_peak_memory():
 
 
 class _LoopLedger:
-    """The class ledger's merge rule as a scan over every entry."""
+    """The class merge rule as a scan over every entry: a contribution
+    joins the first entry whose anchor lies within its radius."""
 
     def __init__(self):
         self.entries = []
@@ -804,44 +835,57 @@ class _LoopLedger:
                 return
         self.entries.append([rep, psi_count, {source}])
 
+    def classes(self):
+        out = []
+        for rep, count, sources in self.entries:
+            snap = 1e-12 * max(1.0, abs(rep))
+            rep = complex(
+                0.0 if abs(rep.real) <= snap else rep.real,
+                0.0 if abs(rep.imag) <= snap else rep.imag,
+            )
+            out.append(szegedy.SpectrumClass(
+                rep, count // 2, tuple(sorted(sources))
+            ))
+        return tuple(sorted(out, key=lambda c: (c.rep.real, c.rep.imag)))
 
-_LEDGER_VALUES = st.one_of(
-    # Integer multiples of CLASS_TOL: spacings of exactly one merge
-    # radius where |anchor| <= 1.
+
+_BASE_VALUES = st.one_of(
+    # Base eigenvalues snapped to the boundary.
+    st.sampled_from([-2.0, 2.0]),
+    # Steps of CLASS_TOL off a few anchors: walk values up to a few
+    # merge radii apart (two steps make one radius at mu = 0).
     st.builds(
-        lambda k, l: complex(k * CLASS_TOL, l * CLASS_TOL),
-        st.integers(-2, 2),
-        st.integers(-1, 1),
+        lambda a, k: a + k * CLASS_TOL,
+        st.sampled_from([-1.5, -0.5, 0.0, 1.0, 1.9]),
+        st.integers(-4, 4),
     ),
-    # Radius-sized steps off anchors of modulus above 1.
+    # Within 1e-6 of +-2, where the square root stretches base gaps.
     st.builds(
-        lambda a, k: complex(a * (1.0 + k * CLASS_TOL), 0.0),
-        st.sampled_from([-2.0, -1.0, 1.5, 3.0]),
-        st.integers(-2, 2),
+        lambda side, d: side * (2.0 - d),
+        st.sampled_from([-1.0, 1.0]),
+        st.floats(0.0, 1e-6),
     ),
-    st.complex_numbers(max_magnitude=4.0, allow_nan=False,
-                       allow_infinity=False),
+    st.floats(-2.0, 2.0),
 )
 
 
 @settings(max_examples=200, deadline=None)
-# A value within one radius of two entries merges into the first.
-@example([(0j, 2, "mapped"), (complex(2 * CLASS_TOL), 2, "trivial+1"),
-          (complex(CLASS_TOL), 2, "trivial-1")])
-@given(st.lists(
-    st.tuples(
-        _LEDGER_VALUES,
-        st.integers(-2, 3).map(lambda k: 2 * k),
-        st.sampled_from(["mapped", "trivial+1", "trivial-1"]),
-    ),
-    max_size=40,
-))
-def test_class_ledger_matches_entry_scan(contributions):
-    ledger, reference = szegedy._ClassLedger(), _LoopLedger()
-    for rep, count, source in contributions:
-        ledger.add(rep, count, source)
-        reference.add(rep, count, source)
-    assert ledger.entries == reference.entries
-    expected = szegedy._ClassLedger()
-    expected.entries = reference.entries
-    assert ledger.classes() == expected.classes()
+# Walk values one merge radius apart near i, so rounding decides each
+# merge; the Bass counts then join the snapped classes at +-1.
+@example([-2.0, 0.0, 2 * CLASS_TOL, 4 * CLASS_TOL, 2.0], (2, 4))
+@given(
+    st.lists(_BASE_VALUES, max_size=40),
+    st.tuples(*[st.integers(-2, 3).map(lambda k: 2 * k)] * 2),
+)
+def test_class_ledger_matches_entry_scan(mus, counts):
+    # Ascending base eigenvalues map along the upper semicircle, so the
+    # one-pass classes (newest class, then a first match for each Bass
+    # count) equal a first-match scan over every entry.
+    mapped = [spectral_map(mu)[0] for mu in sorted(mus)]
+    extra = {1.0: counts[0], -1.0: counts[1]}
+    reference = _LoopLedger()
+    for lam in mapped:
+        reference.add(lam, 2, "mapped")
+    for target, count in extra.items():
+        reference.add(complex(target), count, f"trivial{target:+g}")
+    assert szegedy._spectrum_classes(mapped, extra) == reference.classes()
