@@ -310,10 +310,7 @@ def cmd_lift(args) -> int:
                 f"no base eigenvalue near {requested}; available: {available}"
             )
         targets = [nearest]
-        boundary = []
-        if abs(nearest) == 2.0:
-            # mu = +-2 maps to lambda = +-1, which is extracted directly.
-            boundary = [1.0 if nearest > 0 else -1.0]
+        boundary = ()
 
     passed = True
     entries = []

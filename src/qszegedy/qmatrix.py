@@ -316,14 +316,16 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
     """Right spectrum of ``M`` as conjugacy classes with multiplicities.
 
     Returns ``[(ConjugacyClass, multiplicity)]`` sorted by the real then
-    imaginary part of the class representative.  Multiplicities sum to
+    imaginary part of the class representative.  Values are grouped by
+    the class invariants, real part and modulus.  Multiplicities sum to
     the matrix dimension: each class soaks up an even number of
     eigenvalues of ``psi(M)`` and counts half of them.
     """
     n = _require_square(m)
+    values = np.linalg.eigvals(psi(m))
     out = []
     total = 0
-    for rep, count in _psi_classes(np.linalg.eigvals(psi(m)), tol):
+    for rep, count in _psi_classes(values, tol, _invariant_gap):
         if count % 2:
             raise NumericalError(
                 "conjugate pairing failed: a class received an odd number "
@@ -340,25 +342,31 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
     return out
 
 
-def _psi_classes(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
+def _invariant_gap(a: complex, b: complex) -> float:
+    """Gap of two folded values in the class invariants: real part and
+    modulus.  Near the real axis the modulus moves only with the square
+    of the imaginary part, so this gap is far looser there than the
+    distance."""
+    return max(abs(a.real - b.real), abs(abs(a) - abs(b)))
+
+
+def _psi_classes(
+    values: np.ndarray, tol: float, gap=lambda a, b: abs(a - b)
+) -> list[tuple[complex, int]]:
     """Group eigenvalues of a psi image into conjugacy classes.
 
     Each value is folded into the upper half-plane and joins the first
-    class whose first member matches it in real part and modulus within
-    ``tol`` times the spectral radius (floored at 1).  Returns each
-    class's folded mean and its count of psi eigenvalues, in order of
-    first appearance.
+    class whose first member is within ``tol`` times the spectral radius
+    (floored at 1) of it under ``gap``, by default the distance of the
+    folded values.  Returns each class's folded mean and its count of
+    psi eigenvalues, in order of first appearance.
     """
     scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
     groups: list[list[complex]] = []
     for lam in values:
         key = complex(lam.real, abs(lam.imag))
         for group in groups:
-            anchor = group[0]
-            if (
-                abs(anchor.real - key.real) <= tol * scale
-                and abs(abs(anchor) - abs(key)) <= tol * scale
-            ):
+            if gap(group[0], key) <= tol * scale:
                 group.append(key)
                 break
         else:
@@ -420,20 +428,22 @@ def _nullspace(
     return vh[_rank(s, rank_tol, scale):, :].conj().T
 
 
-def _h_basis(ns: np.ndarray) -> QMatrix:
+def _h_basis(
+    ns: np.ndarray,
+    odd_message: str = "a j-invariant complex subspace has odd dimension",
+) -> QMatrix:
     """Halve a j-invariant complex subspace into a quaternionic basis.
 
     ``ns`` holds orthonormal columns of a subspace closed under
-    ``z -> J conj(z)``, so its dimension must be even.  Pick column 0,
+    ``z -> J conj(z)``, so its dimension must be even; an odd one raises
+    :class:`NumericalError` with ``odd_message``.  Pick column 0,
     project the plane it spans with its companion out of every column,
     then pick the remaining column of largest norm, and repeat (pivoted
     deflation, O(N k^2) for 2k columns); each pick is one column of the
     returned right H-basis.
     """
     if ns.shape[1] % 2:
-        raise NumericalError(
-            "a j-invariant complex subspace has odd dimension"
-        )
+        raise NumericalError(odd_message)
     picks: list[np.ndarray] = []
     work = np.array(ns, dtype=complex)
     count = ns.shape[1] // 2
@@ -476,7 +486,9 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
         1.0, float(np.linalg.norm(c, 2))
     ):
         return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
-    basis = _h_basis(ns)
+    basis = _h_basis(
+        ns, "eigenspace of a real eigenvalue has odd complex dimension"
+    )
     return [basis.column(c) for c in range(basis.cols)]
 
 
@@ -588,12 +600,15 @@ def minimal_polynomial(
 ) -> MinimalPolynomial:
     """Minimal polynomial of a square quaternionic matrix.
 
-    The candidate roots are the classes of the psi spectrum, grouped as
-    :func:`right_eigenvalues` groups them but at ``cluster_tol`` (relative
-    to the spectral radius, floored at 1): a root whose imaginary part is
+    The candidate roots are the classes of the psi spectrum, grouped by
+    distance at ``cluster_tol`` (relative to the spectral radius, floored
+    at 1), so roots that differ only in a small imaginary part stay apart;
+    :func:`right_eigenvalues` groups by real part and modulus, which merges
+    them near the real axis.  A root whose imaginary part is
     within that threshold is real and gives a degree-1 factor, any other
     a degree-2 factor with its conjugate.  Factor exponents come from
-    nullity stabilization of factor powers.  When two roots, or a root
+    nullity stabilization of factor powers, which stops once the nullity
+    reaches the root's count of psi eigenvalues.  When two roots, or a root
     and the conjugate of another, pass within three times the threshold
     a warning is emitted and recorded on the result, since the
     factorization is then sensitive to the tolerance choice.
@@ -601,16 +616,16 @@ def minimal_polynomial(
     n = _require_square(m)
     values = np.linalg.eigvals(psi(m))
     threshold = cluster_tol * max(1.0, float(np.max(np.abs(values))))
-    raw_factors: list[tuple[tuple[float, ...], complex]] = []
-    for root, _count in _psi_classes(values, cluster_tol):
+    raw_factors: list[tuple[tuple[float, ...], complex, int]] = []
+    for root, count in _psi_classes(values, cluster_tol):
         if root.imag <= threshold:
             root = complex(root.real, 0.0)
             coeffs = (1.0, -root.real)
         else:
             coeffs = (1.0, -2.0 * root.real, abs(root) ** 2)
-        raw_factors.append((coeffs, root))
+        raw_factors.append((coeffs, root, count))
 
-    roots = np.array([root for _coeffs, root in raw_factors])
+    roots = np.array([item[1] for item in raw_factors])
     points = np.concatenate([roots, roots[roots.imag != 0].conj()])
     gaps = np.abs(points[:, None] - points[None, :])
     np.fill_diagonal(gaps, np.inf)
@@ -628,14 +643,16 @@ def minimal_polynomial(
     raw_factors.sort(key=lambda item: (item[1].real, abs(item[1])))
 
     factors = []
-    for coeffs, root in raw_factors:
+    for coeffs, root, count in raw_factors:
         block = PolyFactor(coeffs, 1, root).evaluate_matrix(m)
         power = block
         # |root|^degree is the size of what cancels in the factor at M.
         scale = abs(root) ** (len(coeffs) - 1)
         nullity = _nullspace(psi(power), rank_tol, scale).shape[1]
         exponent = 1
-        while True:
+        # The generalized kernel of the factor holds exactly the root's
+        # ``count`` psi eigenvalues; growth past it is rank-tolerance noise.
+        while nullity < count:
             nxt = power @ block
             nullity_next = _nullspace(
                 psi(nxt), rank_tol, scale ** (exponent + 1)
@@ -694,7 +711,11 @@ def root_subspaces(
     for factor in mp.factors:
         power = factor.evaluate_matrix(m).power(factor.exponent)
         scale = abs(factor.root) ** (factor.degree * factor.exponent)
-        basis = _h_basis(_nullspace(psi(power), rank_tol, scale))
+        basis = _h_basis(
+            _nullspace(psi(power), rank_tol, scale),
+            "root subspace has odd complex dimension; rank tolerance "
+            "is ambiguous here",
+        )
         out.append(RootSubspace(
             factor, tuple(basis.column(c) for c in range(basis.cols))
         ))

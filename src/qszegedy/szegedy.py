@@ -48,7 +48,14 @@ import numpy as np
 
 from .errors import DegenerateLiftError, NumericalError, ValidationError
 from .graph import Graph
-from .qmatrix import QMatrix, _h_basis, _nullspace, h_rank, psi, qvec
+from .qmatrix import (
+    QMatrix,
+    _h_basis,
+    _nullspace,
+    h_rank,
+    psi,
+    qvec,
+)
 from .quaternion import CLASS_TOL, Quaternion, as_quaternion
 
 __all__ = [
@@ -771,9 +778,12 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
     ``tol * max(1, |mu|)`` of the cluster's first member and its walk
     value ``mu/2 + i sqrt(1 - (mu/2)^2)`` within ``tol`` of that member's.
     Near +-2 the square root stretches base gaps, so the walk test splits
-    values whose classes the theorem path tells apart.  On the snapped
-    spectrum a cluster at +-2 therefore holds only snapped values, and its
-    mean is exactly +-2.0.
+    values whose classes the theorem path tells apart.  On a snapped
+    spectrum within ``[-2 - MU_SNAP_TOL, 2 + MU_SNAP_TOL]`` a cluster at
+    +-2 therefore holds only snapped values, and its mean is exactly
+    +-2.0.  A value further beyond +-2 (accepted up to ``MU_CLAMP_TOL``)
+    has the clamped walk value +-1 and can join that cluster: the open
+    overshoot defect of ROADMAP item 4.
     """
     groups: list[list[float]] = []
     for mu in mus:
@@ -795,19 +805,23 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
     ``ops.mu_spectrum``; the cluster's columns of ``ops.w_eigh`` (the
     same index range, as both solvers sort ascending), halved into a
     right H-basis, are lifted together with their companions ``v j`` to
-    ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``.  The snapped clusters, whose
-    mean is exactly +-2.0, map to +-1, where the lift degenerates, and
-    are skipped.  Each target in ``boundary`` (+1 or -1) then gets a
-    unit-norm basis of its eigenspace from the birth/inherited split of
-    :func:`_pm1_eigenspace` (origin label ``"direct"``); a target that is
-    not an eigenvalue of the walk yields no vectors.
+    ``lam = mu/2 + i sqrt(1 - (mu/2)^2)``.  A snapped cluster, whose
+    mean is exactly +-2.0, maps to +-1, where the lift degenerates: it is
+    not lifted, and its +-1 joins the targets in ``boundary``.  Each
+    boundary target (+1 or -1) then gets a unit-norm basis of its
+    eigenspace from the birth/inherited split of :func:`_pm1_eigenspace`
+    (origin label ``"direct"``); a target that is not an eigenvalue of
+    the walk yields no vectors.
     """
     vecs = ops.w_eigh[1]
     clusters = group_mus(ops.mu_spectrum)
     ends = np.cumsum([count for _mean, count in clusters])
     vectors: list[LiftedVector] = []
+    boundary = list(boundary)
     for mu in mus:
         if abs(mu) == 2.0:
+            if mu / 2 not in boundary:
+                boundary.append(mu / 2)
             continue
         # _lift rejects the cluster's vectors if mu is not its mean.
         k = int(np.argmin([abs(mean - mu) for mean, _count in clusters]))

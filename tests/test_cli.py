@@ -364,6 +364,14 @@ class TestLift:
         assert "lambda = -1" in out
         assert "independent" in out
 
+    def test_snapped_mu_extracts_its_boundary_value(self, capsys):
+        # mu = 2 maps to lambda = 1, where the lift degenerates.
+        code, out, _ = run(capsys, "lift", "c5", "--mu", "2")
+        assert code == 0
+        assert "lambda = 1 eigenvectors (direct extraction, 2 found)" in out
+        assert "lambda = -1" not in out
+        assert "base eigenvalue mu" not in out
+
     def test_unmatched_mu_lists_available(self, capsys):
         code, _, err = run(capsys, "lift", "k3_loops", "--mu", "0.9")
         assert code == 2

@@ -211,6 +211,18 @@ def test_minimal_polynomial_detects_near_clusters():
     assert "cluster" in mp.warnings[0]
 
 
+def test_minimal_polynomial_keeps_near_real_roots_apart():
+    # |1 + 1e-3 i| - 1 is only 5e-7, so grouping by real part and modulus
+    # at the 1e-6 cluster threshold would merge the two roots; and the
+    # quadratic factor is 1e-6 at 1, so its square falls below the rank
+    # threshold unless the exponent search stops at the root's psi count.
+    m = QMatrix.diag([ONE, Quaternion(1.0, 1e-3, 0.0, 0.0)])
+    mp = minimal_polynomial(m)
+    assert [(f.degree, f.exponent) for f in mp.factors] == [(1, 1), (2, 1)]
+    assert not mp.warnings
+    assert [s.dimension for s in root_subspaces(m)] == [1, 1]
+
+
 def test_root_subspaces_diag_1_k():
     m = QMatrix.diag([ONE, K])
     subspaces = root_subspaces(m)
