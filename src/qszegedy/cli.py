@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from contextlib import nullcontext
 
 import numpy as np
 
@@ -142,10 +143,27 @@ def _json_native(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
+def _open_output(path: str):
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write {path}: {exc.strerror or exc}"
+        ) from None
+
+
+def _check_seed(seed: int | None) -> None:
+    if seed is not None and seed < 0:
+        raise ValidationError(
+            f"--seed must be a non-negative integer, got {seed}"
+        )
+
+
 def _emit(report: dict, lines: list[str], output: str | None) -> int:
-    sys.stdout.write("\n".join(lines) + "\n")
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+    # The file opens first, so an unwritable path prints no report.
+    with _open_output(output) if output else nullcontext() as handle:
+        sys.stdout.write("\n".join(lines) + "\n")
+        if handle:
             json.dump(report, handle, indent=2, default=_json_native)
             handle.write("\n")
     return 0 if report.get("passed", False) else 1
@@ -466,6 +484,9 @@ def cmd_verify(args) -> int:
         raise ValidationError("verify needs an INSTANCE or --random SPEC")
     if args.instance is not None and args.random is not None:
         raise ValidationError("give either an INSTANCE or --random, not both")
+    _check_seed(args.seed)
+    if args.count < 1:
+        raise ValidationError(f"--count must be at least 1, got {args.count}")
 
     if args.instance is not None:
         instance = resolve_instance(args.instance)
@@ -696,6 +717,7 @@ def cmd_examples(args) -> int:
 
 
 def cmd_generate(args) -> int:
+    _check_seed(args.seed)
     if args.spec in bundled_names():
         if args.seed is None:
             payload = load_bundled(args.spec).to_dict()
@@ -710,7 +732,7 @@ def cmd_generate(args) -> int:
         payload = random_instance_dict(args.spec, args.seed)
     text = json.dumps(payload, indent=2) + "\n"
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
+        with _open_output(args.output) as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)

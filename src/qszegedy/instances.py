@@ -214,6 +214,10 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
             name = mblock["name"]
         if "seed" in mblock and mblock["seed"] is not None:
             seed = _expect_int(mblock["seed"], "metadata.seed")
+            if seed < 0:
+                raise ValidationError(
+                    f"metadata.seed: expected a non-negative integer, got {seed}"
+                )
 
     return Instance(
         name=name,

@@ -18,6 +18,11 @@ recovered from the ordinary complex spectrum of ``psi(M)``:
   equal to half the number of psi-eigenvalues lying in it.
 * The minimal polynomial of ``M`` (monic, real coefficients, factors of
   degree 1 or 2) coincides with the minimal polynomial of ``psi(M)``.
+
+Classes are grouped by one rule, :func:`_psi_classes` (distance at
+``CLUSTER_TOL`` times the spectral radius, floored at 1), and every
+kernel is taken from a shifted image ``(psi(M) - root I)^k`` by
+:func:`_shifted_kernel`.
 """
 
 from __future__ import annotations
@@ -59,7 +64,7 @@ EIG_TOL = 1e-10
 RANK_TOL = 1e-8
 #: Minimal-polynomial annihilation tolerance (scaled by norm**degree).
 MP_TOL = 1e-8
-#: Eigenvalue clustering tolerance for minimal polynomials.
+#: Class grouping radius, relative to the spectral radius floored at 1.
 CLUSTER_TOL = 1e-6
 
 
@@ -312,20 +317,20 @@ def _eig_sort_key(lam: complex):
     return (-abs(lam), arg)
 
 
-def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
+def right_eigenvalues(m: QMatrix, tol: float = CLUSTER_TOL):
     """Right spectrum of ``M`` as conjugacy classes with multiplicities.
 
     Returns ``[(ConjugacyClass, multiplicity)]`` sorted by the real then
     imaginary part of the class representative.  Values are grouped by
-    the class invariants, real part and modulus.  Multiplicities sum to
-    the matrix dimension: each class soaks up an even number of
-    eigenvalues of ``psi(M)`` and counts half of them.
+    :func:`_psi_classes`, the one grouping rule of this module.
+    Multiplicities sum to the matrix dimension: each class soaks up an
+    even number of eigenvalues of ``psi(M)`` and counts half of them.
     """
     n = _require_square(m)
     values = np.linalg.eigvals(psi(m))
     out = []
     total = 0
-    for rep, count in _psi_classes(values, tol, _invariant_gap):
+    for rep, count in _psi_classes(values, tol):
         if count % 2:
             raise NumericalError(
                 "conjugate pairing failed: a class received an odd number "
@@ -342,31 +347,22 @@ def right_eigenvalues(m: QMatrix, tol: float = CLASS_TOL):
     return out
 
 
-def _invariant_gap(a: complex, b: complex) -> float:
-    """Gap of two folded values in the class invariants: real part and
-    modulus.  Near the real axis the modulus moves only with the square
-    of the imaginary part, so this gap is far looser there than the
-    distance."""
-    return max(abs(a.real - b.real), abs(abs(a) - abs(b)))
-
-
-def _psi_classes(
-    values: np.ndarray, tol: float, gap=lambda a, b: abs(a - b)
-) -> list[tuple[complex, int]]:
+def _psi_classes(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     """Group eigenvalues of a psi image into conjugacy classes.
 
     Each value is folded into the upper half-plane and joins the first
-    class whose first member is within ``tol`` times the spectral radius
-    (floored at 1) of it under ``gap``, by default the distance of the
-    folded values.  Returns each class's folded mean and its count of
-    psi eigenvalues, in order of first appearance.
+    class whose first member lies within ``tol`` times the spectral
+    radius (floored at 1) of it.  Classes closer than that read as one,
+    and so do the parts of a defective eigenvalue, which split by about
+    ``sqrt(eps * cond)``.  Returns each class's folded mean and its count
+    of psi eigenvalues, in order of first appearance.
     """
-    scale = max(1.0, float(np.max(np.abs(values))) if len(values) else 1.0)
+    radius = tol * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     groups: list[list[complex]] = []
     for lam in values:
         key = complex(lam.real, abs(lam.imag))
         for group in groups:
-            if gap(group[0], key) <= tol * scale:
+            if abs(group[0] - key) <= radius:
                 group.append(key)
                 break
         else:
@@ -465,31 +461,56 @@ def _h_basis(
     return QMatrix._adopt(z[:half], z[half:])
 
 
-def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
-    """All H-linearly-independent right eigenvectors for the class of ``lam``.
+def _shifted_kernel(
+    c: np.ndarray, root: complex, power: int, rank_tol: float
+) -> np.ndarray:
+    """Orthonormal kernel (columns) of the shifted image
+    ``(c - root I)^power``; ``|root|^power``, the size of what cancels,
+    floors the rank threshold."""
+    shifted = np.linalg.matrix_power(c - root * np.eye(c.shape[0]), power)
+    return _nullspace(shifted, rank_tol, abs(root) ** power)
 
-    For a non-real ``lam`` every complex basis vector of the
-    ``psi``-eigenspace yields one quaternionic eigenvector.  For a real
-    ``lam`` the eigenspace is invariant under the antilinear companion
-    map and is halved by pairing before conversion.
+
+def _root_basis(
+    c: np.ndarray, root: complex, power: int, rank_tol: float
+) -> list[QMatrix]:
+    """Right H-basis, as columns, of the vectors that
+    ``(psi(M) - root I)^power`` annihilates, for ``c = psi(M)``.
+
+    A real root's kernel is closed under ``z -> J conj(z)`` and is halved
+    by :func:`_h_basis`.  For a non-real root each complex kernel vector
+    gives one quaternionic vector; its companion ``v * j`` belongs to the
+    conjugate root.
     """
+    ns = _shifted_kernel(c, root, power, rank_tol)
+    if root.imag != 0.0:
+        return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
+    basis = _h_basis(
+        ns, f"kernel of (psi(M) - {root.real:.6g} I)^{power} has odd "
+        "complex dimension; rank tolerance is ambiguous here",
+    )
+    return [basis.column(r) for r in range(basis.cols)]
+
+
+def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
+    """All H-linearly-independent right eigenvectors for the class of
+    ``lam``, from :func:`_root_basis` at power 1; ``lam`` counts as real
+    when its imaginary part is within ``CLASS_TOL`` times the spectral
+    norm of ``psi(M)`` (floored at 1)."""
     _require_square(m)
     lam = complex(lam)
     c = psi(m)
-    ns = _nullspace(c - lam * np.eye(c.shape[0]), rank_tol, abs(lam))
-    if ns.shape[1] == 0:
+    # The spectral norm only scales the test for a non-real lam.
+    if lam.imag != 0.0 and abs(lam.imag) <= CLASS_TOL * max(
+        1.0, float(np.linalg.norm(c, 2))
+    ):
+        lam = complex(lam.real, 0.0)
+    basis = _root_basis(c, lam, 1, rank_tol)
+    if not basis:
         raise ValidationError(
             f"{lam:.6g} is not an eigenvalue of psi(M) at rank tolerance"
         )
-    # The spectral norm only scales the test for a non-real lam.
-    if lam.imag != 0.0 and abs(lam.imag) > CLASS_TOL * max(
-        1.0, float(np.linalg.norm(c, 2))
-    ):
-        return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
-    basis = _h_basis(
-        ns, "eigenspace of a real eigenvalue has odd complex dimension"
-    )
-    return [basis.column(c) for c in range(basis.cols)]
+    return basis
 
 
 def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
@@ -600,77 +621,60 @@ def minimal_polynomial(
 ) -> MinimalPolynomial:
     """Minimal polynomial of a square quaternionic matrix.
 
-    The candidate roots are the classes of the psi spectrum, grouped by
-    distance at ``cluster_tol`` (relative to the spectral radius, floored
-    at 1), so roots that differ only in a small imaginary part stay apart;
-    :func:`right_eigenvalues` groups by real part and modulus, which merges
-    them near the real axis.  A root whose imaginary part is
-    within that threshold is real and gives a degree-1 factor, any other
-    a degree-2 factor with its conjugate.  Factor exponents come from
-    nullity stabilization of factor powers, which stops once the nullity
-    reaches the root's count of psi eigenvalues.  When two roots, or a root
-    and the conjugate of another, pass within three times the threshold
-    a warning is emitted and recorded on the result, since the
-    factorization is then sensitive to the tolerance choice.
+    The candidate roots are the classes of :func:`_psi_classes` at
+    ``cluster_tol``.  A root whose imaginary part is within the grouping
+    radius is real and gives a degree-1 factor, any other a degree-2
+    factor with its conjugate.  A factor's exponent is the least power
+    ``k`` at which the nullity of ``(psi(M) - root I)^k`` reaches the
+    root's count of psi eigenvalues (half that count for a non-real root,
+    whose conjugate holds the other half) or stops growing.  When two
+    roots, or a root and the conjugate of another, pass within three
+    times the radius a warning is emitted and recorded on the result,
+    since the factorization is then sensitive to the tolerance choice.
     """
-    n = _require_square(m)
-    values = np.linalg.eigvals(psi(m))
-    threshold = cluster_tol * max(1.0, float(np.max(np.abs(values))))
-    raw_factors: list[tuple[tuple[float, ...], complex, int]] = []
-    for root, count in _psi_classes(values, cluster_tol):
-        if root.imag <= threshold:
-            root = complex(root.real, 0.0)
-            coeffs = (1.0, -root.real)
-        else:
-            coeffs = (1.0, -2.0 * root.real, abs(root) ** 2)
-        raw_factors.append((coeffs, root, count))
+    _require_square(m)
+    c = psi(m)
+    values = np.linalg.eigvals(c)
+    radius = cluster_tol * max(1.0, float(np.max(np.abs(values))))
+    classes = [
+        (complex(root.real, 0.0) if root.imag <= radius else root, count)
+        for root, count in _psi_classes(values, cluster_tol)
+    ]
 
-    roots = np.array([item[1] for item in raw_factors])
+    roots = np.array([root for root, _count in classes])
     points = np.concatenate([roots, roots[roots.imag != 0].conj()])
     gaps = np.abs(points[:, None] - points[None, :])
     np.fill_diagonal(gaps, np.inf)
     notes: list[str] = []
     min_gap = float(np.min(gaps, initial=np.inf))
-    if min_gap < 3.0 * threshold:
+    if min_gap < 3.0 * radius:
         message = (
             f"eigenvalue clusters separated by {min_gap:.3g}, close to the "
-            f"merge threshold {threshold:.3g}; factorization may be "
+            f"merge threshold {radius:.3g}; factorization may be "
             "tolerance-sensitive"
         )
         warnings.warn(message)
         notes.append(message)
 
-    raw_factors.sort(key=lambda item: (item[1].real, abs(item[1])))
+    classes.sort(key=lambda item: (item[0].real, abs(item[0])))
 
     factors = []
-    for coeffs, root, count in raw_factors:
-        block = PolyFactor(coeffs, 1, root).evaluate_matrix(m)
-        power = block
-        # |root|^degree is the size of what cancels in the factor at M.
-        scale = abs(root) ** (len(coeffs) - 1)
-        nullity = _nullspace(psi(power), rank_tol, scale).shape[1]
-        exponent = 1
-        # The generalized kernel of the factor holds exactly the root's
-        # ``count`` psi eigenvalues; growth past it is rank-tolerance noise.
-        while nullity < count:
-            nxt = power @ block
-            nullity_next = _nullspace(
-                psi(nxt), rank_tol, scale ** (exponent + 1)
-            ).shape[1]
-            if nullity_next == nullity:
+    for root, count in classes:
+        target = count if root.imag == 0.0 else count // 2
+        exponent, nullity = 1, _shifted_kernel(c, root, 1, rank_tol).shape[1]
+        while nullity < target:
+            grown = _shifted_kernel(c, root, exponent + 1, rank_tol).shape[1]
+            if grown == nullity:
                 break
-            exponent += 1
-            if exponent > n:
-                raise NumericalError(
-                    "factor exponent search exceeded the matrix dimension"
-                )
-            power = nxt
-            nullity = nullity_next
+            exponent, nullity = exponent + 1, grown
+        if root.imag == 0.0:
+            coeffs = (1.0, -root.real)
+        else:
+            coeffs = (1.0, -2.0 * root.real, abs(root) ** 2)
         factors.append(PolyFactor(coeffs, exponent, root))
 
     result = MinimalPolynomial(tuple(factors), tuple(notes))
-    mnorm = float(np.linalg.norm(psi(m), 2))
-    bound = MP_TOL * max(1.0, mnorm) ** result.degree
+    bound = MP_TOL * max(1.0, float(np.linalg.norm(c, 2))) ** result.degree
     residual = result.evaluate_matrix(m).max_entry_norm()
     if residual > bound:
         raise NumericalError(
@@ -701,24 +705,15 @@ def root_subspaces(
 
     Each subspace is ``ker p_s(M)^{m_s}``; their dimensions sum to the
     full dimension and the union of the returned bases is H-linearly
-    independent.  Kernels of real-coefficient polynomials in ``M`` are
-    invariant under the antilinear companion map, so the complex kernel
-    of the psi image is halved by pairing.
+    independent.  Each basis comes from the kernel of the shifted psi
+    image ``(psi(M) - root I)^{m_s}`` through :func:`_root_basis`.
     """
     n = _require_square(m)
-    mp = minimal_polynomial(m, cluster_tol, rank_tol)
+    c = psi(m)
     out: list[RootSubspace] = []
-    for factor in mp.factors:
-        power = factor.evaluate_matrix(m).power(factor.exponent)
-        scale = abs(factor.root) ** (factor.degree * factor.exponent)
-        basis = _h_basis(
-            _nullspace(psi(power), rank_tol, scale),
-            "root subspace has odd complex dimension; rank tolerance "
-            "is ambiguous here",
-        )
-        out.append(RootSubspace(
-            factor, tuple(basis.column(c) for c in range(basis.cols))
-        ))
+    for factor in minimal_polynomial(m, cluster_tol, rank_tol).factors:
+        basis = _root_basis(c, factor.root, factor.exponent, rank_tol)
+        out.append(RootSubspace(factor, tuple(basis)))
     total = sum(s.dimension for s in out)
     if total != n:
         raise NumericalError(

@@ -522,3 +522,45 @@ class TestGenerate:
         code, _, err = run(capsys, "generate", "K4")
         assert code == 2
         assert "--seed" in err
+
+
+class TestArgumentRanges:
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_count_below_one_is_invalid(self, capsys, count):
+        code, out, err = run(capsys, "verify", "--random", "K4", "--count", count)
+        assert code == 2
+        assert out == ""
+        assert f"--count must be at least 1, got {count}" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("generate", "K4", "--seed", "-1"),
+         ("verify", "--random", "K4", "--seed", "-1")],
+    )
+    def test_negative_seed_flag_is_invalid(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "--seed must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize("command", ["verify", "spectrum"])
+    def test_negative_file_seed_is_invalid(self, capsys, tmp_path, command):
+        raw = load_bundled("k4").to_dict()
+        raw["metadata"]["seed"] = -5
+        path = tmp_path / "neg.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        code, _, err = run(capsys, command, str(path))
+        assert code == 2
+        assert "metadata.seed: expected a non-negative integer, got -5" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("spectrum", "k4"), ("generate", "K4", "--seed", "1"), ("examples",)],
+    )
+    def test_unwritable_output_is_invalid(self, capsys, tmp_path, argv):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run(capsys, *argv, "--output", str(target))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()

@@ -4,11 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from qszegedy.errors import NumericalError, ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.qmatrix import (
+    CLUSTER_TOL,
     EIG_TOL,
+    MP_TOL,
     QMatrix,
     complex_eigen,
     from_psi,
@@ -316,3 +320,107 @@ def test_right_eigenbasis_one_vertex_loop():
     basis = right_eigenbasis(w, 2.0)
     assert len(basis) == 1
     assert (w @ basis[0] - basis[0].scale(2.0)).max_entry_norm() <= 1e-15
+
+
+# -- one grouping rule: distance in the folded plane at CLUSTER_TOL ------
+
+
+def _jordan_conjugate(a: float, seed: int) -> QMatrix:
+    """``S J S^-1`` with ``J = diag(J_2(a), -a, a j)`` (a 2x2 Jordan block
+    at the real value ``a``) and ``cond(psi(S)) <= 1000``."""
+    rng = np.random.default_rng(seed)
+    while True:
+        s = _random_qmatrix(4, 4, int(rng.integers(2**32)))
+        if np.linalg.cond(psi(s)) <= 1000.0:
+            break
+    zero = Quaternion()
+    j = QMatrix.from_rows([
+        [Quaternion(a), ONE, zero, zero],
+        [zero, Quaternion(a), zero, zero],
+        [zero, zero, Quaternion(-a), zero],
+        [zero, zero, zero, Quaternion(0.0, 0.0, a, 0.0)],
+    ])
+    return s @ j @ from_psi(np.linalg.inv(psi(s)))
+
+
+def _class_of(classes, rep: complex, tol: float = 1e-5):
+    hits = [(c, mult) for c, mult in classes if abs(c.rep - rep) <= tol]
+    assert len(hits) == 1, classes
+    return hits[0]
+
+
+def _check_decomposition(m: QMatrix):
+    """Multiplicities and root-subspace dimensions sum to n, and the
+    minimal polynomial annihilates ``m``; returns classes and factors."""
+    n = m.rows
+    classes = right_eigenvalues(m)
+    assert sum(mult for _c, mult in classes) == n
+    mp = minimal_polynomial(m)
+    bound = MP_TOL * max(1.0, float(np.linalg.norm(psi(m), 2))) ** mp.degree
+    assert mp.evaluate_matrix(m).max_entry_norm() <= bound
+    assert sum(s.dimension for s in root_subspaces(m)) == n
+    return classes, mp.factors
+
+
+def test_right_eigenvalues_keep_near_real_class_apart():
+    classes = right_eigenvalues(QMatrix.diag([ONE, Quaternion(1.0, 1e-4)]))
+    assert [mult for _c, mult in classes] == [1, 1]
+    assert abs(classes[0][0].rep - 1.0) <= 1e-12
+    assert abs(classes[1][0].rep - complex(1.0, 1e-4)) <= 1e-12
+
+
+def test_right_eigenvalues_keep_unit_circle_neighbours_apart():
+    phase = Quaternion(math.cos(1e-4), math.sin(1e-4))
+    classes = right_eigenvalues(QMatrix.diag([ONE, phase]))
+    assert [mult for _c, mult in classes] == [1, 1]
+
+
+def test_jordan_block_is_one_class_of_exponent_two():
+    m = _jordan_conjugate(2.0, 5)
+    classes, factors = _check_decomposition(m)
+    assert _class_of(classes, 2.0)[1] == 2
+    (factor,) = [f for f in factors if abs(f.root - 2.0) <= 1e-5]
+    assert (factor.degree, factor.exponent) == (1, 2)
+
+
+def test_root_subspaces_of_near_real_pair():
+    m = QMatrix.diag([ONE, Quaternion(1.0, 1e-5)])
+    assert [s.dimension for s in root_subspaces(m)] == [1, 1]
+
+
+magnitudes = st.floats(0.3, 3.0).flatmap(
+    lambda r: st.sampled_from([r, -r])
+)
+
+
+@given(magnitudes, st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_jordan_conjugates_group_as_one_class(a, seed):
+    classes, factors = _check_decomposition(_jordan_conjugate(a, seed))
+    assert _class_of(classes, a)[1] == 2
+    (factor,) = [f for f in factors if abs(f.root - a) <= 1e-5]
+    assert (factor.degree, factor.exponent) == (1, 2)
+
+
+def _separated_pair(a: float, other: Quaternion):
+    gap = abs(other - Quaternion(a))
+    assume(gap >= 10.0 * CLUSTER_TOL * max(1.0, abs(a)))
+    classes, factors = _check_decomposition(QMatrix.diag([Quaternion(a), other]))
+    assert [mult for _c, mult in classes] == [1, 1]
+    _class_of(classes, a, 0.1 * gap)
+    _class_of(classes, complex(other.x0, abs(other.x1)), 0.1 * gap)
+    assert [f.exponent for f in factors] == [1, 1]
+
+
+@given(magnitudes, st.floats(-6.0, 0.0), st.sampled_from([1.0, -1.0]))
+@settings(max_examples=60, deadline=None)
+def test_near_real_pairs_stay_apart(a, log_d, sign):
+    d = sign * 10.0 ** log_d
+    _separated_pair(a, Quaternion(a, a * d))
+
+
+@given(magnitudes, st.floats(-6.0, math.log10(1.5)))
+@settings(max_examples=60, deadline=None)
+def test_unit_circle_pairs_stay_apart(a, log_d):
+    d = 10.0 ** log_d
+    _separated_pair(a, Quaternion(a * math.cos(d), a * math.sin(d)))
