@@ -307,12 +307,7 @@ def cmd_lift(args) -> int:
         raise ValidationError(f"--mu must be a finite number, got {args.mu!r}")
     instance = resolve_instance(args.instance)
     report, lines = _header("lift", tol, instance)
-    unitarity = check_unitary_condition(instance.graph, instance.weights)
-    if not unitarity.passed:
-        raise ValidationError(
-            "weights violate the unitarity condition at vertices "
-            f"{[v + 1 for v in unitarity.failing_vertices()]}"
-        )
+    check_unitary_condition(instance.graph, instance.weights).require()
     ops = build_walk(instance.graph, instance.weights)
     distinct = group_mus(ops.mu_spectrum)
 
@@ -408,7 +403,7 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     b = [ops.q[i] * math.sqrt(2.0) for i in graph.inverse]
     identities.append(quaternionic_identity(graph, a, b, samples, tol))
 
-    if graph.m1 == 0 and graph.is_connected():
+    if graph.m1 == 0:
         identities.append(ihara_identity(graph, samples, tol))
         rng = np.random.default_rng(w_seed)
         w = np.where(
@@ -448,14 +443,8 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     section["sylvester"] = {"max_rel_error": syl_worst, "passed": syl_ok}
     passed = passed and syl_ok
 
-    # The theorem path needs unitary weights and a connected graph.
-    if not unitarity.passed:
+    if not unitarity.passed:  # the theorem path needs unitary weights
         eig_skip = "weights violate the unitarity condition"
-    elif not graph.is_connected():
-        eig_skip = "graph is disconnected"
-    else:
-        eig_skip = None
-    if eig_skip:
         lines.append(f"eigenspaces skipped: {eig_skip}")
         section["eigenspaces"] = {"skipped": eig_skip}
     else:

@@ -114,28 +114,22 @@ class Graph:
         arcs = np.concatenate([self.origin, self.origin[2 * self.m0:]])
         return np.bincount(arcs, minlength=self.n)
 
-    def is_connected(self) -> bool:
-        """Connectivity of the underlying loopless graph.
+    def components(self) -> int:
+        """Connected components, isolated vertices included (loops join
+        none)."""
+        parent = list(range(self.n))
 
-        Loops never join components, so this answers for the full graph
-        as well.
-        """
-        if self.n <= 1:
-            return True
-        seen = [False] * self.n
-        stack = [0]
-        seen[0] = True
-        neighbors: list[list[int]] = [[] for _ in range(self.n)]
+        def root(v: int) -> int:
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]  # path halving
+            return v
+
         for u, v in self.edges:
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-        while stack:
-            u = stack.pop()
-            for v in neighbors[u]:
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(v)
-        return all(seen)
+            parent[root(u)] = root(v)
+        return sum(parent[v] == v for v in range(self.n))
+
+    def is_connected(self) -> bool:
+        return self.components() == 1
 
     def is_tree_core(self) -> bool:
         """True when the loopless graph is a tree."""

@@ -13,8 +13,8 @@ Vertices are 0-based in files (1-based in human-readable reports).  The
 edge list order fixes the canonical arc order, and every arc, including
 the reverse of each edge and each loop, needs exactly one weight keyed
 ``"origin->terminus"`` with four real components.  ``metadata`` is
-optional; unknown keys anywhere are rejected so typos surface early.
-Validation errors carry the JSON field path of the offender.
+optional; unknown keys anywhere, and keys a file repeats, are rejected
+so typos surface early.  Errors carry the JSON field path of the offender.
 """
 
 from __future__ import annotations
@@ -118,9 +118,23 @@ def parse_graph_spec(spec: str) -> Graph:
     return build_graph(n, edges, loops)
 
 
+class _JSONObject(dict):
+    """A parsed JSON object; ``repeated`` is the first key it repeats."""
+
+    def __init__(self, pairs):
+        super().__init__()
+        self.repeated = None
+        for key, value in pairs:
+            if key in self and self.repeated is None:
+                self.repeated = key
+            self[key] = value
+
+
 def _expect_mapping(value, path: str) -> dict:
     if not isinstance(value, dict):
         raise ValidationError(f"{path}: expected an object")
+    if getattr(value, "repeated", None) is not None:
+        raise ValidationError(f"{path}: duplicate key {value.repeated!r}")
     return value
 
 
@@ -257,7 +271,7 @@ def load_instance_file(path) -> Instance:
     """Parse and validate a JSON instance file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_JSONObject)
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -285,7 +299,8 @@ def load_bundled(name: str) -> Instance:
     """Load one of the instances shipped with the package."""
     bundled_spec(name)  # rejects unknown names
     ref = resources.files("qszegedy").joinpath(f"instances/{name}.json")
-    raw = json.loads(ref.read_text(encoding="utf-8"))
+    text = ref.read_text(encoding="utf-8")
+    raw = json.loads(text, object_pairs_hook=_JSONObject)
     return instance_from_dict(raw, source=f"bundled:{name}")
 
 

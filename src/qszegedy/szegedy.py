@@ -23,9 +23,10 @@ The right spectrum comes from the doubly weighted matrix
 ``lam = mu/2 +- i sqrt(1 - (mu/2)^2)``, 4n mapped values in all.  The
 prefactor ``(1 - t^2)^(2 m0 - 2n) (1 + t)^(2 m1)`` of the quaternionic
 Bass identity fixes the rest as signed multiplicities: ``2 m0 - 2n``
-more copies of +1 and ``2 m0 + 2 m1 - 2n`` more copies of -1.  Only a
-tree core (``m0 = n - 1``) makes a count negative; each missing pair
-then cancels a mapped pair {+1, +1} or {-1, -1}.
+more copies of +1 and ``2 m0 + 2 m1 - 2n`` more copies of -1.  Both
+counts add over components (W is block diagonal), and only tree
+components add negative terms; each missing pair then cancels a mapped
+pair {+1, +1} or {-1, -1}.
 
 Eigenvectors for non-real classes lift from eigenvectors ``v`` of the
 doubly weighted matrix via ``e = J0 L v - L v (1/lam)``.  At ``lam = +-1``
@@ -186,6 +187,14 @@ class UnitarityReport:
 
     def failing_vertices(self) -> list[int]:
         return [v.vertex for v in self.vertices if not v.ok]
+
+    def require(self) -> None:
+        """Raise ValidationError naming the failing vertices (1-based)."""
+        if not self.passed:
+            raise ValidationError(
+                "weights violate the unitarity condition at vertices "
+                f"{[v + 1 for v in self.failing_vertices()]}"
+            )
 
     def to_dict(self) -> dict:
         return {
@@ -539,7 +548,9 @@ class LiftedVector:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Full right spectrum of a walk, with optional extras."""
+    """Full right spectrum of a walk, with optional extras.  ``tree_case``
+    is ``tree`` or ``forest`` (plus ``-with-loops`` if any) when the
+    loopless core is acyclic, ``m0 = n - components``, else ``non-tree``."""
 
     classes: tuple[SpectrumClass, ...]
     mu_spectrum: tuple[float, ...]
@@ -673,23 +684,14 @@ def full_spectrum(
 ) -> SpectrumReport:
     """Right spectrum of the walk via the spectral mapping theorem.
 
-    Requires the unitarity condition and a connected graph (the
-    multiplicities at +-1 are counted for one component).  With
+    Requires the unitarity condition; the graph may be disconnected,
+    as the signed counts at +-1 add over its components.  With
     ``want_oracle`` the theorem-path multiset is matched against direct
     diagonalization of ``psi(U)``; with ``want_eigenvectors`` the
     eigenvectors of :func:`walk_eigenvectors` (lifted for the non-real
     classes, from the birth/inherited split at +-1) are attached.
     """
-    unitarity = check_unitary_condition(graph, weights)
-    if not unitarity.passed:
-        raise ValidationError(
-            "weights violate the unitarity condition at vertices "
-            f"{unitarity.failing_vertices()}"
-        )
-    if not graph.is_connected():
-        raise ValidationError(
-            "spectral mapping bookkeeping requires a connected graph"
-        )
+    check_unitary_condition(graph, weights).require()
     return _walk_spectrum(
         build_walk(graph, weights),
         want_oracle=want_oracle,
@@ -705,16 +707,15 @@ def _walk_spectrum(
     want_eigenvectors: bool = False,
     tol: float = SPECTRUM_TOL,
 ) -> SpectrumReport:
-    """:func:`full_spectrum` of a walk whose weights satisfy the
-    unitarity condition on a connected graph."""
+    """:func:`full_spectrum` of a walk whose weights are unitary."""
     graph = ops.graph
-    n, m0, m1 = graph.n, graph.m0, graph.m1
+    n, m0, m1, components = graph.n, graph.m0, graph.m1, graph.components()
     mus = ops.mu_spectrum
     mapped = [spectral_map(mu)[0] for mu in mus]
 
     # The Bass prefactor as signed psi counts at +1 and -1.  A negative
-    # count (tree core only) cancels mapped values, which sit exactly at
-    # +-1 because base eigenvalues within MU_SNAP_TOL of +-2 are snapped.
+    # count (tree components only) cancels mapped values, which sit exactly
+    # at +-1 because base eigenvalues within MU_SNAP_TOL of +-2 are snapped.
     extra = {1.0: 2 * m0 - 2 * n, -1.0: 2 * m0 + 2 * m1 - 2 * n}
     for target, count in extra.items():
         for _ in range(max(-count, 0) // 2):
@@ -763,8 +764,9 @@ def _walk_spectrum(
             sorted(theorem_values, key=lambda z: (z.real, z.imag))
         ),
         tree_case=(
-            "non-tree" if not graph.is_tree_core()
-            else "tree-with-loops" if m1 else "tree"
+            "non-tree" if m0 != n - components
+            else ("tree" if components == 1 else "forest")
+            + ("-with-loops" if m1 else "")
         ),
         oracle=oracle,
         eigenvectors=eigenvectors,
@@ -783,7 +785,7 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
     +-2 therefore holds only snapped values, and its mean is exactly
     +-2.0.  A value further beyond +-2 (accepted up to ``MU_CLAMP_TOL``)
     has the clamped walk value +-1 and can join that cluster: the open
-    overshoot defect of ROADMAP item 4.
+    overshoot defect of ROADMAP item 2.
     """
     groups: list[list[float]] = []
     for mu in mus:
@@ -935,8 +937,7 @@ def check_pm1_eigenspaces(ops: WalkOperators) -> tuple[EigenspaceCount, ...]:
     Counts the birth kernel and inherited dimensions against the class
     multiplicity that the theorem path (Bass-prefactor count plus
     mapped values, as :func:`full_spectrum` reports it) gives at each of
-    +1 and -1.  Only ranks are taken, no eigenvectors.  The weights must
-    satisfy the unitarity condition on a connected graph.
+    +1 and -1, for unitary weights.  Only ranks are taken, no eigenvectors.
     """
     spectrum = _walk_spectrum(ops)
     out = []

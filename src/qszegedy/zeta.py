@@ -3,11 +3,11 @@
 Three families of identities relate arc-level determinants to
 vertex-level ones:
 
-* Ihara/Bass (loopless, connected): with ``B[e,f] = [t(e) = o(f)]``,
+* Ihara/Bass (loopless): with ``B[e,f] = [t(e) = o(f)]``,
 
       det(I - t(B - J0)) = (1 - t^2)^(m - n) det(I - tA + t^2 (D - I)).
 
-* Second weighted (loopless, connected): with a complex weight matrix
+* Second weighted (loopless): with a complex weight matrix
   ``W`` supported on arcs and ``Bw[e,f] = w(f) [t(e) = o(f)]``,
 
       det(I - t(Bw - J0))
@@ -24,10 +24,11 @@ vertex-level ones:
 
 All three read ``det(I - t X) = (1 - t^2)^e (1 + t)^l
 det(I - t V + t^2 (D - I))`` for their own ``(X, V, D, e, l)`` and go
-through one evaluator.  Tree-shaped graphs make ``e`` negative; the
-check then cross-multiplies ``(1 - t^2)^|e|`` to the arc side instead of
-dividing, so both sides stay polynomial.  The underlying cancellation
-lemma
+through one evaluator.  Both sides factor over the components of the
+graph, so none of the identities needs it connected.  Tree components
+can make ``e`` negative; the check then cross-multiplies
+``(1 - t^2)^|e|`` to the arc side instead of dividing, so both sides
+stay polynomial.  The underlying cancellation lemma
 
     det(alpha I_m - A B) alpha^n = alpha^m det(alpha I_n - B A)
 
@@ -238,11 +239,9 @@ def _bass_identity(
     )
 
 
-def _require_loopless_connected(graph: Graph, what: str):
+def _require_loopless(graph: Graph, what: str):
     if graph.m1:
         raise ValidationError(f"{what} requires a loopless graph")
-    if not graph.is_connected():
-        raise ValidationError(f"{what} requires a connected graph")
 
 
 def ihara_identity(
@@ -252,7 +251,7 @@ def ihara_identity(
     polynomial: bool = False,
 ) -> IdentityCheck:
     """Bass determinant form of the Ihara zeta function."""
-    _require_loopless_connected(graph, "the Ihara identity")
+    _require_loopless(graph, "the Ihara identity")
     em = build_edge_matrices(graph)
     return _bass_identity(
         "ihara",
@@ -290,7 +289,7 @@ def second_weighted_identity(
     entries on arcs are fine).  With all-ones weights this reduces to
     the Ihara identity.
     """
-    _require_loopless_connected(graph, "the second weighted identity")
+    _require_loopless(graph, "the second weighted identity")
     w = _validate_weight_matrix(graph, w)
     em = build_edge_matrices(graph, w)
     return _bass_identity(

@@ -10,16 +10,19 @@ import pytest
 
 from qszegedy import __version__, cli
 from qszegedy.cli import _vector_lines, main
+from qszegedy.errors import ValidationError
+from qszegedy.graph import build_graph
 from qszegedy.instances import (
     bundled_names,
     instance_to_dict,
     load_bundled,
+    load_instance_file,
     parse_graph_spec,
     random_instance_dict,
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_quaternion
-from qszegedy.szegedy import WeightMap
+from qszegedy.szegedy import WeightMap, full_spectrum, random_instance
 
 
 def run(capsys, *argv):
@@ -341,9 +344,83 @@ class TestVerify:
         split.write_text(json.dumps(raw), encoding="utf-8")
         path = tmp_path / "verify.json"
         code, out, _ = run(capsys, "verify", str(split), "--output", str(path))
-        assert "eigenspaces skipped: graph is disconnected" in out
+        # A disconnected graph is a direct sum: nothing is skipped.
+        assert code == 0
+        assert "skipped" not in out
+        assert "eigenspaces (birth + inherited = multiplicity): " in out
         report = json.loads(path.read_text(encoding="utf-8"))
-        assert report["eigenspaces"] == {"skipped": "graph is disconnected"}
+        assert report["eigenspaces"]["passed"] is True
+
+
+class TestDisconnected:
+    """Two disjoint triangles: a direct sum that every command accepts."""
+
+    @pytest.fixture
+    def triangles(self, tmp_path):
+        graph = build_graph(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+        raw = instance_to_dict(graph, random_instance(graph, 3))
+        path = tmp_path / "triangles.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return str(path)
+
+    def test_spectrum_oracle_and_eigenvectors(self, capsys, tmp_path,
+                                              triangles):
+        path = tmp_path / "report.json"
+        code, out, _ = run(capsys, "spectrum", triangles, "--oracle",
+                           "--eigenvectors", "--output", str(path))
+        assert code == 0
+        assert "diff empty" in out
+        assert "eigenvectors (12):" in out
+        spectrum = json.loads(path.read_text(encoding="utf-8"))["spectrum"]
+        assert spectrum["oracle"]["matched"] is True
+        assert len(spectrum["eigenvectors"]) == 12
+
+    def test_verify_runs_every_check(self, capsys, triangles):
+        code, out, _ = run(capsys, "verify", triangles)
+        assert code == 0
+        assert "skipped" not in out
+        rows = {line.split()[0]: line for line in out.splitlines() if line}
+        for name in ("ihara", "second-weighted", "eigenspaces"):
+            assert rows[name].endswith(" ok"), name
+
+
+@pytest.mark.parametrize(
+    "command, flags", [("spectrum", ()), ("lift", ("--all",))]
+)
+def test_duplicate_weight_key_is_invalid(capsys, tmp_path, command, flags):
+    text = json.dumps(load_bundled("k4").to_dict())
+    path = tmp_path / "doubled.json"
+    path.write_text(
+        text.replace('"0->1": ', '"0->1": [0.5, 0.5, 0.5, 0.5], "0->1": '),
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == "error: weights: duplicate key '0->1'\n"
+
+
+@pytest.mark.parametrize(
+    "edit, vertices",
+    [
+        (lambda raw: raw["weights"].update({"1->0": [0.9, 0, 0, 0]}), "[2]"),
+        # A vertex without arcs can never meet the condition.
+        (lambda raw: raw["graph"].update(n=5), "[5]"),
+    ],
+)
+def test_library_and_lift_share_unitarity_message(
+    capsys, tmp_path, edit, vertices
+):
+    raw = load_bundled("k4").to_dict()
+    edit(raw)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, _, err = run(capsys, "lift", str(path), "--all")
+    instance = load_instance_file(path)
+    with pytest.raises(ValidationError) as info:
+        full_spectrum(instance.graph, instance.weights)
+    assert code == 2
+    assert err == f"error: {info.value}\n"
+    assert f"unitarity condition at vertices {vertices}" in err
 
 
 class TestLift:

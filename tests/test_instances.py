@@ -1,9 +1,11 @@
 """Instance files: parsing, validation paths, hashing, bundled data."""
 
 import json
+from importlib import resources
 
 import pytest
 
+from qszegedy.cli import main
 from qszegedy.errors import ValidationError
 from qszegedy.instances import (
     bundled_names,
@@ -157,11 +159,14 @@ class TestParseGraphSpec:
     def test_path(self):
         g = parse_graph_spec("P3")
         assert (g.n, g.m0, g.m1) == (3, 2, 0)
-        assert g.is_tree_core
+        assert g.is_tree_core()
 
     def test_cycle(self):
         g = parse_graph_spec("C5")
         assert (g.n, g.m0, g.m1) == (5, 5, 0)
+
+    def test_cycle_core_is_not_a_tree(self):
+        assert not parse_graph_spec("C5").is_tree_core()
 
     def test_star_with_single_loop(self):
         g = parse_graph_spec("star3+loop")
@@ -254,3 +259,56 @@ def test_instance_to_dict_requires_total_weights():
 
     with pytest.raises(ValidationError, match="0"):
         instance_to_dict(inst.graph, WeightMap(partial))
+
+
+def test_duplicate_keys_rejected_with_field_path(tmp_path):
+    # json keeps the last of two equal keys; the loader must not.
+    text = json.dumps(load_bundled("k4").to_dict())
+    doubled = text.replace('"0->1": ', '"0->1": [0.5, 0.5, 0.5, 0.5], "0->1": ')
+    path = tmp_path / "weights.json"
+    path.write_text(doubled, encoding="utf-8")
+    with pytest.raises(ValidationError, match="^weights: duplicate key '0->1'$"):
+        load_instance_file(path)
+    # A second graph block would otherwise win and misreport the weights.
+    path.write_text(text[:-1] + ', "graph": {"n": 2, "edges": [[0, 1]]}}',
+                    encoding="utf-8")
+    with pytest.raises(ValidationError, match=": duplicate key 'graph'$"):
+        load_instance_file(path)
+
+
+@pytest.fixture(scope="module")
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    ref = resources.files("qszegedy").joinpath("schema/instance.schema.json")
+    schema = json.loads(ref.read_text(encoding="utf-8"))
+    return jsonschema.Draft202012Validator(schema)
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_bundled_files_match_schema(schema_validator, name):
+    ref = resources.files("qszegedy").joinpath(f"instances/{name}.json")
+    schema_validator.validate(json.loads(ref.read_text(encoding="utf-8")))
+
+
+@pytest.mark.parametrize("spec", ["K4", "P3", "C5", "star3+loop", "K3+loops"])
+def test_generated_files_match_schema(schema_validator, capsys, spec):
+    assert main(["generate", spec, "--seed", "1"]) == 0
+    schema_validator.validate(json.loads(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        lambda r: r["metadata"].update(seed=-1),
+        lambda r: r["weights"].update({"0->1": [1.0, 0.0, 0.0]}),
+        lambda r: r.update(extra=1),
+        lambda r: r["weights"].update({"0-1": r["weights"].pop("0->1")}),
+    ],
+    ids=["negative-seed", "three-components", "unknown-key", "arc-key"],
+)
+def test_schema_and_loader_reject_alike(schema_validator, mutate):
+    raw = _valid_raw()
+    mutate(raw)
+    assert not schema_validator.is_valid(raw)
+    with pytest.raises(ValidationError):
+        instance_from_dict(raw)

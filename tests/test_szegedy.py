@@ -241,9 +241,16 @@ def test_full_spectrum_rejects_bad_inputs():
     values[(2, 0)] = values[(2, 0)] * 2.0
     with pytest.raises(ValidationError, match="unitarity"):
         full_spectrum(graph, WeightMap(values))
+    # A disconnected graph is accepted as a direct sum; an isolated vertex
+    # without a loop can never meet the unitarity condition.
     disconnected = build_graph(4, [(0, 1), (2, 3)])
-    with pytest.raises(ValidationError, match="connected"):
-        full_spectrum(disconnected, WeightMap.uniform(disconnected))
+    report = full_spectrum(
+        disconnected, WeightMap.uniform(disconnected), want_oracle=True
+    )
+    assert report.oracle.matched and report.tree_case == "forest"
+    isolated = build_graph(3, [(0, 1)])
+    with pytest.raises(ValidationError, match=r"unitarity.*vertices \[3\]"):
+        full_spectrum(isolated, WeightMap({(0, 1): ONE, (1, 0): ONE}))
 
 
 # Tree, tree-with-loops and non-tree families; uniform weights (seed None)
