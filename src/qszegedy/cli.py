@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from .instances import (
 )
 from .qmatrix import (
     QMatrix,
-    h_linear_independent,
+    h_rank,
     minimal_polynomial,
     psi,
     qvec,
@@ -57,10 +57,10 @@ from .szegedy import (
     full_spectrum,
     group_mus,
     lift_eigenvector,
+    lift_groups,
     random_instance,
     spectral_map,
     verify_structure,
-    walk_eigenvectors,
 )
 from .zeta import (
     default_samples,
@@ -143,13 +143,20 @@ def _json_native(value):
     raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def _open_output(path: str):
+@contextmanager
+def _writing(path: str):
+    """Report an OSError on ``path`` as invalid input (exit 2)."""
     try:
-        return open(path, "w", encoding="utf-8")
+        yield
     except OSError as exc:
         raise ValidationError(
             f"cannot write {path}: {exc.strerror or exc}"
         ) from None
+
+
+def _open_output(path: str):
+    with _writing(path):
+        return open(path, "w", encoding="utf-8")
 
 
 def _check_seed(seed: int | None) -> None:
@@ -159,13 +166,101 @@ def _check_seed(seed: int | None) -> None:
         )
 
 
+#: Exact types whose JSON text has no layout, so the C encoder's
+#: (``json.dumps`` without options) is the indented text too.
+_JSON_SCALARS = (str, int, float, bool, type(None))
+
+
+def _blocks(items):
+    """Consecutive slices of ``items``: output is written block by block,
+    so no whole report is held as one string."""
+    return (items[start:start + 512] for start in range(0, len(items), 512))
+
+
+def _float_rows(value) -> int | None:
+    """Width of ``value`` as a table of exact floats: 0 for a flat list,
+    else the common length of its rows; None if it is neither."""
+    if all(type(x) is float for x in value):
+        return 0
+    if all(isinstance(row, (list, tuple)) for row in value):
+        width = len(value[0])
+        if width and all(len(row) == width for row in value) and all(
+            type(x) is float for x in itertools.chain.from_iterable(value)
+        ):
+            return width
+    return None
+
+
+def _json_chunks(value, indent: str = ""):
+    """Yield ``json.dumps(value, indent=2, default=_json_native)`` in
+    pieces, for ``value`` nested at ``indent``.
+
+    Dicts with string keys and non-empty lists are walked here.  A list
+    of exact floats (``repr`` of a numpy scalar differs), or of
+    equal-length rows of them, goes through one ``%r`` template per block
+    of rows.  Items of ``_JSON_SCALARS`` go to the C encoder; anything
+    else to the stdlib encoder, re-indented (JSON text holds no raw
+    newline).
+    """
+    inner = indent + "  "
+    if isinstance(value, (list, tuple)) and value:
+        width = _float_rows(value)
+        opener = "[\n"
+        if width is None:
+            for item in value:
+                if type(item) in _JSON_SCALARS:
+                    yield f"{opener}{inner}{json.dumps(item)}"
+                else:
+                    yield opener + inner
+                    yield from _json_chunks(item, inner)
+                opener = ",\n"
+        else:
+            row = "%r"
+            if width:
+                cells = ",\n".join([inner + "  %r"] * width)
+                row = f"[\n{cells}\n{inner}]"
+            for block in _blocks(value):
+                flat = itertools.chain.from_iterable(block) if width else block
+                text = (",\n" + inner).join([row] * len(block)) % tuple(flat)
+                if "n" in text:  # repr gives nan, inf and -inf
+                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
+                yield opener + inner + text
+                opener = ",\n"
+        yield "\n" + indent + "]"
+    elif isinstance(value, dict) and value and all(
+        isinstance(key, str) for key in value
+    ):
+        opener = "{\n"
+        for key, item in value.items():
+            if type(item) in _JSON_SCALARS:
+                yield f"{opener}{inner}{json.dumps(key)}: {json.dumps(item)}"
+            else:
+                yield f"{opener}{inner}{json.dumps(key)}: "
+                yield from _json_chunks(item, inner)
+            opener = ",\n"
+        yield "\n" + indent + "}"
+    else:
+        text = json.dumps(value, indent=2, default=_json_native)
+        yield text.replace("\n", "\n" + indent)
+
+
+def _write_json(value, handle, path: str) -> None:
+    """Stream ``value`` to ``handle`` as ``json.dump(indent=2)`` plus a
+    newline, then close it.  An OSError on the way is reported as
+    ``cannot write PATH`` (exit 2)."""
+    with _writing(path):
+        handle.writelines(_json_chunks(value))
+        handle.write("\n")
+        handle.close()  # inside, so a failed final flush is reported too
+
+
 def _emit(report: dict, lines: list[str], output: str | None) -> int:
     # The file opens first, so an unwritable path prints no report.
     with _open_output(output) if output else nullcontext() as handle:
-        sys.stdout.write("\n".join(lines) + "\n")
+        for block in _blocks(lines):
+            sys.stdout.write("\n".join(block) + "\n")
         if handle:
-            json.dump(report, handle, indent=2, default=_json_native)
-            handle.write("\n")
+            _write_json(report, handle, output)
     return 0 if report.get("passed", False) else 1
 
 
@@ -193,18 +288,33 @@ def _graph_line(graph: Graph) -> str:
     )
 
 
-def _arc_label(graph: Graph, index: int) -> str:
-    arc = graph.arc(index)
-    return f"{arc.origin + 1}->{arc.terminus + 1}"
+def _row_labels(graph: Graph) -> dict[int, list[str]]:
+    """Labels of printed vector rows by row count: arcs (``1->2``) for
+    m' rows, vertices (``v1``) for n rows; vertices win if n = m'."""
+    arcs = [
+        f"{origin + 1}->{terminus + 1}"
+        for origin, terminus in zip(graph.origin.tolist(),
+                                    graph.terminus.tolist())
+    ]
+    return {graph.m_prime: arcs, graph.n: [f"v{r + 1}" for r in range(graph.n)]}
 
 
-def _vector_lines(graph: Graph, vec: QMatrix, indent: str = "    ") -> list[str]:
-    lines = []
-    vertexwise = vec.rows == graph.n
-    for r, entry in enumerate(vec.components()[:, 0].tolist()):
-        label = f"v{r + 1}" if vertexwise else _arc_label(graph, r)
-        lines.append(f"{indent}{label}: {format_components(*entry)}")
-    return lines
+def _vector_lines(labels: dict[int, list[str]], vec: QMatrix,
+                  indent: str = "    ") -> list[str]:
+    """One ``label: entry`` line per row, entries as ``format_components``
+    writes them.  A row with no zero component takes one template: all
+    four terms are then present and signed (``:+g`` writes a NaN of
+    either sign as ``+nan``, as ``format_components`` does)."""
+    entries = vec.components()[:, 0]
+    whole = (entries != 0.0).all(axis=1)
+    row = indent + "{}: {:.6g}{:+.6g}i{:+.6g}j{:+.6g}k"
+    return [
+        row.format(label, *entry) if plain
+        else f"{indent}{label}: {format_components(*entry)}"
+        for label, entry, plain in zip(
+            labels[vec.rows], entries.tolist(), whole.tolist()
+        )
+    ]
 
 
 # ---------------------------------------------------------------- spectrum
@@ -262,6 +372,7 @@ def cmd_spectrum(args) -> int:
             )
             passed = passed and spectrum.oracle.matched
         if spectrum.eigenvectors is not None:
+            labels = _row_labels(instance.graph)
             lines.append(f"eigenvectors ({len(spectrum.eigenvectors)}):")
             for item in spectrum.eigenvectors:
                 mu_note = "" if item.mu is None else f" from mu {_fmt(item.mu)}"
@@ -269,7 +380,7 @@ def cmd_spectrum(args) -> int:
                     f"  lambda {_fmt_c(item.lam)} [{item.origin}]{mu_note} "
                     f"residual {item.residual:.3g}"
                 )
-                lines.extend(_vector_lines(instance.graph, item.vector))
+                lines.extend(_vector_lines(labels, item.vector))
                 passed = passed and item.residual <= tol
     else:
         # --force on a non-unitary instance: direct path only.
@@ -328,41 +439,38 @@ def cmd_lift(args) -> int:
     passed = True
     entries = []
     counts = dict(distinct)
-    vectors = walk_eigenvectors(ops, targets, boundary)
-    for (mu, lam), group in itertools.groupby(
-        vectors, key=lambda item: (item.mu, item.lam)
-    ):
-        group = list(group)
+    labels = _row_labels(instance.graph)
+    for group in lift_groups(ops, targets, boundary):
+        mu = group.mu
         if mu is None:
             lines.append(
-                f"lambda = {_fmt(lam.real)} eigenvectors (direct extraction, "
-                f"{len(group)} found):"
+                f"lambda = {_fmt(group.lam.real)} eigenvectors (direct "
+                f"extraction, {len(group.vectors)} found):"
             )
         else:
             lines.append(
                 f"base eigenvalue mu = {_fmt(mu)} (psi multiplicity "
-                f"{counts[mu]}), lambda = {_fmt_c(lam)}"
+                f"{counts[mu]}), lambda = {_fmt_c(group.lam)}"
             )
-        for index, item in enumerate(group):
+        for index, item in enumerate(group.vectors):
             rel = item.relative_residual
             passed = passed and rel <= tol
             if item.origin == "lift":
                 lines.append(f"  base eigenvector {index // 2 + 1}:")
-                lines.extend(_vector_lines(instance.graph, item.base))
+                lines.extend(_vector_lines(labels, item.base))
             label = f"vector {index + 1}" if mu is None else item.origin
             lines.append(f"  {label} (relative residual {rel:.3g}):")
-            lines.extend(_vector_lines(instance.graph, item.vector))
+            lines.extend(_vector_lines(labels, item.vector))
             data = item.to_dict()
             entries.append({"mu": mu, "lambda": data["lambda"],
                             "origin": item.origin, "residual": rel,
                             "vector": data["vector"]})
-        if mu is not None:
-            independent = h_linear_independent([item.vector for item in group])
-            passed = passed and independent
-            lines.append(
-                f"  independence: the {len(group)} lifted vectors are "
-                + ("H-linearly independent" if independent else "DEPENDENT")
-            )
+        if group.independent is not None:
+            passed = passed and group.independent
+            verdict = ("H-linearly independent" if group.independent
+                       else "DEPENDENT")
+            lines.append(f"  independence: the {len(group.vectors)} lifted "
+                         f"vectors are {verdict}")
 
     report["eigenvectors"] = entries
     report["passed"] = bool(passed)
@@ -560,7 +668,7 @@ def _golden_suite(tol: float):
     v = right_eigenvector(m1, 1j)
     golden = qvec([Quaternion(), Quaternion(1, 0, -1, 0)])
     add("diag(1,k): eigenvector for i proportional to (0, 1-j)",
-        not h_linear_independent([v, golden]))
+        h_rank(QMatrix.hstack([v, golden])) == 1)
 
     # Example B: [[0, i], [j, 0]].
     m2 = QMatrix.from_rows([[Quaternion(), QI], [QJ, Quaternion()]])
@@ -589,7 +697,7 @@ def _golden_suite(tol: float):
         Quaternion(1 / sq2, -1 / sq2, 1 / sq2, 1 / sq2),
     ])
     add("[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
-        not h_linear_independent([v, golden]))
+        h_rank(QMatrix.hstack([v, golden])) == 1)
 
     # Example C: the complete triangle with loops at every vertex.
     instance = load_bundled("k3_loops")
@@ -664,7 +772,7 @@ def _golden_suite(tol: float):
         Quaternion(2, sq2), Quaternion(2, sq2), Quaternion(2, sq2),
     ])
     add("k3_loops: lift of (1,1,1) at mu=-2/3 is proportional to the "
-        "known eigenvector", not h_linear_independent([lifted, u1]))
+        "known eigenvector", h_rank(QMatrix.hstack([lifted, u1])) == 1)
 
     direct_goldens = [
         qvec([QI, QI, Quaternion(), Quaternion(), Quaternion(), Quaternion(),
@@ -677,7 +785,7 @@ def _golden_suite(tol: float):
     ok = all(
         (ops.U @ g - g.right_scalar(-1.0)).fro_norm() <= tol * g.fro_norm()
         for g in direct_goldens
-    ) and h_linear_independent(direct_goldens)
+    ) and h_rank(QMatrix.hstack(direct_goldens)) == 3
     add("k3_loops: three independent eigenvectors at lambda=-1", ok)
 
     return checks
@@ -719,12 +827,12 @@ def cmd_generate(args) -> int:
                 "family specs need --seed so the weights are reproducible"
             )
         payload = random_instance_dict(args.spec, args.seed)
-    text = json.dumps(payload, indent=2) + "\n"
     if args.output:
         with _open_output(args.output) as handle:
-            handle.write(text)
+            _write_json(payload, handle, args.output)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(_json_chunks(payload))
+        sys.stdout.write("\n")
     return 0
 
 

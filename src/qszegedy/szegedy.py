@@ -40,6 +40,7 @@ the oracle.
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -53,6 +54,7 @@ from .qmatrix import (
     QMatrix,
     _h_basis,
     _nullspace,
+    h_linear_independent,
     h_rank,
     psi,
     qvec,
@@ -61,6 +63,7 @@ from .quaternion import CLASS_TOL, Quaternion, as_quaternion
 
 __all__ = [
     "EigenspaceCount",
+    "LiftGroup",
     "LiftedVector",
     "OracleComparison",
     "SpectrumClass",
@@ -78,6 +81,7 @@ __all__ = [
     "full_spectrum",
     "group_mus",
     "lift_eigenvector",
+    "lift_groups",
     "match_multisets",
     "random_instance",
     "spectral_map",
@@ -547,6 +551,21 @@ class LiftedVector:
 
 
 @dataclass(frozen=True)
+class LiftGroup:
+    """The walk eigenvectors of one base eigenvalue at one ``lam``.
+
+    ``mu`` is None for the direct extraction at +-1.  ``independent`` is
+    the right H-linear independence verdict of a lifted group (None for
+    a direct one, whose basis comes from one kernel).
+    """
+
+    mu: float | None
+    lam: complex
+    vectors: tuple[LiftedVector, ...]
+    independent: bool | None
+
+
+@dataclass(frozen=True)
 class SpectrumReport:
     """Full right spectrum of a walk, with optional extras.  ``tree_case``
     is ``tree`` or ``forest`` (plus ``-with-loops`` if any) when the
@@ -849,6 +868,22 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
                 complex(lam), None, basis.column(c), residual, "direct"
             ))
     return vectors
+
+
+def lift_groups(ops: WalkOperators, mus, boundary) -> list[LiftGroup]:
+    """:func:`walk_eigenvectors` grouped by ``(mu, lam)``, in order, with
+    one H-linear independence verdict per lifted group."""
+    groups = []
+    for (mu, lam), group in itertools.groupby(
+        walk_eigenvectors(ops, mus, boundary),
+        key=lambda item: (item.mu, item.lam),
+    ):
+        group = tuple(group)
+        independent = None if mu is None else h_linear_independent(
+            [item.vector for item in group]
+        )
+        groups.append(LiftGroup(mu, lam, group, independent))
+    return groups
 
 
 def _pm1_eigenspace(ops: WalkOperators, lam: float):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from qszegedy import __version__, cli
-from qszegedy.cli import _vector_lines, main
+from qszegedy.cli import _row_labels, _vector_lines, main
 from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.instances import (
@@ -535,7 +535,7 @@ def test_vector_lines_match_entry_formatting(rows):
     a = np.array([-0.0, 1.5e-7 - 0.25j, complex(-0.0, 2.0), -3.0])
     b = np.array([complex(0.0, -0.0), -0.5j, complex(-1.0, 0.0), 2.0 + 1j])
     vec = QMatrix(a[:rows].reshape(-1, 1), b[:rows].reshape(-1, 1))
-    lines = _vector_lines(graph, vec, indent="  ")
+    lines = _vector_lines(_row_labels(graph), vec, indent="  ")
     expected = [format_quaternion(vec.entry(r, 0)) for r in range(rows)]
     assert [line.split(": ", 1)[1] for line in lines] == expected
     assert expected[:3] == ["0", "1.5e-07-0.25i+0.5k", "2i-1j"]

@@ -44,6 +44,7 @@ from qszegedy.szegedy import (
     full_spectrum,
     group_mus,
     lift_eigenvector,
+    lift_groups,
     match_multisets,
     random_instance,
     spectral_map,
@@ -525,6 +526,42 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
         for item in items:
             assert abs(item.vector.fro_norm() - 1.0) <= 1e-12
             assert item.relative_residual <= 1e-12
+
+
+@pytest.mark.parametrize("spec, seed", [("k3_loops", None), ("c5", None),
+                                        ("K4+loops", 2), ("C6", 1)])
+def test_lift_groups_partition_with_independence(spec, seed):
+    if seed is None:
+        inst = load_bundled(spec)
+        graph, weights = inst.graph, inst.weights
+    else:
+        graph = parse_graph_spec(spec)
+        weights = random_instance(graph, seed)
+    ops = build_walk(graph, weights)
+    mus = [mu for mu, _count in group_mus(ops.mu_spectrum)]
+    vectors = walk_eigenvectors(ops, mus, (1.0, -1.0))
+    groups = lift_groups(ops, mus, (1.0, -1.0))
+    # The groups are walk_eigenvectors' output, in order, cut where
+    # (mu, lam) changes; each lifted group carries its own verdict.
+    def key(item):
+        return (item.mu, item.lam, item.origin, item.residual,
+                item.vector.components().tobytes())
+
+    assert [key(item) for g in groups for item in g.vectors] == [
+        key(item) for item in vectors
+    ]
+    keys = [(g.mu, g.lam) for g in groups]
+    assert len(set(keys)) == len(keys)
+    for group in groups:
+        assert all((v.mu, v.lam) == (group.mu, group.lam)
+                   for v in group.vectors)
+        if group.mu is None:
+            assert group.independent is None
+        else:
+            assert group.independent is h_linear_independent(
+                [item.vector for item in group.vectors]
+            )
+            assert group.independent
 
 
 def _split_weights(spec: str, share: float, eps: float):
