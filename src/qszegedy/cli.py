@@ -254,11 +254,21 @@ def _write_json(value, handle, path: str) -> None:
         handle.close()  # inside, so a failed final flush is reported too
 
 
+@contextmanager
+def _writing_stdout():
+    """Yield ``sys.stdout`` and flush it on the way out; an OSError on the
+    way is reported as ``cannot write <stdout>`` (exit 2)."""
+    with _writing("<stdout>"):
+        yield sys.stdout
+        sys.stdout.flush()
+
+
 def _emit(report: dict, lines: list[str], output: str | None) -> int:
     # The file opens first, so an unwritable path prints no report.
     with _open_output(output) if output else nullcontext() as handle:
-        for block in _blocks(lines):
-            sys.stdout.write("\n".join(block) + "\n")
+        with _writing_stdout() as stdout:
+            for block in _blocks(lines):
+                stdout.write("\n".join(block) + "\n")
         if handle:
             _write_json(report, handle, output)
     return 0 if report.get("passed", False) else 1
@@ -288,33 +298,51 @@ def _graph_line(graph: Graph) -> str:
     )
 
 
-def _row_labels(graph: Graph) -> dict[int, list[str]]:
-    """Labels of printed vector rows by row count: arcs (``1->2``) for
-    m' rows, vertices (``v1``) for n rows; vertices win if n = m'."""
+def _row_labels(graph: Graph) -> tuple[list[str], list[str]]:
+    """Labels of printed vector rows: vertices (``v1``) for the rows of a
+    base vector, arcs (``1->2``) for the rows of a walk vector."""
     arcs = [
         f"{origin + 1}->{terminus + 1}"
         for origin, terminus in zip(graph.origin.tolist(),
                                     graph.terminus.tolist())
     ]
-    return {graph.m_prime: arcs, graph.n: [f"v{r + 1}" for r in range(graph.n)]}
+    return [f"v{r + 1}" for r in range(graph.n)], arcs
 
 
-def _vector_lines(labels: dict[int, list[str]], vec: QMatrix,
+def _row_piece(mask: int) -> str:
+    """``format_components`` as a ``%`` template of the components that
+    ``mask`` marks non-zero (bit c for component c): the first term
+    signed only when negative, the others always, and "0" for none."""
+    units = [unit for bit, unit in enumerate(("", "i", "j", "k"))
+             if mask >> bit & 1]
+    return "".join(
+        ("%+.6g" if position else "%.6g") + unit
+        for position, unit in enumerate(units)
+    ) or "0"
+
+
+#: Row templates by zero mask, the 16 cases of ``format_components``.
+_ROW_PIECES = np.array([_row_piece(mask) for mask in range(16)], dtype=object)
+
+
+def _vector_lines(labels: list[str], vec: QMatrix,
                   indent: str = "    ") -> list[str]:
     """One ``label: entry`` line per row, entries as ``format_components``
-    writes them.  A row with no zero component takes one template: all
-    four terms are then present and signed (``:+g`` writes a NaN of
-    either sign as ``+nan``, as ``format_components`` does)."""
+    writes them, through one ``%`` template for the whole vector: each
+    row's piece is keyed by its zero mask and takes only the non-zero
+    components (``%+g`` writes a NaN of either sign as ``+nan``, as
+    ``format_components`` does)."""
     entries = vec.components()[:, 0]
-    whole = (entries != 0.0).all(axis=1)
-    row = indent + "{}: {:.6g}{:+.6g}i{:+.6g}j{:+.6g}k"
-    return [
-        row.format(label, *entry) if plain
-        else f"{indent}{label}: {format_components(*entry)}"
-        for label, entry, plain in zip(
-            labels[vec.rows], entries.tolist(), whole.tolist()
-        )
-    ]
+    present = entries != 0.0
+    prefix = indent + "%s: "
+    template = prefix + ("\n" + prefix).join(
+        _ROW_PIECES[present @ np.array([1, 2, 4, 8])]
+    )
+    cells = np.empty((vec.rows, 5), dtype=object)
+    cells[:, 0] = labels
+    cells[:, 1:] = entries
+    keep = np.column_stack([np.ones(vec.rows, dtype=bool), present])
+    return (template % tuple(cells[keep].tolist())).split("\n")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -372,7 +400,7 @@ def cmd_spectrum(args) -> int:
             )
             passed = passed and spectrum.oracle.matched
         if spectrum.eigenvectors is not None:
-            labels = _row_labels(instance.graph)
+            arcs = _row_labels(instance.graph)[1]
             lines.append(f"eigenvectors ({len(spectrum.eigenvectors)}):")
             for item in spectrum.eigenvectors:
                 mu_note = "" if item.mu is None else f" from mu {_fmt(item.mu)}"
@@ -380,7 +408,7 @@ def cmd_spectrum(args) -> int:
                     f"  lambda {_fmt_c(item.lam)} [{item.origin}]{mu_note} "
                     f"residual {item.residual:.3g}"
                 )
-                lines.extend(_vector_lines(labels, item.vector))
+                lines.extend(_vector_lines(arcs, item.vector))
                 passed = passed and item.residual <= tol
     else:
         # --force on a non-unitary instance: direct path only.
@@ -439,7 +467,7 @@ def cmd_lift(args) -> int:
     passed = True
     entries = []
     counts = dict(distinct)
-    labels = _row_labels(instance.graph)
+    vertices, arcs = _row_labels(instance.graph)
     for group in lift_groups(ops, targets, boundary):
         mu = group.mu
         if mu is None:
@@ -457,10 +485,10 @@ def cmd_lift(args) -> int:
             passed = passed and rel <= tol
             if item.origin == "lift":
                 lines.append(f"  base eigenvector {index // 2 + 1}:")
-                lines.extend(_vector_lines(labels, item.base))
+                lines.extend(_vector_lines(vertices, item.base))
             label = f"vector {index + 1}" if mu is None else item.origin
             lines.append(f"  {label} (relative residual {rel:.3g}):")
-            lines.extend(_vector_lines(labels, item.vector))
+            lines.extend(_vector_lines(arcs, item.vector))
             data = item.to_dict()
             entries.append({"mu": mu, "lambda": data["lambda"],
                             "origin": item.origin, "residual": rel,
@@ -831,8 +859,9 @@ def cmd_generate(args) -> int:
         with _open_output(args.output) as handle:
             _write_json(payload, handle, args.output)
     else:
-        sys.stdout.writelines(_json_chunks(payload))
-        sys.stdout.write("\n")
+        with _writing_stdout() as stdout:
+            stdout.writelines(_json_chunks(payload))
+            stdout.write("\n")
     return 0
 
 

@@ -53,7 +53,7 @@ from .graph import Graph
 from .qmatrix import (
     QMatrix,
     _h_basis,
-    _nullspace,
+    _j_conj,
     h_linear_independent,
     h_rank,
     psi,
@@ -895,7 +895,8 @@ def _pm1_eigenspace(ops: WalkOperators, lam: float):
 
     * *birth* vectors satisfy ``L* x = 0`` and ``J0 x = -lam x``: they
       are ``B c`` for the right H-kernel of the n x d matrix ``P = L* B``
-      of :func:`_birth_matrix`, an SVD of ``psi(P)``, never of the walk;
+      of :func:`_birth_matrix`, from the pivoted solve of
+      :func:`_birth_kernel`, never from the walk; they are orthonormal;
     * *inherited* vectors are ``L v`` for the eigenvectors ``v`` of W at
       ``mu = 2 lam`` (``J0 L = K`` and ``K v = lam L v`` there): the
       columns of ``ops.w_eigh`` where ``ops.mu_spectrum`` is snapped to
@@ -905,7 +906,8 @@ def _pm1_eigenspace(ops: WalkOperators, lam: float):
     """
     graph = ops.graph
     p, (first, edge, second) = _birth_matrix(ops, lam)
-    kernel = _h_basis(_nullspace(psi(p)))  # right H-kernel of P
+    # |B c| weighs an edge's coefficient by sqrt(2), a loop's by 1.
+    kernel = _birth_kernel(p, np.where(edge, _SQRT2, 1.0))
     birth = QMatrix.zeros(graph.m_prime, kernel.cols)
     for part, c in ((birth.a, kernel.a), (birth.b, kernel.b)):
         part[first] = c
@@ -935,6 +937,47 @@ def _birth_matrix(ops: WalkOperators, lam: float):
     p.a[:, edge] -= lam * lh.a[:, second]
     p.b[:, edge] -= lam * lh.b[:, second]
     return p, (first, edge, second)
+
+
+def _birth_kernel(p: QMatrix, scale: np.ndarray) -> QMatrix:
+    """Right H-kernel of the n x d matrix ``p``, with columns orthonormal
+    in the norm ``|scale * c|``.
+
+    The H-rank r is :func:`h_rank`'s, the count
+    :func:`check_pm1_eigenspaces` reports.  r pivot columns are picked
+    greedily, each the column of largest norm once the planes of the
+    earlier picks (a pick and its ``J conj`` companion) are projected out
+    of every column: at most r <= n steps.  Each of the d - r free
+    columns f gives the kernel vector ``e_f - P_piv^+ P_f``, all from one
+    least-squares solve in psi coordinates; one QR of these vectors
+    interleaved with their companions orthonormalises them, its even
+    columns being the quaternionic basis.
+    """
+    d, r = p.cols, h_rank(p)
+    cols = np.vstack([p.a, p.b])  # column c of P is (a_c; b_c) under psi
+    work = cols.copy()
+    pivots = []
+    for _ in range(r):
+        norms = np.linalg.norm(work, axis=0)
+        pick = int(np.argmax(norms))
+        u = work[:, pick] / norms[pick]
+        uj = _j_conj(u)
+        work -= np.outer(u, u.conj() @ work) + np.outer(uj, uj.conj() @ work)
+        pivots.append(pick)
+    pivots = np.array(pivots, dtype=int)
+    free = np.ones(d, dtype=bool)
+    free[pivots] = False
+    piv = psi(QMatrix._adopt(p.a[:, pivots], p.b[:, pivots]))
+    solved = np.linalg.lstsq(piv, cols[:, free], rcond=None)[0]
+    rows = np.concatenate([pivots, d + pivots])
+    weight = np.concatenate([scale, scale])[:, None]
+    kernel = np.zeros((2 * d, 2 * (d - r)), dtype=complex)
+    kernel[np.flatnonzero(free), np.arange(0, 2 * (d - r), 2)] = 1.0
+    kernel[rows, ::2] = -solved
+    kernel[:, ::2] *= weight
+    kernel[:, 1::2] = _j_conj(kernel[:, ::2])
+    q = np.linalg.qr(kernel)[0][:, ::2] / weight
+    return QMatrix._adopt(q[:d], q[d:])
 
 
 @dataclass(frozen=True)

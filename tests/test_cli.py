@@ -535,11 +535,39 @@ def test_vector_lines_match_entry_formatting(rows):
     a = np.array([-0.0, 1.5e-7 - 0.25j, complex(-0.0, 2.0), -3.0])
     b = np.array([complex(0.0, -0.0), -0.5j, complex(-1.0, 0.0), 2.0 + 1j])
     vec = QMatrix(a[:rows].reshape(-1, 1), b[:rows].reshape(-1, 1))
-    lines = _vector_lines(_row_labels(graph), vec, indent="  ")
+    vertices, arcs = _row_labels(graph)
+    lines = _vector_lines(arcs if rows == 4 else vertices, vec, indent="  ")
     expected = [format_quaternion(vec.entry(r, 0)) for r in range(rows)]
     assert [line.split(": ", 1)[1] for line in lines] == expected
     assert expected[:3] == ["0", "1.5e-07-0.25i+0.5k", "2i-1j"]
     assert lines[0].startswith("  v1: " if rows == 3 else "  1->2: ")
+
+
+class TestRowLabels:
+    """Walk vectors print arc labels even where n = m' (the graphs whose
+    components are all P2 or a single looped vertex)."""
+
+    @pytest.fixture(params=["P2", "looped vertex"])
+    def instance(self, request, tmp_path):
+        path = tmp_path / "instance.json"
+        if request.param == "P2":
+            assert main(["generate", "P2", "--seed", "1",
+                         "--output", str(path)]) == 0
+            return str(path), ["1->2", "2->1"]
+        graph = build_graph(1, [], [0])
+        raw = instance_to_dict(graph, random_instance(graph, 1))
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        return str(path), ["1->1"]
+
+    @pytest.mark.parametrize("argv", [("spectrum", "--eigenvectors"),
+                                      ("lift", "--all")])
+    def test_walk_vectors_carry_arc_labels(self, capsys, instance, argv):
+        path, arcs = instance
+        code, out, _ = run(capsys, argv[0], path, *argv[1:])
+        assert code == 0
+        labels = [line.split(":")[0].strip() for line in out.splitlines()
+                  if line.startswith("    ")]
+        assert labels and labels == arcs * (len(labels) // len(arcs))
 
 
 class TestExamples:

@@ -6,15 +6,20 @@ per row, and every ``--output`` file the canonical ``json.dump(indent=2)``
 text of its own content.  Write failures exit 2 with an ``error:`` line.
 """
 
+import errno
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from qszegedy import cli
 from qszegedy.cli import (
     _json_chunks,
     _json_native,
@@ -141,12 +146,60 @@ def test_vector_lines_match_format_components(rows, data):
     a.real, a.imag = entries[:, :1], entries[:, 1:2]
     b.real, b.imag = entries[:, 2:3], -entries[:, 3:]
     vec = QMatrix(a, b)
-    labels = _row_labels(graph)[rows]
+    vertices, arcs = _row_labels(graph)
+    labels = arcs if rows == 12 else vertices
     expected = [
         f"   {label}: {format_components(*entry)}"
         for label, entry in zip(labels, vec.components()[:, 0].tolist())
     ]
-    assert _vector_lines(_row_labels(graph), vec, indent="   ") == expected
+    assert _vector_lines(labels, vec, indent="   ") == expected
+
+
+def _vector(entries) -> QMatrix:
+    """The column whose rows have the quaternion components ``entries``."""
+    entries = np.asarray(entries, dtype=float)
+    a = np.empty((len(entries), 1), dtype=complex)
+    b = np.empty((len(entries), 1), dtype=complex)
+    a.real, a.imag = entries[:, :1], entries[:, 1:2]
+    b.real, b.imag = entries[:, 2:3], -entries[:, 3:]
+    return QMatrix(a, b)
+
+
+#: Values for the non-zero components of a row: a negative first term,
+#: NaN and infinity of both signs, and extreme exponents.
+MASK_VALUES = [
+    (-1.5, 2.0, -3.25e-9, 7.0),
+    (math.nan, -math.nan, math.inf, -math.inf),
+    (-math.inf, math.nan, -1e300, 5e-324),
+    (-math.nan, -2.0, math.inf, -0.5),
+]
+
+
+@pytest.mark.parametrize("kind", ["vertices", "arcs"])
+def test_vector_lines_cover_every_zero_mask(kind):
+    # Every zero mask (bit c set when component c is non-zero), with the
+    # zero components 0.0 or -0.0, against format_components row by row.
+    vertices, arcs = _row_labels(parse_graph_spec("K12"))  # 12 and 132 rows
+    labels = vertices if kind == "vertices" else arcs
+    rows = [
+        [value if mask >> c & 1 else zero for c, value in enumerate(values)]
+        for mask in range(16)
+        for values in MASK_VALUES
+        for zero in (0.0, -0.0)
+    ]
+    masks = {sum(1 << c for c, x in enumerate(row) if x != 0.0)
+             for row in rows}
+    assert masks == set(range(16))
+    for start in range(0, len(rows), len(labels)):
+        vec = _vector((rows[start:] + rows)[:len(labels)])
+        expected = [
+            f"  {label}: {format_components(*entry)}"
+            for label, entry in zip(labels, vec.components()[:, 0].tolist())
+        ]
+        assert _vector_lines(labels, vec, indent="  ") == expected
+    assert _vector_lines(["1->1"], _vector([[-0.0, 0.0, -0.0, 0.0]])) == [
+        "    1->1: 0"
+    ]
 
 
 @pytest.fixture(scope="module")
@@ -217,3 +270,45 @@ def test_write_failure_exits_2(argv, capsys):
         "error: cannot write /dev/full: No space left on device\n"
     )
 
+
+class _FullStdout:
+    """A standard output on a full device: every write fails."""
+
+    def _fail(self, *args):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    write = writelines = flush = _fail
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "k4"),
+    ("spectrum", "k4", "--eigenvectors"),
+    ("generate", "K3", "--seed", "1"),
+])
+def test_stdout_write_failure_exits_2(argv, capsys, monkeypatch):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main(list(argv))
+    monkeypatch.undo()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: cannot write <stdout>: {os.strerror(errno.ENOSPC)}\n"
+    )
+
+
+@needs_dev_full
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "k4"),
+    ("generate", "K3", "--seed", "1"),
+])
+def test_full_stdout_exits_2_without_traceback(argv):
+    # A real process, so a failed flush at interpreter shutdown would show.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    with open("/dev/full", "w") as full:
+        done = subprocess.run(
+            [sys.executable, "-m", "qszegedy.cli", *argv], stdout=full,
+            stderr=subprocess.PIPE, env=env, text=True, timeout=120,
+        )
+    assert done.returncode == 2
+    assert done.stderr == (
+        "error: cannot write <stdout>: No space left on device\n"
+    )

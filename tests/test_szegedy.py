@@ -2,7 +2,11 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,9 @@ from qszegedy.instances import (
 )
 from qszegedy.qmatrix import (
     QMatrix,
+    _h_basis,
     _j_conj,
+    _nullspace,
     h_linear_independent,
     h_rank,
     psi,
@@ -526,6 +532,49 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
         for item in items:
             assert abs(item.vector.fro_norm() - 1.0) <= 1e-12
             assert item.relative_residual <= 1e-12
+
+
+@pytest.mark.parametrize("spec, seed", [("K10+loops", 1), ("K12", 7),
+                                        ("K12", 1009), ("K6", None)])
+def test_birth_kernel_spans_the_svd_kernel(spec, seed):
+    graph = parse_graph_spec(spec)
+    weights = (
+        WeightMap.uniform(graph) if seed is None
+        else random_instance(graph, seed)
+    )
+    ops = build_walk(graph, weights)
+    counts = {count.lam: count for count in check_pm1_eigenspaces(ops)}
+    for lam in (1.0, -1.0):
+        p, (_first, edge, _second) = szegedy._birth_matrix(ops, lam)
+        kernel = szegedy._birth_kernel(p, np.where(edge, SQ2, 1.0))
+        birth = szegedy._pm1_eigenspace(ops, lam)[0]
+        assert birth.cols == kernel.cols == counts[lam].birth > 0
+        # psi(P) x = 0 for the kernel columns; B x is H-orthonormal.
+        assert np.abs(psi(p) @ np.vstack([kernel.a, kernel.b])).max() <= 1e-12
+        gram = psi(birth).conj().T @ psi(birth)
+        assert np.abs(gram - np.eye(2 * birth.cols)).max() <= 1e-12
+        # The same span as the halved SVD kernel of psi(P).
+        reference = _h_basis(_nullspace(psi(p)))
+        assert reference.cols == kernel.cols
+        assert h_rank(QMatrix.hstack([kernel, reference])) == kernel.cols
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "k4", "--eigenvectors"),
+                                  ("lift", "c5", "--all")])
+def test_eigenvector_jobs_do_not_import_numpy_ma(argv):
+    # numpy.ma costs import time and heap; helpers such as np.setdiff1d
+    # load it.
+    script = (
+        "import sys\n"
+        "from qszegedy.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "sys.stderr.write(f'{code} {\"numpy.ma\" in sys.modules}')\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(szegedy.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", script, *argv],
+                          capture_output=True, env=env, text=True,
+                          timeout=120)
+    assert done.stderr == "0 False"
 
 
 @pytest.mark.parametrize("spec, seed", [("k3_loops", None), ("c5", None),
