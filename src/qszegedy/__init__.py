@@ -50,15 +50,30 @@ from .szegedy import (
     spectral_map,
     verify_structure,
 )
-from .zeta import (
-    IdentityCheck,
-    ihara_identity,
-    quaternionic_identity,
-    second_weighted_identity,
-    sylvester_det_property,
-)
 
 __version__ = "0.1.0"
+
+#: Served from :mod:`qszegedy.zeta` on first access (PEP 562), so a
+#: command that checks no determinant identity never imports it.
+_ZETA_NAMES = frozenset({
+    "IdentityCheck",
+    "ihara_identity",
+    "quaternionic_identity",
+    "second_weighted_identity",
+    "sylvester_det_property",
+})
+
+
+def __getattr__(name: str):
+    if name in _ZETA_NAMES:
+        from . import zeta
+
+        return getattr(zeta, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _ZETA_NAMES)
 
 __all__ = [
     "Arc",

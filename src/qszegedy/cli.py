@@ -62,13 +62,6 @@ from .szegedy import (
     spectral_map,
     verify_structure,
 )
-from .zeta import (
-    default_samples,
-    ihara_identity,
-    quaternionic_identity,
-    second_weighted_identity,
-    sylvester_det_property,
-)
 
 DEFAULT_TOL = 1e-8
 #: Loose matching window for user-supplied --mu values (CLI inputs are
@@ -169,6 +162,11 @@ def _check_seed(seed: int | None) -> None:
 #: Exact types whose JSON text has no layout, so the C encoder's
 #: (``json.dumps`` without options) is the indented text too.
 _JSON_SCALARS = (str, int, float, bool, type(None))
+#: Exact types written as JSON arrays.  A tuple subclass such as a
+#: record is not one: like every type outside ``_JSON_TYPES`` it goes
+#: through ``_json_native``, which rejects it.
+_JSON_ARRAYS = (list, tuple)
+_JSON_TYPES = _JSON_SCALARS + _JSON_ARRAYS + (dict,)
 
 
 def _blocks(items):
@@ -182,7 +180,7 @@ def _float_rows(value) -> int | None:
     else the common length of its rows; None if it is neither."""
     if all(type(x) is float for x in value):
         return 0
-    if all(isinstance(row, (list, tuple)) for row in value):
+    if all(type(row) in _JSON_ARRAYS for row in value):
         width = len(value[0])
         if width and all(len(row) == width for row in value) and all(
             type(x) is float for x in itertools.chain.from_iterable(value)
@@ -195,15 +193,17 @@ def _json_chunks(value, indent: str = ""):
     """Yield ``json.dumps(value, indent=2, default=_json_native)`` in
     pieces, for ``value`` nested at ``indent``.
 
-    Dicts with string keys and non-empty lists are walked here.  A list
-    of exact floats (``repr`` of a numpy scalar differs), or of
-    equal-length rows of them, goes through one ``%r`` template per block
-    of rows.  Items of ``_JSON_SCALARS`` go to the C encoder; anything
-    else to the stdlib encoder, re-indented (JSON text holds no raw
-    newline).
+    Dicts with string keys and non-empty lists and tuples are walked
+    here, by exact type.  A list of exact floats (``repr`` of a numpy
+    scalar differs), or of equal-length rows of them, goes through one
+    ``%r`` template per block of rows.  Items of ``_JSON_SCALARS`` go to
+    the C encoder; empty containers and dicts with other keys to the
+    stdlib encoder, re-indented (JSON text holds no raw newline); any
+    other type through ``_json_native`` first.
     """
     inner = indent + "  "
-    if isinstance(value, (list, tuple)) and value:
+    kind = type(value)
+    if kind in _JSON_ARRAYS and value:
         width = _float_rows(value)
         opener = "[\n"
         if width is None:
@@ -227,9 +227,7 @@ def _json_chunks(value, indent: str = ""):
                 yield opener + inner + text
                 opener = ",\n"
         yield "\n" + indent + "]"
-    elif isinstance(value, dict) and value and all(
-        isinstance(key, str) for key in value
-    ):
+    elif kind is dict and value and all(isinstance(key, str) for key in value):
         opener = "{\n"
         for key, item in value.items():
             if type(item) in _JSON_SCALARS:
@@ -240,6 +238,8 @@ def _json_chunks(value, indent: str = ""):
             opener = ",\n"
         yield "\n" + indent + "}"
     else:
+        if kind not in _JSON_TYPES:
+            value = _json_native(value)
         text = json.dumps(value, indent=2, default=_json_native)
         yield text.replace("\n", "\n" + indent)
 
@@ -372,7 +372,8 @@ def cmd_spectrum(args) -> int:
             want_eigenvectors=args.eigenvectors,
             tol=tol,
         )
-        report["spectrum"] = spectrum.to_dict()
+        if args.output:  # the JSON form is built only to be written
+            report["spectrum"] = spectrum.to_dict()
         lines.append(f"tree case: {spectrum.tree_case}")
         lines.append(
             f"base spectrum of the doubly weighted matrix "
@@ -489,10 +490,11 @@ def cmd_lift(args) -> int:
             label = f"vector {index + 1}" if mu is None else item.origin
             lines.append(f"  {label} (relative residual {rel:.3g}):")
             lines.extend(_vector_lines(arcs, item.vector))
-            data = item.to_dict()
-            entries.append({"mu": mu, "lambda": data["lambda"],
-                            "origin": item.origin, "residual": rel,
-                            "vector": data["vector"]})
+            if args.output:  # the JSON form is built only to be written
+                data = item.to_dict()
+                entries.append({"mu": mu, "lambda": data["lambda"],
+                                "origin": item.origin, "residual": rel,
+                                "vector": data["vector"]})
         if group.independent is not None:
             passed = passed and group.independent
             verdict = ("H-linearly independent" if group.independent
@@ -512,6 +514,15 @@ def cmd_lift(args) -> int:
 def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
                 w_seed: int) -> tuple[dict, list[str], bool]:
     """Run the full identity battery on one weighted graph."""
+    # Only verify checks the zeta identities: other commands skip the import.
+    from .zeta import (
+        default_samples,
+        ihara_identity,
+        quaternionic_identity,
+        second_weighted_identity,
+        sylvester_det_property,
+    )
+
     section: dict = {}
     lines: list[str] = []
     passed = True

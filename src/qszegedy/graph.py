@@ -17,6 +17,7 @@ scatters, and ``J0 @ M`` is the row gather ``M[inverse]``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,8 +26,7 @@ from .errors import ValidationError
 __all__ = ["Arc", "Graph", "build_graph"]
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
     """A directed arc with its position in the canonical order."""
 
     origin: int

@@ -19,12 +19,10 @@ so typos surface early.  Errors carry the JSON field path of the offender.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import re
-from dataclasses import dataclass
-from importlib import resources
+from typing import NamedTuple
 
 from .errors import ValidationError
 from .graph import Graph, build_graph
@@ -57,8 +55,7 @@ _ARC_KEY = re.compile(r"^(\d+)->(\d+)$")
 _SPEC = re.compile(r"^(k|p|c|star)(\d+)(\+loops|\+loop)?$", re.IGNORECASE)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(NamedTuple):
     """A parsed instance: graph, weights, and identifying metadata."""
 
     name: str
@@ -261,6 +258,8 @@ def instance_hash(graph: Graph, weights: WeightMap) -> str:
 
     Metadata is excluded so renaming an instance keeps its identity.
     """
+    import hashlib  # loads OpenSSL: only where a hash is taken
+
     payload = instance_to_dict(graph, weights)
     del payload["metadata"]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -297,6 +296,8 @@ def bundled_spec(name: str) -> str:
 
 def load_bundled(name: str) -> Instance:
     """Load one of the instances shipped with the package."""
+    from importlib import resources  # not needed by file instances
+
     bundled_spec(name)  # rejects unknown names
     ref = resources.files("qszegedy").joinpath(f"instances/{name}.json")
     text = ref.read_text(encoding="utf-8")

@@ -28,7 +28,7 @@ kernel is taken from a shifted image ``(psi(M) - root I)^k`` by
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -553,8 +553,7 @@ def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
     return (m.H @ m - QMatrix.eye(n)).max_entry_norm() <= tol
 
 
-@dataclass(frozen=True)
-class PolyFactor:
+class PolyFactor(NamedTuple):
     """An irreducible real factor of degree 1 or 2 with its exponent.
 
     ``coefficients`` are monic and descending: ``(1.0, c0)`` encodes
@@ -583,8 +582,7 @@ class PolyFactor:
         )
 
 
-@dataclass(frozen=True)
-class MinimalPolynomial:
+class MinimalPolynomial(NamedTuple):
     """Monic real minimal polynomial as powers of irreducible factors.
 
     Factors are sorted by ascending real part of the root, then by root
@@ -684,8 +682,7 @@ def minimal_polynomial(
     return result
 
 
-@dataclass(frozen=True)
-class RootSubspace:
+class RootSubspace(NamedTuple):
     """Kernel of one minimal-polynomial factor power, as a right H-span."""
 
     factor: PolyFactor

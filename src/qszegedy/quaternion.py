@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import ValidationError
 
@@ -223,18 +224,26 @@ def same_class(p, q, tol: float = CLASS_TOL) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class ConjugacyClass:
+class _ClassFields(NamedTuple):
+    rep: complex
+
+
+class ConjugacyClass(_ClassFields):
     """A right-spectrum conjugacy class, stored by its canonical complex
     representative with nonnegative imaginary part."""
 
-    rep: complex
+    __slots__ = ()
 
-    def __post_init__(self):
-        rep = complex(self.rep)
+    def __new__(cls, rep):
+        rep = complex(rep)
         if rep.imag < 0.0:
             rep = rep.conjugate()
-        object.__setattr__(self, "rep", rep)
+        return super().__new__(cls, rep)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds through here: canonicalise there too.
+        return cls(*iterable)
 
     def is_real(self, tol: float = CLASS_TOL) -> bool:
         return self.rep.imag <= tol * max(1.0, abs(self.rep))

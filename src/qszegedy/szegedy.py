@@ -45,6 +45,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,8 +107,7 @@ SPECTRUM_TOL = 1e-8
 _SQRT2 = math.sqrt(2.0)
 
 
-@dataclass(frozen=True)
-class WeightMap:
+class WeightMap(NamedTuple):
     """Arc weights ``q``: a mapping ``(origin, terminus) -> Quaternion``."""
 
     values: dict
@@ -154,18 +154,24 @@ class WeightMap:
         return [self.values[arc.key] for arc in graph.arcs]
 
 
-def _aligned_nonzero(graph: Graph, weights: WeightMap) -> list[Quaternion]:
+def _aligned_norms(
+    graph: Graph, weights: WeightMap
+) -> tuple[list[Quaternion], np.ndarray]:
+    """Weights in canonical arc order and their squared norms as an
+    array; rejects a zero weight."""
     q = weights.aligned(graph)
-    for arc, value in zip(graph.arcs, q):
-        if value.norm_sq() == 0.0:
-            raise ValidationError(
-                f"weight on arc ({arc.origin},{arc.terminus}) is zero"
-            )
-    return q
+    # Per arc: a components array would cost more to build than this.
+    norm_sq = np.array([value.norm_sq() for value in q], dtype=float)
+    zero = np.flatnonzero(norm_sq == 0.0)
+    if zero.size:
+        arc = graph.arcs[zero[0]]
+        raise ValidationError(
+            f"weight on arc ({arc.origin},{arc.terminus}) is zero"
+        )
+    return q, norm_sq
 
 
-@dataclass(frozen=True)
-class VertexUnitarity:
+class VertexUnitarity(NamedTuple):
     vertex: int
     total: float
     deviation: float
@@ -180,8 +186,7 @@ class VertexUnitarity:
         }
 
 
-@dataclass(frozen=True)
-class UnitarityReport:
+class UnitarityReport(NamedTuple):
     """Per-vertex sums of squared weight norms against the target 1."""
 
     vertices: tuple[VertexUnitarity, ...]
@@ -212,12 +217,17 @@ class UnitarityReport:
 def check_unitary_condition(
     graph: Graph, weights: WeightMap, tol: float = UNITARITY_TOL
 ) -> UnitarityReport:
-    """Check ``sum |q(e)|^2 = 1`` over the arcs leaving each vertex."""
-    q = _aligned_nonzero(graph, weights)
+    """Check ``sum |q(e)|^2 = 1`` over the arcs leaving each vertex.
+
+    Each vertex's sum adds its arcs' squared norms in arc order, from 0.
+    """
+    norm_sq = _aligned_norms(graph, weights)[1]
+    totals = np.bincount(graph.origin, weights=norm_sq, minlength=graph.n)
     rows = []
     worst = 0.0
-    for u in range(graph.n):
-        total = sum(q[arc.index].norm_sq() for arc in graph.out_arcs(u))
+    for u, total in enumerate(totals.tolist()):
+        if not graph.out_arcs(u):
+            total = 0  # an empty sum: reports write the int 0
         deviation = abs(total - 1.0)
         worst = max(worst, deviation)
         rows.append(VertexUnitarity(u, total, deviation, deviation <= tol))
@@ -329,7 +339,7 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
     ``m' x m'`` array is formed.  Unitarity of the weights is NOT
     required here: non-unitary instances still define all matrices.
     """
-    q = _aligned_nonzero(graph, weights)
+    q = _aligned_norms(graph, weights)[0]
     qcol = qvec(q)
     qinv = qcol.take_rows(graph.inverse)
     K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
@@ -489,8 +499,7 @@ def _snap_boundary(values: np.ndarray) -> list[float]:
     return out
 
 
-@dataclass(frozen=True)
-class SpectrumClass:
+class SpectrumClass(NamedTuple):
     """One conjugacy class of the walk spectrum with its multiplicity."""
 
     rep: complex
@@ -505,8 +514,7 @@ class SpectrumClass:
         }
 
 
-@dataclass(frozen=True)
-class OracleComparison:
+class OracleComparison(NamedTuple):
     """Theorem-path spectrum matched against direct diagonalization."""
 
     max_distance: float
@@ -550,8 +558,7 @@ class LiftedVector:
         }
 
 
-@dataclass(frozen=True)
-class LiftGroup:
+class LiftGroup(NamedTuple):
     """The walk eigenvectors of one base eigenvalue at one ``lam``.
 
     ``mu`` is None for the direct extraction at +-1.  ``independent`` is
@@ -565,8 +572,7 @@ class LiftGroup:
     independent: bool | None
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(NamedTuple):
     """Full right spectrum of a walk, with optional extras.  ``tree_case``
     is ``tree`` or ``forest`` (plus ``-with-loops`` if any) when the
     loopless core is acyclic, ``m0 = n - components``, else ``non-tree``."""
@@ -980,8 +986,7 @@ def _birth_kernel(p: QMatrix, scale: np.ndarray) -> QMatrix:
     return QMatrix._adopt(q[:d], q[d:])
 
 
-@dataclass(frozen=True)
-class EigenspaceCount:
+class EigenspaceCount(NamedTuple):
     """The walk's eigenspace at +1 or -1 counted two ways.
 
     ``birth`` is the nullity of the birth matrix ``P`` and ``inherited``
@@ -1110,8 +1115,7 @@ def _lift(
     return lifted, residual
 
 
-@dataclass(frozen=True)
-class StructureCheck:
+class StructureCheck(NamedTuple):
     name: str
     residual: float
     tol: float
@@ -1126,8 +1130,7 @@ class StructureCheck:
         }
 
 
-@dataclass(frozen=True)
-class StructureReport:
+class StructureReport(NamedTuple):
     """Residuals of the structural identities tying U, K, L together."""
 
     checks: tuple[StructureCheck, ...]

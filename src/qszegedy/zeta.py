@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,8 +87,7 @@ def default_samples(
     return points
 
 
-@dataclass(frozen=True)
-class EdgeMatrices:
+class EdgeMatrices(NamedTuple):
     """Arc-indexed matrices of a graph: adjacency-with-weights and J0."""
 
     b: np.ndarray
@@ -111,17 +110,31 @@ def build_edge_matrices(graph: Graph, w=None) -> EdgeMatrices:
     )
 
 
-@dataclass(frozen=True)
-class IdentityCheck:
-    """Outcome of comparing two determinant expressions at samples."""
-
+class _IdentityFields(NamedTuple):
     name: str
     samples: tuple[complex, ...]
     lhs: tuple[complex, ...]
     rhs: tuple[complex, ...]
     max_rel_error: float
     passed: bool
-    variants: dict = field(default_factory=dict)
+    variants: dict | None = None
+
+
+class IdentityCheck(_IdentityFields):
+    """Outcome of comparing two determinant expressions at samples.
+
+    ``variants`` maps each variant's label to its worst relative error;
+    left out, it is a new empty dict.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, name, samples, lhs, rhs, max_rel_error, passed,
+                variants=None):
+        return super().__new__(
+            cls, name, samples, lhs, rhs, max_rel_error, passed,
+            {} if variants is None else variants,
+        )
 
     def to_dict(self) -> dict:
         return {
@@ -232,8 +245,7 @@ def _bass_identity(
     degree = x.shape[0] + 2 * v.shape[0] + 2 * abs(e) + 2 * l
     err = _poly_coeff_error(*next(iter(built.values())), degree)
     check.variants["polynomial"] = err
-    return replace(
-        check,
+    return check._replace(
         max_rel_error=max(check.max_rel_error, err),
         passed=check.passed and err <= POLY_TOL,
     )

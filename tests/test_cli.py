@@ -22,7 +22,13 @@ from qszegedy.instances import (
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_quaternion
-from qszegedy.szegedy import WeightMap, full_spectrum, random_instance
+from qszegedy.szegedy import (
+    LiftedVector,
+    SpectrumReport,
+    WeightMap,
+    full_spectrum,
+    random_instance,
+)
 
 
 def run(capsys, *argv):
@@ -669,3 +675,19 @@ class TestArgumentRanges:
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert not target.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "k4", "--oracle", "--eigenvectors"],
+    ["lift", "c5", "--all"],
+])
+def test_json_payload_is_built_only_for_output(capsys, monkeypatch, argv):
+    code, expected, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+
+    def refuse(self):
+        raise AssertionError("to_dict called without --output")
+
+    monkeypatch.setattr(SpectrumReport, "to_dict", refuse)
+    monkeypatch.setattr(LiftedVector, "to_dict", refuse)
+    assert run(capsys, *argv) == (0, expected, "")

@@ -28,6 +28,7 @@ from qszegedy.cli import (
     _write_json,
     main,
 )
+from qszegedy.graph import Arc
 from qszegedy.instances import (
     bundled_names,
     load_bundled,
@@ -36,6 +37,7 @@ from qszegedy.instances import (
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_components
+from qszegedy.szegedy import SpectrumClass
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
                   1e-5, 0.1, -1e300, 1.7976931348623157e308]
@@ -312,3 +314,16 @@ def test_full_stdout_exits_2_without_traceback(argv):
     assert done.stderr == (
         "error: cannot write <stdout>: No space left on device\n"
     )
+
+
+@pytest.mark.parametrize("report", [
+    {"classes": [SpectrumClass(1j, 2, ("lift",))]},
+    {"class": SpectrumClass(1j, 2, ("lift",))},
+    {"rows": [[0.5, 1.0], SpectrumClass(0.5, 1.0, ())]},
+    [Arc(0, 1, 0)],
+    SpectrumClass(1j, 2, ("lift",)),
+])
+def test_records_in_a_report_are_refused(report):
+    # A record is a tuple subclass: it must not be written as an array.
+    with pytest.raises(TypeError, match="cannot serialize"):
+        "".join(_json_chunks(report))

@@ -112,6 +112,68 @@ def test_unitarity_condition_failure_vertex():
     assert report.failing_vertices() == [1]
 
 
+
+def _unitarity_by_loop(graph, weights, tol):
+    """The per-arc loop the array pass replaced: each vertex's squared
+    norms summed in arc order with ``sum``."""
+    rows = []
+    for u in range(graph.n):
+        total = sum(
+            weights.get(*arc.key).norm_sq() for arc in graph.out_arcs(u)
+        )
+        rows.append((u, total, abs(total - 1.0), abs(total - 1.0) <= tol))
+    return rows
+
+
+@pytest.mark.parametrize("spec, seed, scale", [
+    ("K3+loops", 1, 1.0), ("C7", 2, 1.0), ("star5+loop", 3, 1.0 + 1e-9),
+    ("K6", 4, 1.0 + 3e-11), ("P4", 5, 0.7),
+])
+def test_unitarity_sums_match_the_arc_loop(spec, seed, scale):
+    graph = parse_graph_spec(spec)
+    weights = WeightMap({
+        key: value * scale
+        for key, value in szegedy.random_instance(graph, seed).values.items()
+    })
+    for tol in (1e-10, 1e-8):
+        report = check_unitary_condition(graph, weights, tol)
+        want = _unitarity_by_loop(graph, weights, tol)
+        got = [(r.vertex, r.total, r.deviation, r.ok) for r in report.vertices]
+        assert got == want  # bit for bit
+        assert [type(r.total) for r in report.vertices] == [
+            type(row[1]) for row in want
+        ]
+        assert report.max_deviation == max(row[2] for row in want)
+        assert report.passed == all(row[3] for row in want)
+
+
+def test_unitarity_of_a_vertex_without_arcs():
+    graph = build_graph(3, [(0, 1)])
+    weights = WeightMap({(0, 1): Quaternion(1.0), (1, 0): Quaternion(0, 1)})
+    report = check_unitary_condition(graph, weights)
+    got = [(r.vertex, r.total, r.deviation, r.ok) for r in report.vertices]
+    assert got == _unitarity_by_loop(graph, weights, 1e-10)
+    assert type(report.vertices[2].total) is int
+    assert report.failing_vertices() == [2]
+    assert report.max_deviation == 1.0
+
+
+def test_unitarity_names_the_first_zero_weight():
+    graph, weights = _k3_loops()
+    values = dict(weights.values)
+    values[(2, 0)] = Quaternion()
+    values[(2, 2)] = Quaternion()
+    with pytest.raises(ValidationError, match=r"arc \(2,0\) is zero"):
+        check_unitary_condition(graph, WeightMap(values))
+    values = dict(weights.values)
+    del values[(1, 2)]
+    with pytest.raises(ValidationError, match=r"missing .* \[\(1, 2\)\]"):
+        check_unitary_condition(graph, WeightMap(values))
+    values = dict(weights.values)
+    values[(0, 5)] = Quaternion(1.0)
+    with pytest.raises(ValidationError, match=r"non-arcs \[\(0, 5\)\]"):
+        check_unitary_condition(graph, WeightMap(values))
+
 def test_walk_matrices_match_frozen_example():
     graph, weights = _k3_loops()
     ops = build_walk(graph, weights)
