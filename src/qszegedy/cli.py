@@ -14,12 +14,15 @@ tolerance (1e-8); ``--tol`` overrides both.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 from contextlib import contextmanager, nullcontext
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -60,6 +63,8 @@ from .szegedy import (
     lift_groups,
     random_instance,
     spectral_map,
+    vector_components,
+    vector_payload,
     verify_structure,
 )
 
@@ -126,7 +131,10 @@ def _header(command: str, tol: float, instance: Instance | None = None,
 
 
 def _json_native(value):
-    # Reports may carry numpy scalars from residual arithmetic.
+    # Reports may carry numpy scalars from residual arithmetic, and the
+    # float arrays of eigenvector tables.
+    if isinstance(value, np.ndarray):
+        return value.tolist()
     if isinstance(value, np.bool_):
         return bool(value)
     if isinstance(value, np.integer):
@@ -159,34 +167,75 @@ def _check_seed(seed: int | None) -> None:
         )
 
 
-#: Exact types whose JSON text has no layout, so the C encoder's
-#: (``json.dumps`` without options) is the indented text too.
-_JSON_SCALARS = (str, int, float, bool, type(None))
+_NONFINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _float_text(value: float) -> str:
+    """``json.dumps`` of a float: its repr, with JSON's names for NaN and
+    the infinities."""
+    text = float.__repr__(value)
+    return _NONFINITE.get(text, text)
+
+
+#: ``json.dumps`` of a leaf, by exact type, from the primitives the json
+#: module itself uses: its C string encoder and ``repr``.  A leaf of
+#: another type, such as a numpy scalar, goes through ``_json_native``.
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_text,
+    bool: {True: "true", False: "false"}.__getitem__,
+    type(None): lambda _value: "null",
+}
 #: Exact types written as JSON arrays.  A tuple subclass such as a
 #: record is not one: like every type outside ``_JSON_TYPES`` it goes
 #: through ``_json_native``, which rejects it.
 _JSON_ARRAYS = (list, tuple)
-_JSON_TYPES = _JSON_SCALARS + _JSON_ARRAYS + (dict,)
+_JSON_TYPES = frozenset(_SCALAR_TEXT).union(_JSON_ARRAYS, (dict,))
 
 
 def _blocks(items):
-    """Consecutive slices of ``items``: output is written block by block,
-    so no whole report is held as one string."""
+    """Consecutive slices of an array's items: a long table is written
+    block by block, so it is never held as one string."""
     return (items[start:start + 512] for start in range(0, len(items), 512))
 
 
-def _float_rows(value) -> int | None:
-    """Width of ``value`` as a table of exact floats: 0 for a flat list,
-    else the common length of its rows; None if it is neither."""
-    if all(type(x) is float for x in value):
-        return 0
-    if all(type(row) in _JSON_ARRAYS for row in value):
-        width = len(value[0])
-        if width and all(len(row) == width for row in value) and all(
-            type(x) is float for x in itertools.chain.from_iterable(value)
-        ):
-            return width
-    return None
+def _float_table(rows, indent: str) -> str | None:
+    """``rows`` as the items of a JSON array at ``indent``, if they are
+    exact floats (``repr`` of a numpy scalar differs) or equal-length
+    rows of them, else None: one cached ``%r`` template filled at once.
+    Every scan of the items runs in C."""
+    kinds = set(map(type, rows))
+    if kinds == {float}:
+        return _table_text(rows, indent, 0, len(rows))
+    widths = set(map(len, rows)) if kinds.issubset(_JSON_ARRAYS) else ()
+    if len(widths) != 1 or 0 in widths:
+        return None
+    width, = widths
+    flat = tuple(itertools.chain.from_iterable(rows))
+    if operator.countOf(map(type, flat), float) != len(flat):
+        return None
+    return _table_text(flat, indent, width, len(rows))
+
+
+def _table_text(flat, indent: str, width: int, rows: int) -> str:
+    """The floats ``flat`` as ``rows`` items of a JSON array at
+    ``indent``, each an array of ``width`` of them (width 0: bare)."""
+    text = _table_template(indent, width, rows) % tuple(flat)
+    if "n" in text:  # repr gives nan, inf and -inf
+        text = text.replace("nan", "NaN").replace("inf", "Infinity")
+    return text
+
+
+@functools.lru_cache(maxsize=64)
+def _table_template(indent: str, width: int, rows: int) -> str:
+    """``%`` template of ``rows`` table rows at ``indent``: one ``%r`` per
+    float, each row an array of ``width`` of them (width 0: bare)."""
+    row = "%r"
+    if width:
+        cells = ",\n".join([indent + "  %r"] * width)
+        row = f"[\n{cells}\n{indent}]"
+    return (",\n" + indent).join([row] * rows)
 
 
 def _json_chunks(value, indent: str = ""):
@@ -194,52 +243,62 @@ def _json_chunks(value, indent: str = ""):
     pieces, for ``value`` nested at ``indent``.
 
     Dicts with string keys and non-empty lists and tuples are walked
-    here, by exact type.  A list of exact floats (``repr`` of a numpy
-    scalar differs), or of equal-length rows of them, goes through one
-    ``%r`` template per block of rows.  Items of ``_JSON_SCALARS`` go to
-    the C encoder; empty containers and dicts with other keys to the
+    here, by exact type, a block of items at a time: a block that
+    ``_float_table`` takes is written whole, the items of any other one
+    by one, in the same layout.  A non-empty 1-D or 2-D float64 array
+    is a table by its dtype, written a block of rows at a time.  Keys
+    and leaves of ``_SCALAR_TEXT``'s types are written by its
+    primitives; empty containers and dicts with other keys go to the
     stdlib encoder, re-indented (JSON text holds no raw newline); any
     other type through ``_json_native`` first.
     """
     inner = indent + "  "
     kind = type(value)
-    if kind in _JSON_ARRAYS and value:
-        width = _float_rows(value)
+    if (kind is np.ndarray and value.dtype == float and value.ndim in (1, 2)
+            and value.size):
+        width = value.shape[1] if value.ndim == 2 else 0
         opener = "[\n"
-        if width is None:
-            for item in value:
-                if type(item) in _JSON_SCALARS:
-                    yield f"{opener}{inner}{json.dumps(item)}"
+        for block in _blocks(value):
+            yield opener + inner + _table_text(block.ravel().tolist(), inner,
+                                               width, len(block))
+            opener = ",\n"
+        yield "\n" + indent + "]"
+    elif kind in _JSON_ARRAYS and value:
+        opener = "[\n"
+        for block in _blocks(value):
+            table = _float_table(block, inner)
+            if table is not None:
+                yield opener + inner + table
+                opener = ",\n"
+                continue
+            for item in block:
+                scalar = _SCALAR_TEXT.get(type(item))
+                if scalar is not None:
+                    yield f"{opener}{inner}{scalar(item)}"
                 else:
                     yield opener + inner
                     yield from _json_chunks(item, inner)
                 opener = ",\n"
-        else:
-            row = "%r"
-            if width:
-                cells = ",\n".join([inner + "  %r"] * width)
-                row = f"[\n{cells}\n{inner}]"
-            for block in _blocks(value):
-                flat = itertools.chain.from_iterable(block) if width else block
-                text = (",\n" + inner).join([row] * len(block)) % tuple(flat)
-                if "n" in text:  # repr gives nan, inf and -inf
-                    text = text.replace("nan", "NaN").replace("inf", "Infinity")
-                yield opener + inner + text
-                opener = ",\n"
         yield "\n" + indent + "]"
-    elif kind is dict and value and all(isinstance(key, str) for key in value):
+    elif kind is dict and value and all(
+        map(isinstance, value, itertools.repeat(str))
+    ):
         opener = "{\n"
         for key, item in value.items():
-            if type(item) in _JSON_SCALARS:
-                yield f"{opener}{inner}{json.dumps(key)}: {json.dumps(item)}"
+            scalar = _SCALAR_TEXT.get(type(item))
+            key = encode_basestring_ascii(key)
+            if scalar is not None:
+                yield f"{opener}{inner}{key}: {scalar(item)}"
             else:
-                yield f"{opener}{inner}{json.dumps(key)}: "
+                yield f"{opener}{inner}{key}: "
                 yield from _json_chunks(item, inner)
             opener = ",\n"
         yield "\n" + indent + "}"
+    elif kind not in _JSON_TYPES:
+        yield from _json_chunks(_json_native(value), indent)
+    elif kind in _SCALAR_TEXT:
+        yield _SCALAR_TEXT[kind](value)
     else:
-        if kind not in _JSON_TYPES:
-            value = _json_native(value)
         text = json.dumps(value, indent=2, default=_json_native)
         yield text.replace("\n", "\n" + indent)
 
@@ -267,8 +326,8 @@ def _emit(report: dict, lines: list[str], output: str | None) -> int:
     # The file opens first, so an unwritable path prints no report.
     with _open_output(output) if output else nullcontext() as handle:
         with _writing_stdout() as stdout:
-            for block in _blocks(lines):
-                stdout.write("\n".join(block) + "\n")
+            for line in lines:  # a vector's rows are one item
+                stdout.write(line + "\n")
         if handle:
             _write_json(report, handle, output)
     return 0 if report.get("passed", False) else 1
@@ -325,24 +384,40 @@ def _row_piece(mask: int) -> str:
 _ROW_PIECES = np.array([_row_piece(mask) for mask in range(16)], dtype=object)
 
 
+def _vector_texts(labels: list[str], components: np.ndarray,
+                  indent: str = "    ") -> list[str]:
+    """The printed rows of each vector of a stack of ``components`` (as
+    ``szegedy.vector_components`` gives them): one ``label: entry`` line
+    per row, entries as ``format_components`` writes them, the lines of
+    one vector joined by newlines.
+
+    One pass over the stack keys each row's template by its zero mask,
+    from a ``label x mask`` table of the labelled ``_ROW_PIECES``, and
+    takes the non-zero components in order; each vector is then one
+    ``%`` (``%+g`` writes a NaN of either sign as ``+nan``, as
+    ``format_components`` does)."""
+    if not len(components):
+        return []
+    present = components != 0.0
+    prefixes = np.array(
+        [f"{indent}{label}: ".replace("%", "%%") for label in labels],
+        dtype=object,
+    )
+    table = prefixes[:, None] + _ROW_PIECES
+    templates = table[np.arange(len(labels)), present @ np.array([1, 2, 4, 8])]
+    values = components[present].tolist()
+    ends = np.cumsum(present.sum(axis=(1, 2))).tolist()
+    return [
+        "\n".join(rows) % tuple(values[start:end])
+        for rows, start, end in zip(templates.tolist(), [0] + ends, ends)
+    ]
+
+
 def _vector_lines(labels: list[str], vec: QMatrix,
                   indent: str = "    ") -> list[str]:
-    """One ``label: entry`` line per row, entries as ``format_components``
-    writes them, through one ``%`` template for the whole vector: each
-    row's piece is keyed by its zero mask and takes only the non-zero
-    components (``%+g`` writes a NaN of either sign as ``+nan``, as
-    ``format_components`` does)."""
-    entries = vec.components()[:, 0]
-    present = entries != 0.0
-    prefix = indent + "%s: "
-    template = prefix + ("\n" + prefix).join(
-        _ROW_PIECES[present @ np.array([1, 2, 4, 8])]
-    )
-    cells = np.empty((vec.rows, 5), dtype=object)
-    cells[:, 0] = labels
-    cells[:, 1:] = entries
-    keep = np.column_stack([np.ones(vec.rows, dtype=bool), present])
-    return (template % tuple(cells[keep].tolist())).split("\n")
+    """The lines ``_vector_texts`` prints for the single vector ``vec``."""
+    text, = _vector_texts(labels, vector_components([vec]), indent)
+    return text.split("\n")
 
 
 # ---------------------------------------------------------------- spectrum
@@ -372,8 +447,14 @@ def cmd_spectrum(args) -> int:
             want_eigenvectors=args.eigenvectors,
             tol=tol,
         )
+        components = texts = None
+        if spectrum.eigenvectors is not None:
+            components = vector_components(
+                [item.vector for item in spectrum.eigenvectors]
+            )
+            texts = _vector_texts(_row_labels(instance.graph)[1], components)
         if args.output:  # the JSON form is built only to be written
-            report["spectrum"] = spectrum.to_dict()
+            report["spectrum"] = spectrum.to_dict(components)
         lines.append(f"tree case: {spectrum.tree_case}")
         lines.append(
             f"base spectrum of the doubly weighted matrix "
@@ -401,15 +482,14 @@ def cmd_spectrum(args) -> int:
             )
             passed = passed and spectrum.oracle.matched
         if spectrum.eigenvectors is not None:
-            arcs = _row_labels(instance.graph)[1]
             lines.append(f"eigenvectors ({len(spectrum.eigenvectors)}):")
-            for item in spectrum.eigenvectors:
+            for item, text in zip(spectrum.eigenvectors, texts):
                 mu_note = "" if item.mu is None else f" from mu {_fmt(item.mu)}"
                 lines.append(
                     f"  lambda {_fmt_c(item.lam)} [{item.origin}]{mu_note} "
                     f"residual {item.residual:.3g}"
                 )
-                lines.extend(_vector_lines(arcs, item.vector))
+                lines.append(text)
                 passed = passed and item.residual <= tol
     else:
         # --force on a non-unitary instance: direct path only.
@@ -469,7 +549,16 @@ def cmd_lift(args) -> int:
     entries = []
     counts = dict(distinct)
     vertices, arcs = _row_labels(instance.graph)
-    for group in lift_groups(ops, targets, boundary):
+    groups = lift_groups(ops, targets, boundary)
+    items = [item for group in groups for item in group.vectors]
+    components = vector_components([item.vector for item in items])
+    texts = iter(_vector_texts(arcs, components))
+    base_texts = iter(_vector_texts(vertices, vector_components(
+        [item.base for item in items if item.origin == "lift"]
+    )))
+    if args.output:  # the JSON form is built only to be written
+        payload = iter(vector_payload(items, components))
+    for group in groups:
         mu = group.mu
         if mu is None:
             lines.append(
@@ -486,12 +575,12 @@ def cmd_lift(args) -> int:
             passed = passed and rel <= tol
             if item.origin == "lift":
                 lines.append(f"  base eigenvector {index // 2 + 1}:")
-                lines.extend(_vector_lines(vertices, item.base))
+                lines.append(next(base_texts))
             label = f"vector {index + 1}" if mu is None else item.origin
             lines.append(f"  {label} (relative residual {rel:.3g}):")
-            lines.extend(_vector_lines(arcs, item.vector))
-            if args.output:  # the JSON form is built only to be written
-                data = item.to_dict()
+            lines.append(next(texts))
+            if args.output:
+                data = next(payload)
                 entries.append({"mu": mu, "lambda": data["lambda"],
                                 "origin": item.origin, "residual": rel,
                                 "vector": data["vector"]})

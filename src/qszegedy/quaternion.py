@@ -16,7 +16,7 @@ representative ``Re(x) + i * |Im(x)|`` with nonnegative imaginary part.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -165,6 +165,22 @@ class Quaternion:
     def __str__(self) -> str:
         return format_quaternion(self)
 
+
+def _refuse_assignment(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# With slots=True, the frozen __setattr__ and __delattr__ that dataclass
+# writes call super() with the class that slots replaced, so a name that
+# is not a field raised TypeError.  These raise FrozenInstanceError (an
+# AttributeError) for every name, as a frozen dataclass without slots
+# does; __init__ and __post_init__ set fields through object.__setattr__.
+Quaternion.__setattr__ = _refuse_assignment
+Quaternion.__delattr__ = _refuse_deletion
 
 #: Basis quaternions.
 ONE = Quaternion(1.0)

@@ -86,6 +86,8 @@ __all__ = [
     "match_multisets",
     "random_instance",
     "spectral_map",
+    "vector_components",
+    "vector_payload",
     "verify_structure",
     "walk_eigenvectors",
 ]
@@ -549,13 +551,36 @@ class LiftedVector:
         return self.residual / max(self.vector.fro_norm(), 1e-300)
 
     def to_dict(self) -> dict:
-        return {
-            "lambda": [self.lam.real, self.lam.imag],
-            "mu": self.mu,
-            "residual": self.residual,
-            "origin": self.origin,
-            "vector": self.vector.components()[:, 0].tolist(),
+        return vector_payload([self])[0]
+
+
+def vector_components(vectors) -> np.ndarray:
+    """The ``(len(vectors), rows, 4)`` components of equal-height column
+    vectors, stacked: ``[k]`` is ``vectors[k].components()[:, 0]``."""
+    if not vectors:
+        return np.empty((0, 0, 4))
+    stack = QMatrix.hstack(vectors)
+    return QMatrix._adopt(stack.a.T, stack.b.T).components()
+
+
+def vector_payload(items, tables=None) -> list[dict]:
+    """``LiftedVector.to_dict()`` of each of ``items``, whose ``vector``
+    entry is ``tables[k]``.  By default every table comes from one
+    ``tolist`` of the items' :func:`vector_components`; the CLI passes
+    that stack itself, whose ``(rows, 4)`` float arrays its JSON writer
+    formats without building lists."""
+    if tables is None:
+        tables = vector_components([item.vector for item in items]).tolist()
+    return [
+        {
+            "lambda": [item.lam.real, item.lam.imag],
+            "mu": item.mu,
+            "residual": item.residual,
+            "origin": item.origin,
+            "vector": table,
         }
+        for item, table in zip(items, tables)
+    ]
 
 
 class LiftGroup(NamedTuple):
@@ -584,7 +609,9 @@ class SpectrumReport(NamedTuple):
     oracle: OracleComparison | None = None
     eigenvectors: tuple[LiftedVector, ...] | None = None
 
-    def to_dict(self) -> dict:
+    def to_dict(self, tables=None) -> dict:
+        """The JSON form; ``tables`` are the eigenvector tables, as for
+        :func:`vector_payload`."""
         data = {
             "tree_case": self.tree_case,
             "mu_spectrum": list(self.mu_spectrum),
@@ -594,7 +621,7 @@ class SpectrumReport(NamedTuple):
         if self.oracle is not None:
             data["oracle"] = self.oracle.to_dict()
         if self.eigenvectors is not None:
-            data["eigenvectors"] = [v.to_dict() for v in self.eigenvectors]
+            data["eigenvectors"] = vector_payload(self.eigenvectors, tables)
         return data
 
 

@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,19 +26,21 @@ from qszegedy.cli import (
     _json_native,
     _row_labels,
     _vector_lines,
+    _vector_texts,
     _write_json,
     main,
 )
 from qszegedy.graph import Arc
 from qszegedy.instances import (
     bundled_names,
+    instance_from_dict,
     load_bundled,
     parse_graph_spec,
     random_instance_dict,
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_components
-from qszegedy.szegedy import SpectrumClass
+from qszegedy.szegedy import SpectrumClass, full_spectrum, vector_components
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
                   1e-5, 0.1, -1e300, 1.7976931348623157e308]
@@ -327,3 +330,253 @@ def test_records_in_a_report_are_refused(report):
     # A record is a tuple subclass: it must not be written as an array.
     with pytest.raises(TypeError, match="cannot serialize"):
         "".join(_json_chunks(report))
+
+
+# ---------------------------------------------------------------- stacks
+
+
+def _texts_by_row(labels, stack, indent):
+    """``format_components`` row by row: what ``_vector_texts`` must give."""
+    return [
+        "\n".join(f"{indent}{label}: {format_components(*entry)}"
+                  for label, entry in zip(labels, vector))
+        for vector in stack.tolist()
+    ]
+
+
+#: One row: the zero mask (bit c set when component c is non-zero), the
+#: non-zero candidates, and the zero used elsewhere.
+masked_rows = st.tuples(
+    st.integers(0, 15),
+    st.lists(components, min_size=4, max_size=4),
+    st.sampled_from([0.0, -0.0]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(kind=st.sampled_from(["vertices", "arcs"]), data=st.data())
+def test_stacked_texts_match_format_components(kind, data):
+    vertices, arcs = _row_labels(parse_graph_spec("K4"))  # 4 and 12 rows
+    labels = vertices if kind == "vertices" else arcs
+    count = data.draw(st.integers(1, 4), label="vectors")
+    rows = data.draw(st.lists(masked_rows, min_size=count * len(labels),
+                              max_size=count * len(labels)))
+    stack = np.array([
+        [value if mask >> c & 1 else zero for c, value in enumerate(values)]
+        for mask, values, zero in rows
+    ], dtype=float).reshape(count, len(labels), 4)
+    assert _vector_texts(labels, stack, "  ") == _texts_by_row(labels, stack,
+                                                               "  ")
+
+
+@pytest.mark.parametrize("kind", ["vertices", "arcs"])
+def test_stacked_texts_cover_every_zero_mask(kind):
+    # One stack holding every zero mask with NaN and infinity of both
+    # signs and zeros of both signs, cut into vectors of the label count.
+    vertices, arcs = _row_labels(parse_graph_spec("K12"))  # 12 and 132 rows
+    labels = vertices if kind == "vertices" else arcs
+    rows = [
+        [value if mask >> c & 1 else zero for c, value in enumerate(values)]
+        for mask in range(16)
+        for values in MASK_VALUES
+        for zero in (0.0, -0.0)
+    ]
+    count = -(-len(rows) // len(labels))
+    stack = np.array((rows * 2)[:count * len(labels)]).reshape(
+        count, len(labels), 4)
+    texts = _vector_texts(labels, stack, "    ")
+    assert texts == _texts_by_row(labels, stack, "    ")
+    assert len(texts) == count
+    assert _vector_texts(labels, np.empty((0, 0, 4))) == []
+
+
+def test_vector_components_stack_columns_bit_for_bit():
+    rng = np.random.default_rng(5)
+    columns = []
+    for _ in range(3):
+        a = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+        b = rng.standard_normal((6, 1)) + 1j * rng.standard_normal((6, 1))
+        a[0, 0], b[1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        columns.append(QMatrix(a, b))
+    stack = vector_components(columns)
+    assert stack.shape == (3, 6, 4)
+    for vector, column in zip(stack, columns):
+        assert repr(vector.tolist()) == repr(column.components()[:, 0].tolist())
+
+
+# ------------------------------------------------------------ JSON paths
+
+
+SPOILERS = ["float64", "int", "bool", "ragged"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(table=float_tables(), spoiler=st.sampled_from(SPOILERS),
+       data=st.data())
+@example(table=[[0.5, 1.0]], spoiler="bool", data=None)
+@example(table=[0.5, 1.0], spoiler="ragged", data=None)
+def test_writer_matches_stdlib_on_near_tables(table, spoiler, data):
+    # A float table with one cell or row spoiled, so that it only nearly
+    # qualifies for the table path.
+    def draw(strategy, default):
+        return default if data is None else data.draw(strategy)
+
+    table = [list(row) if isinstance(row, list) else row for row in table]
+    r = draw(st.integers(0, len(table) - 1), len(table) - 1)
+    rows = isinstance(table[r], list)
+    c = draw(st.integers(0, len(table[r]) - 1), 0) if rows else None
+    cell = table[r][c] if rows else table[r]
+    if spoiler == "ragged":
+        if not rows:
+            spoiled = [cell]
+        elif draw(st.booleans(), True):
+            spoiled = table[r] + [cell]
+        else:
+            spoiled = table[r][:-1]
+        table[r] = spoiled
+    else:
+        spoiled = {
+            "float64": np.float64(cell),
+            "int": draw(st.integers(-(2**70), 2**70), 3),
+            "bool": draw(st.booleans(), True),
+        }[spoiler]
+        if rows:
+            table[r][c] = spoiled
+        else:
+            table[r] = spoiled
+    for value in (table, {"vector": table}, [{"mu": None, "v": table}]):
+        assert "".join(_json_chunks(value)) == reference(value)
+
+
+@pytest.mark.parametrize("spoiled", [np.float64(0.5), 7, True, [0.5]])
+def test_writer_spoiled_block_of_a_long_table(spoiled):
+    # Each block of 512 items is a table or not on its own; the layout
+    # is the same either way.
+    rows = [[float(i), -0.5 * i] for i in range(1300)]
+    flat = [float(i) for i in range(1300)]
+    rows[700][1] = spoiled
+    flat[700] = spoiled
+    for value in (rows, flat, {"rows": rows, "flat": flat}):
+        assert "".join(_json_chunks(value)) == reference(value)
+
+
+float_arrays = st.integers(0, 3).flatmap(
+    lambda width: st.lists(
+        st.lists(floats, min_size=width, max_size=width) if width
+        else floats,
+        min_size=1, max_size=20,
+    ).map(lambda rows: np.array(rows, dtype=float))
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(array=float_arrays, layout=st.sampled_from(
+    ["plain", "transposed", "strided", "big-endian", "float32", "int"]
+))
+@example(array=np.zeros((0, 4)), layout="plain")
+@example(array=np.zeros((3, 0)), layout="plain")
+@example(array=np.array(SPECIAL_FLOATS * 100).reshape(-1, 2), layout="plain")
+def test_writer_matches_stdlib_on_float_arrays(array, layout):
+    # A float64 array is a table by its dtype; every other array is
+    # written as the nested lists that tolist gives.
+    with np.errstate(all="ignore"):  # float32 overflows to inf
+        array = {
+            "plain": array,
+            "transposed": array.T,
+            "strided": array[::2],
+            "big-endian": array.astype(">f8"),
+            "float32": array.astype(np.float32),
+            "int": np.nan_to_num(array).clip(-1e6, 1e6).astype(np.int64),
+        }[layout]
+    for value in (array, {"vector": array, "mu": None}, [array, array]):
+        assert "".join(_json_chunks(value)) == reference(value)
+
+
+def test_array_tables_write_the_bytes_of_list_tables():
+    # The CLI hands spectrum.to_dict the stacked components, so each
+    # vector entry is a float array; the text is that of the lists.
+    instance = instance_from_dict(random_instance_dict("K4+loops", 3))
+    spectrum = full_spectrum(instance.graph, instance.weights,
+                             want_eigenvectors=True)
+    stack = vector_components([item.vector for item in spectrum.eigenvectors])
+    arrays = spectrum.to_dict(stack)
+    assert type(arrays["eigenvectors"][0]["vector"]) is np.ndarray
+    assert "".join(_json_chunks(arrays)) == json.dumps(spectrum.to_dict(),
+                                                       indent=2)
+
+
+keys = st.text() | st.sampled_from(
+    ['"', "\\", "\x00\x1f\x7f", "tab\there\nnewline", "é中\U0001f600",
+     "\ud800", "\u2028"]
+)
+scalar_leaves = (
+    st.integers(2**63, 2**100)
+    | st.integers(-(2**100), -(2**63) - 1)
+    | st.sampled_from([2**63 - 1, -(2**63), 2**64, 0, -0.0])
+    | numpy_scalars
+    | st.sampled_from([np.uint64(2**64 - 1), np.int8(-128), np.float16(0.1),
+                       np.float32(math.nan), np.bool_(False)])
+    | floats | texts | keys | st.booleans() | st.none()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.recursive(
+    scalar_leaves,
+    lambda children: (st.dictionaries(keys, children, max_size=4)
+                      | st.lists(children, max_size=4)),
+    max_leaves=12,
+))
+@example({"\ud800\"é": 2**64, "": np.int64(-1), "k": np.float32(0.1)})
+@example(np.float64(-0.0))
+@example([np.bool_(True), True, np.uint64(2**64 - 1)])
+def test_writer_matches_stdlib_on_scalars(value):
+    assert "".join(_json_chunks(value)) == reference(value)
+
+
+# ------------------------------------------------- memory and determinism
+
+
+def test_report_writer_peak_memory_stays_small(tmp_path, monkeypatch, capsys):
+    # The report is streamed: writing a K12 eigenvector report (about
+    # 2.5 MB) must not hold anything near the whole text at once.
+    instance = tmp_path / "k12.json"
+    instance.write_text(json.dumps(random_instance_dict("K12", 1)),
+                        encoding="utf-8")
+    write, peaks = cli._write_json, []
+
+    def traced(value, handle, path):
+        tracemalloc.start()
+        try:
+            write(value, handle, path)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(cli, "_write_json", traced)
+    out = tmp_path / "report.json"
+    assert main(["spectrum", str(instance), "--oracle", "--eigenvectors",
+                 "--output", str(out)]) == 0
+    capsys.readouterr()
+    size = out.stat().st_size
+    assert size > 2_000_000
+    assert peaks[0] < 0.10 * size
+
+
+def test_repeated_eigenvector_jobs_give_the_same_bytes(generated, tmp_path):
+    # At a fixed BLAS thread count a job's stdout and JSON are byte for
+    # byte the same on every run.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    runs = []
+    for run in range(2):
+        out = tmp_path / f"report{run}.json"
+        done = subprocess.run(
+            [sys.executable, "-m", "qszegedy.cli", "spectrum", generated,
+             "--oracle", "--eigenvectors", "--output", str(out)],
+            capture_output=True, env=env, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (0, b"")
+        runs.append((done.stdout, out.read_bytes()))
+    assert runs[0] == runs[1]
+    assert b"eigenvectors (25):" in runs[0][0]

@@ -154,3 +154,19 @@ def test_class_invariant_under_similarity(q, u):
     assert class_of(q).matches(
         class_of(conjugated), tol=1e-10 * max(1.0, abs(u) ** 2)
     )
+
+
+@pytest.mark.parametrize("name", ["x0", "x3", "foo", "components"])
+def test_assignment_and_deletion_raise_attribute_error(name):
+    # A frozen slots dataclass: every name is refused with
+    # FrozenInstanceError (an AttributeError), fields and others alike.
+    from dataclasses import FrozenInstanceError
+
+    q = Quaternion(1.0, 2.0, 3.0, 4.0)
+    with pytest.raises(FrozenInstanceError, match=repr(name)):
+        setattr(q, name, 5.0)
+    with pytest.raises(FrozenInstanceError, match=repr(name)):
+        delattr(q, name)
+    assert isinstance(FrozenInstanceError(), AttributeError)
+    assert q == Quaternion(1.0, 2.0, 3.0, 4.0)
+    assert not hasattr(q, "__dict__")
