@@ -382,6 +382,9 @@ def _row_piece(mask: int) -> str:
 
 #: Row templates by zero mask, the 16 cases of ``format_components``.
 _ROW_PIECES = np.array([_row_piece(mask) for mask in range(16)], dtype=object)
+#: Rows of vector text formatted per block: the Python floats of one
+#: block's non-zero components are all that exist at once.
+_TEXT_ROWS = 4096
 
 
 def _vector_texts(labels: list[str], components: np.ndarray,
@@ -391,26 +394,34 @@ def _vector_texts(labels: list[str], components: np.ndarray,
     per row, entries as ``format_components`` writes them, the lines of
     one vector joined by newlines.
 
-    One pass over the stack keys each row's template by its zero mask,
-    from a ``label x mask`` table of the labelled ``_ROW_PIECES``, and
-    takes the non-zero components in order; each vector is then one
-    ``%`` (``%+g`` writes a NaN of either sign as ``+nan``, as
-    ``format_components`` does)."""
+    The stack is taken in blocks of whole vectors, at most
+    ``_TEXT_ROWS`` rows each (one vector when a vector has more), so
+    only one block's non-zero components exist as Python floats at once.
+    Each row's template is keyed by its zero mask, from a
+    ``label x mask`` table of the labelled ``_ROW_PIECES``, and each
+    vector is then one ``%`` (``%+g`` writes a NaN of either sign as
+    ``+nan``, as ``format_components`` does)."""
     if not len(components):
         return []
-    present = components != 0.0
     prefixes = np.array(
         [f"{indent}{label}: ".replace("%", "%%") for label in labels],
         dtype=object,
     )
     table = prefixes[:, None] + _ROW_PIECES
-    templates = table[np.arange(len(labels)), present @ np.array([1, 2, 4, 8])]
-    values = components[present].tolist()
-    ends = np.cumsum(present.sum(axis=(1, 2))).tolist()
-    return [
-        "\n".join(rows) % tuple(values[start:end])
-        for rows, start, end in zip(templates.tolist(), [0] + ends, ends)
-    ]
+    rows = np.arange(len(labels))
+    step = max(1, _TEXT_ROWS // len(labels))
+    texts = []
+    for start in range(0, len(components), step):
+        block = components[start:start + step]
+        present = block != 0.0
+        templates = table[rows, present @ np.array([1, 2, 4, 8])]
+        values = block[present].tolist()
+        ends = np.cumsum(present.sum(axis=(1, 2))).tolist()
+        texts += [
+            "\n".join(lines) % tuple(values[begin:end])
+            for lines, begin, end in zip(templates.tolist(), [0] + ends, ends)
+        ]
+    return texts
 
 
 def _vector_lines(labels: list[str], vec: QMatrix,

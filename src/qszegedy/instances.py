@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from typing import NamedTuple
 
 from .errors import ValidationError
@@ -257,13 +258,22 @@ def instance_hash(graph: Graph, weights: WeightMap) -> str:
     """SHA-256 of the canonical JSON of graph and weights.
 
     Metadata is excluded so renaming an instance keeps its identity.
+    The digest comes from CPython's builtin SHA-256, which needs no
+    OpenSSL; ``hashlib``, which loads it, serves only an interpreter
+    built without that module.
     """
-    import hashlib  # loads OpenSSL: only where a hash is taken
+    try:
+        if sys.version_info >= (3, 12):
+            from _sha2 import sha256
+        else:
+            from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
     payload = instance_to_dict(graph, weights)
     del payload["metadata"]
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return sha256(canonical.encode("utf-8")).hexdigest()
 
 
 def load_instance_file(path) -> Instance:

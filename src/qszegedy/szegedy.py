@@ -636,16 +636,29 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
     sort-based pairing.  Only a prefix of that order is sorted, all
     distances up to the k-th smallest, with k doubling until the scan
     has paired every value.
+
+    Equal left values have equal rows of distances, and the scan pairs
+    their copies in index order, so each distinct left value is scanned
+    once, as a group of copies: a right value goes to the group's first
+    unpaired copy.  Only a run of equal distances is scanned copy by
+    copy.
     """
-    left = np.array([complex(z) for z in left], dtype=complex)
+    left = [complex(z) for z in left]
     right = np.array([complex(z) for z in right], dtype=complex)
     if len(left) != len(right):
         return float("inf"), False
     size = len(left)
     if not size:
         return 0.0, True
-    dist = np.abs(left[:, None] - right[None, :]).ravel()
-    used_l = [False] * size
+    copies: dict[complex, list[int]] = {}  # equal values; NaNs stay apart
+    for index, value in enumerate(left):
+        copies.setdefault(value, []).append(index)
+    values = np.array(list(copies), dtype=complex)
+    copies = list(copies.values())
+    sizes = [len(rows) for rows in copies]
+    counts = np.array(sizes)
+    dist = np.abs(values[:, None] - right[None, :]).ravel()
+    used_g = [0] * len(copies)  # paired copies of each group
     used_r = [False] * size
     max_distance = 0.0
     paired = 0
@@ -658,19 +671,48 @@ def match_multisets(left, right, tol: float = SPECTRUM_TOL):
         else:
             high = np.inf
             chunk = np.flatnonzero(~(dist <= low))  # the rest, NaN included
-        # Row-major indices, less the pairs earlier chunks ruled out,
+        # Group-major indices, less the pairs earlier chunks ruled out,
         # stably sorted: the next stretch of the order.
-        rows, cols = np.divmod(chunk, size)
-        live = ~(np.array(used_l)[rows] | np.array(used_r)[cols])
-        order = np.argsort(dist[chunk[live]], kind="stable")
-        for r, c in zip(rows[live][order].tolist(), cols[live][order].tolist()):
-            if used_l[r] or used_r[c]:
+        groups, cols = np.divmod(chunk, size)
+        chunk = chunk[~np.array(used_r)[cols]
+                      & (np.array(used_g)[groups] < counts[groups])]
+        chunk = chunk[np.argsort(dist[chunk], kind="stable")]
+        near = dist[chunk]
+        groups, cols = np.divmod(chunk, size)
+        # Positions whose distance the next one repeats.  (NaN distances,
+        # last in the order, pair what is left and leave the maximum.)
+        tied = set(np.flatnonzero(near[1:] == near[:-1]).tolist())
+        groups, cols, near = groups.tolist(), cols.tolist(), near.tolist()
+        at, end = 0, len(near)
+        while at < end and paired < size:
+            if at not in tied:
+                g, c = groups[at], cols[at]
+                if not used_r[c] and used_g[g] < sizes[g]:
+                    used_r[c] = True
+                    used_g[g] += 1
+                    max_distance = max(max_distance, near[at])
+                    paired += 1
+                at += 1
                 continue
-            used_l[r] = used_r[c] = True
-            max_distance = max(max_distance, float(dist[r * size + c]))
-            paired += 1
-            if paired == size:
-                break
+            # A run of one distance: the scan takes its copies in index
+            # order, each pairing with its first free right value.
+            stop = at + 1
+            while stop in tied:
+                stop += 1
+            block: dict[int, list[int]] = {}
+            for g, c in zip(groups[at:stop + 1], cols[at:stop + 1]):
+                block.setdefault(g, []).append(c)
+            for _, g in sorted(
+                (row, g) for g, cs in block.items()
+                for row in copies[g][used_g[g]:used_g[g] + len(cs)]
+            ):
+                c = next((c for c in block[g] if not used_r[c]), None)
+                if c is not None:
+                    used_r[c] = True
+                    used_g[g] += 1
+                    max_distance = max(max_distance, near[at])
+                    paired += 1
+            at = stop + 1
         low = high
         k *= 2
     return max_distance, max_distance <= tol

@@ -354,17 +354,24 @@ masked_rows = st.tuples(
 
 
 @settings(max_examples=200, deadline=None)
-@given(kind=st.sampled_from(["vertices", "arcs"]), data=st.data())
+@given(kind=st.sampled_from(["vertices", "arcs", "wide"]), data=st.data())
 def test_stacked_texts_match_format_components(kind, data):
     vertices, arcs = _row_labels(parse_graph_spec("K4"))  # 4 and 12 rows
-    labels = vertices if kind == "vertices" else arcs
-    count = data.draw(st.integers(1, 4), label="vectors")
-    rows = data.draw(st.lists(masked_rows, min_size=count * len(labels),
-                              max_size=count * len(labels)))
-    stack = np.array([
+    # "wide" vectors have so many rows that a block holds one of them.
+    labels = {"vertices": vertices, "arcs": arcs,
+              "wide": [f"r{r}" for r in range(cli._TEXT_ROWS // 2 + 1)]}[kind]
+    per_block = max(1, cli._TEXT_ROWS // len(labels))
+    # Few vectors, or two or three blocks with one vector in the last.
+    count = data.draw(st.integers(1, 4)
+                      | st.sampled_from([per_block + 1, 2 * per_block + 1]),
+                      label="vectors")
+    # Long stacks repeat a drawn run of 48 rows.
+    size = min(count * len(labels), 48)
+    rows = data.draw(st.lists(masked_rows, min_size=size, max_size=size))
+    stack = np.resize(np.array([
         [value if mask >> c & 1 else zero for c, value in enumerate(values)]
         for mask, values, zero in rows
-    ], dtype=float).reshape(count, len(labels), 4)
+    ], dtype=float), (count, len(labels), 4))
     assert _vector_texts(labels, stack, "  ") == _texts_by_row(labels, stack,
                                                                "  ")
 

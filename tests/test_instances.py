@@ -1,6 +1,8 @@
 """Instance files: parsing, validation paths, hashing, bundled data."""
 
+import hashlib
 import json
+import sys
 from importlib import resources
 
 import pytest
@@ -48,6 +50,28 @@ def test_instance_hash_frozen():
     inst = load_bundled("k3_loops")
     assert inst.sha256 == K3_LOOPS_SHA
     assert instance_hash(inst.graph, inst.weights) == K3_LOOPS_SHA
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["generate", name] for name in bundled_names()]
+    + [["generate", spec, "--seed", "1"]
+       for spec in ("K4", "C5", "P3", "K3+loops")],
+)
+def test_instance_hash_is_hashlib_sha256_of_canonical_json(capsys, argv):
+    # The builtin SHA-256 that instance_hash uses gives hashlib's digest,
+    # and so does hashlib, which serves interpreters without it.
+    assert main(argv) == 0
+    inst = instance_from_dict(json.loads(capsys.readouterr().out))
+    payload = instance_to_dict(inst.graph, inst.weights)
+    del payload["metadata"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    assert instance_hash(inst.graph, inst.weights) == digest == inst.sha256
+    with pytest.MonkeyPatch.context() as patch:  # no builtin SHA-256
+        patch.setitem(sys.modules, "_sha2", None)
+        patch.setitem(sys.modules, "_sha256", None)
+        assert instance_hash(inst.graph, inst.weights) == digest
 
 
 def test_instance_hash_ignores_metadata():

@@ -2,8 +2,9 @@
 
 Every job pays its imports on top of the interpreter and numpy.  The
 zeta identities are loaded only by ``verify``, the package exports them
-on first access, and value records are named tuples, which compile no
-code at import; the few dataclasses left are listed here.
+on first access, instance digests come from CPython's builtin SHA-256
+rather than OpenSSL's, and value records are named tuples, which compile
+no code at import; the few dataclasses left are listed here.
 """
 
 import dataclasses
@@ -99,6 +100,18 @@ def test_zeta_is_imported_by_verify_only(tmp_path):
     assert "qszegedy.szegedy" in spectrum
     assert "qszegedy.zeta" not in spectrum
     assert "qszegedy.zeta" in _imported_modules(["verify", "k4"], tmp_path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "k4"], ["lift", "k4", "--all"], ["examples"],
+     ["verify", "k3_loops"]],
+)
+def test_instance_digests_leave_openssl_unloaded(argv, tmp_path):
+    # hashlib's SHA-256 loads OpenSSL's libcrypto as ``_hashlib``.
+    # ``verify`` on a loopless graph loads it anyway: numpy.random imports
+    # ``secrets``.
+    assert "_hashlib" not in _imported_modules(argv, tmp_path)
 
 
 def test_package_exports_are_unchanged():

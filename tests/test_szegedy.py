@@ -503,6 +503,46 @@ def _greedy_match_reference(left, right, tol):
     return max_distance, max_distance <= tol
 
 
+def _row_scan_reference(left, right, tol):
+    # match_multisets before it scanned equal left values as one group:
+    # the same prefix rounds, taking candidates one left row at a time.
+    left = np.array([complex(z) for z in left], dtype=complex)
+    right = np.array([complex(z) for z in right], dtype=complex)
+    if len(left) != len(right):
+        return float("inf"), False
+    size = len(left)
+    if not size:
+        return 0.0, True
+    dist = np.abs(left[:, None] - right[None, :]).ravel()
+    used_l = [False] * size
+    used_r = [False] * size
+    max_distance = 0.0
+    paired = 0
+    low = -np.inf
+    k = 16 * size
+    while paired < size:
+        if k < dist.size:
+            high = np.partition(dist, k - 1)[k - 1]
+            chunk = np.flatnonzero((dist > low) & (dist <= high))
+        else:
+            high = np.inf
+            chunk = np.flatnonzero(~(dist <= low))
+        rows, cols = np.divmod(chunk, size)
+        live = ~(np.array(used_l)[rows] | np.array(used_r)[cols])
+        order = np.argsort(dist[chunk[live]], kind="stable")
+        for r, c in zip(rows[live][order].tolist(), cols[live][order].tolist()):
+            if used_l[r] or used_r[c]:
+                continue
+            used_l[r] = used_r[c] = True
+            max_distance = max(max_distance, float(dist[r * size + c]))
+            paired += 1
+            if paired == size:
+                break
+        low = high
+        k *= 2
+    return max_distance, max_distance <= tol
+
+
 # A coarse grid, so draws repeat values exactly and distances tie.
 _grid_points = st.builds(
     complex,
@@ -522,9 +562,34 @@ def test_match_multisets_equals_greedy_loop(pairs, extra, tol):
     right = [b for _, b in pairs]
     assert match_multisets(left, right, tol) == _greedy_match_reference(
         left, right, tol
-    )
+    ) == _row_scan_reference(left, right, tol)
     # Right is a reordering of left: everything pairs at distance 0.
     assert match_multisets(left, left[::-1], tol) == (0.0, True)
+
+
+# Grid points, and points with a NaN, infinite or signed zero part: NaN
+# distances sort last, and -0.0 equals 0.0.
+_special_points = st.builds(
+    complex,
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]),
+    st.sampled_from([-1.0, -0.0, 0.0, 1.0, math.nan]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(max_examples=400, deadline=None)
+@given(
+    left=st.lists(_grid_points | _special_points, max_size=24),
+    right=st.lists(_grid_points | _special_points, max_size=24),
+    same_size=st.booleans(),
+    tol=st.sampled_from([0.0, 0.5, math.inf]),
+)
+def test_match_multisets_equals_row_scan(left, right, same_size, tol):
+    if same_size:  # right shares values with left
+        right = (right + left)[:len(left)]
+    assert match_multisets(left, right, tol) == _row_scan_reference(
+        left, right, tol
+    )
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -543,7 +608,7 @@ def test_match_multisets_prefix_rounds_equal_greedy_loop(size, grid, seed):
     for tol in (0.0, 1e-3, 0.5):
         assert match_multisets(left, right, tol) == _greedy_match_reference(
             left, right, tol
-        )
+        ) == _row_scan_reference(left, right, tol)
 
 
 def _pm1_cases():
