@@ -12,7 +12,7 @@ from .errors import (
     QWalkError,
     ValidationError,
 )
-from .graph import Arc, Graph, build_graph
+from .graph import Graph, build_graph
 from .qmatrix import (
     MinimalPolynomial,
     PolyFactor,
@@ -41,13 +41,14 @@ from .szegedy import (
     SpectrumReport,
     UnitarityReport,
     WalkOperators,
-    WeightMap,
+    arc_weights,
     build_walk,
     check_unitary_condition,
     full_spectrum,
     lift_eigenvector,
     random_instance,
     spectral_map,
+    uniform_weights,
     verify_structure,
 )
 
@@ -76,7 +77,6 @@ def __dir__() -> list[str]:
     return sorted(set(globals()) | _ZETA_NAMES)
 
 __all__ = [
-    "Arc",
     "ConjugacyClass",
     "DegenerateLiftError",
     "Graph",
@@ -92,7 +92,7 @@ __all__ = [
     "UnitarityReport",
     "ValidationError",
     "WalkOperators",
-    "WeightMap",
+    "arc_weights",
     "build_graph",
     "build_walk",
     "check_unitary_condition",
@@ -118,6 +118,7 @@ __all__ = [
     "spectral_map",
     "sylvester_det_property",
     "symplectic_decompose",
+    "uniform_weights",
     "verify_structure",
     "__version__",
 ]

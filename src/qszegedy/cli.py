@@ -646,8 +646,8 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
 
     samples = default_samples(sample_count)
     identities = []
-    a = [value * math.sqrt(2.0) for value in ops.q]
-    b = [ops.q[i] * math.sqrt(2.0) for i in graph.inverse]
+    a = ops.q * math.sqrt(2.0)
+    b = a[graph.inverse]
     identities.append(quaternionic_identity(graph, a, b, samples, tol))
 
     if graph.m1 == 0:
@@ -669,7 +669,7 @@ def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
     alphas = [2j] + default_samples(sample_count, radius=1.0)
     k, lh = psi(ops.K), psi(ops.L).conj().T
     outcomes = [sylvester_det_property(k, lh, alpha) for alpha in alphas]
-    syl_worst = max(outcome.max_rel_error for outcome in outcomes)
+    syl_worst = float(np.max([o.max_rel_error for o in outcomes]))
     syl_ok = all(outcome.passed for outcome in outcomes)
 
     lines.append(f"determinant identities ({len(samples)} sample points):")

@@ -9,37 +9,21 @@ loops follow in input order.  The inversion permutation ``J0`` is then
 ``m0`` swap blocks ``[[0, 1], [1, 0]]`` followed by an identity block
 of size ``m1``; it is symmetric and squares to the identity.
 
-The arc structure is also kept as integer arrays ``origin``, ``terminus``
-and ``inverse`` in arc order, so arc matrices are numpy gathers and
-scatters, and ``J0 @ M`` is the row gather ``M[inverse]``.
+Arcs exist only as the read-only integer arrays ``origin``, ``terminus``
+and ``inverse``, indexed by arc position, so arc matrices are numpy
+gathers and scatters and ``J0 @ M`` is the row gather ``M[inverse]``;
+``arc_index`` and ``has_arc`` read a lookup built from them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError
 
-__all__ = ["Arc", "Graph", "build_graph"]
-
-
-class Arc(NamedTuple):
-    """A directed arc with its position in the canonical order."""
-
-    origin: int
-    terminus: int
-    index: int
-
-    @property
-    def is_loop(self) -> bool:
-        return self.origin == self.terminus
-
-    @property
-    def key(self) -> tuple[int, int]:
-        return (self.origin, self.terminus)
+__all__ = ["Graph", "build_graph"]
 
 
 @dataclass(frozen=True)
@@ -49,9 +33,7 @@ class Graph:
     n: int
     edges: tuple[tuple[int, int], ...]
     loops: tuple[int, ...]
-    arcs: tuple[Arc, ...] = field(repr=False)
     _arc_lookup: dict = field(repr=False, hash=False, compare=False)
-    _out_arcs: tuple = field(repr=False, hash=False, compare=False)
     origin: np.ndarray = field(repr=False, hash=False, compare=False)
     terminus: np.ndarray = field(repr=False, hash=False, compare=False)
     inverse: np.ndarray = field(repr=False, hash=False, compare=False)
@@ -69,9 +51,6 @@ class Graph:
         """Number of arcs: 2*m0 + m1."""
         return 2 * self.m0 + self.m1
 
-    def arc(self, index: int) -> Arc:
-        return self.arcs[index]
-
     def arc_index(self, origin: int, terminus: int) -> int:
         try:
             return self._arc_lookup[(origin, terminus)]
@@ -86,10 +65,6 @@ class Graph:
     def inverse_index(self, index: int) -> int:
         """Index of the inverse arc; loops are self-inverse."""
         return int(self.inverse[index])
-
-    def out_arcs(self, vertex: int) -> tuple[Arc, ...]:
-        """Arcs leaving ``vertex``, in canonical order."""
-        return self._out_arcs[vertex]
 
     def j0_matrix(self) -> np.ndarray:
         """The arc-inversion permutation as a complex matrix."""
@@ -197,21 +172,11 @@ def build_graph(n: int, edges, loops=()) -> Graph:
         seen_loops.add(u)
         loop_list.append(u)
 
-    arcs: list[Arc] = []
-    for u, v in edge_list:
-        arcs.append(Arc(u, v, len(arcs)))
-        arcs.append(Arc(v, u, len(arcs)))
-    for u in loop_list:
-        arcs.append(Arc(u, u, len(arcs)))
-
-    lookup = {arc.key: arc.index for arc in arcs}
-    out: list[list[Arc]] = [[] for _ in range(n)]
-    for arc in arcs:
-        out[arc.origin].append(arc)
-
-    origin = np.array([arc.origin for arc in arcs], dtype=np.intp)
-    terminus = np.array([arc.terminus for arc in arcs], dtype=np.intp)
-    inverse = np.arange(len(arcs))
+    ends = np.array(edge_list, dtype=np.intp).reshape(-1, 2)
+    loop_arcs = np.array(loop_list, dtype=np.intp)
+    origin = np.concatenate([ends.ravel(), loop_arcs])
+    terminus = np.concatenate([ends[:, ::-1].ravel(), loop_arcs])
+    inverse = np.arange(len(origin))
     inverse[:2 * len(edge_list)] ^= 1
     for values in (origin, terminus, inverse):
         values.flags.writeable = False
@@ -219,9 +184,12 @@ def build_graph(n: int, edges, loops=()) -> Graph:
         n=n,
         edges=tuple(edge_list),
         loops=tuple(loop_list),
-        arcs=tuple(arcs),
-        _arc_lookup=lookup,
-        _out_arcs=tuple(tuple(row) for row in out),
+        _arc_lookup={
+            arc: index
+            for index, arc in enumerate(
+                zip(origin.tolist(), terminus.tolist())
+            )
+        },
         origin=origin,
         terminus=terminus,
         inverse=inverse,

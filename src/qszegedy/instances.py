@@ -20,15 +20,15 @@ so typos surface early.  Errors carry the JSON field path of the offender.
 from __future__ import annotations
 
 import json
-import math
 import re
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import ValidationError
 from .graph import Graph, build_graph
-from .quaternion import Quaternion
-from .szegedy import WeightMap, random_instance
+from .szegedy import _check_weights, arc_weights, random_instance
 
 __all__ = [
     "Instance",
@@ -57,11 +57,14 @@ _SPEC = re.compile(r"^(k|p|c|star)(\d+)(\+loops|\+loop)?$", re.IGNORECASE)
 
 
 class Instance(NamedTuple):
-    """A parsed instance: graph, weights, and identifying metadata."""
+    """A parsed instance: graph, weights, and identifying metadata.
+
+    ``weights`` is the read-only ``(m', 4)`` array in canonical arc order.
+    """
 
     name: str
     graph: Graph
-    weights: WeightMap
+    weights: np.ndarray
     seed: int | None
     sha256: str
 
@@ -185,7 +188,7 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
     graph = build_graph(n, edges, loops)
 
     wblock = _expect_mapping(raw["weights"], "weights")
-    values: dict[tuple[int, int], Quaternion] = {}
+    values: dict[tuple[int, int], list] = {}
     for key, comps in wblock.items():
         path = f"weights[{key!r}]"
         match = _ARC_KEY.match(key) if isinstance(key, str) else None
@@ -205,13 +208,12 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
                 raise ValidationError(
                     f"{path}[{cidx}]: expected a number, got {c!r}"
                 )
-            if not math.isfinite(c):
+            if not abs(c) <= sys.float_info.max:  # NaN, inf or a huge int
                 raise ValidationError(
                     f"{path}[{cidx}]: expected a finite number, got {c!r}"
                 )
-        values[(u, v)] = Quaternion(*(float(c) for c in comps))
-    weights = WeightMap(values)
-    weights.aligned(graph)  # totality check with arc-level messages
+        values[(u, v)] = comps
+    weights = arc_weights(graph, values)
 
     name = "instance"
     seed = None
@@ -241,20 +243,22 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
 
 
 def instance_to_dict(
-    graph: Graph, weights: WeightMap, name: str = "instance", seed=None
+    graph: Graph, weights, name: str = "instance", seed=None
 ) -> dict:
-    aligned = weights.aligned(graph)
+    rows = _check_weights(graph, weights)[0].tolist()
     return {
         "metadata": {"name": name, "seed": seed},
         "graph": graph.to_dict(),
         "weights": {
-            f"{arc.origin}->{arc.terminus}": list(aligned[arc.index].components)
-            for arc in graph.arcs
+            f"{u}->{v}": row
+            for u, v, row in zip(
+                graph.origin.tolist(), graph.terminus.tolist(), rows
+            )
         },
     }
 
 
-def instance_hash(graph: Graph, weights: WeightMap) -> str:
+def instance_hash(graph: Graph, weights) -> str:
     """SHA-256 of the canonical JSON of graph and weights.
 
     Metadata is excluded so renaming an instance keeps its identity.

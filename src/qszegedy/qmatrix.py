@@ -121,8 +121,20 @@ class QMatrix:
         return cls(np.asarray(mat, dtype=complex).real.astype(complex))
 
     @classmethod
-    def from_complex(cls, mat) -> "QMatrix":
-        return cls(np.asarray(mat, dtype=complex))
+    def from_components(cls, comps) -> "QMatrix":
+        """Inverse of :meth:`components`: entries from a ``(rows, cols,
+        4)`` float array.  The complex parts are assigned, not computed,
+        so every component keeps its bits, signed zeros included."""
+        comps = np.asarray(comps, dtype=float)
+        if comps.ndim != 3 or comps.shape[2] != 4:
+            raise ValidationError(
+                f"expected a (rows, cols, 4) array, got {comps.shape}"
+            )
+        a = np.empty(comps.shape[:2], dtype=complex)
+        b = np.empty_like(a)
+        a.real, a.imag = comps[..., 0], comps[..., 1]
+        b.real, b.imag = comps[..., 2], -comps[..., 3]
+        return cls._adopt(a, b)
 
     @classmethod
     def hstack(cls, blocks) -> "QMatrix":
@@ -286,7 +298,7 @@ def _j_conj(z: np.ndarray) -> np.ndarray:
     return np.concatenate([-np.conj(z[half:]), np.conj(z[:half])])
 
 
-def _vec_from_complex(z: np.ndarray) -> QMatrix:
+def _vec_from_psi(z: np.ndarray) -> QMatrix:
     half = z.shape[0] // 2
     return QMatrix(z[:half].reshape(-1, 1), z[half:].reshape(-1, 1))
 
@@ -402,7 +414,7 @@ def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
             f"eigenpair residual {residual:.3g} exceeds target "
             f"{EIG_TOL * max(1.0, cnorm):.3g}"
         )
-    return _vec_from_complex(z)
+    return _vec_from_psi(z)
 
 
 def _rank(s: np.ndarray, rank_tol: float, scale: float = 0.0) -> int:
@@ -484,7 +496,7 @@ def _root_basis(
     """
     ns = _shifted_kernel(c, root, power, rank_tol)
     if root.imag != 0.0:
-        return [_vec_from_complex(ns[:, r]) for r in range(ns.shape[1])]
+        return [_vec_from_psi(ns[:, r]) for r in range(ns.shape[1])]
     basis = _h_basis(
         ns, f"kernel of (psi(M) - {root.real:.6g} I)^{power} has odd "
         "complex dimension; rank tolerance is ambiguous here",

@@ -7,10 +7,13 @@ The walk on a graph with arc weights ``q`` has transition matrix
               0                      otherwise,
 
 which is unitary exactly when the squared weight norms leaving each
-vertex sum to 1.  With the incidence-type matrices ``K`` (origin) and
-``L`` (terminus) built from ``a(e) = sqrt(2) q(e)`` and
-``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0`` and
-``U = J0 (L L* - I)``.  U is non-zero only on its support
+vertex sum to 1.  The weights are one read-only ``(m', 4)`` float array
+whose row e holds the components of ``q(e)`` in canonical arc order:
+``arc_weights`` builds it from ``{(u, v): q}``, and ``uniform_weights``
+and ``random_instance`` make it.  With the incidence-type matrices
+``K`` (origin) and ``L`` (terminus) built from ``a(e) = sqrt(2) q(e)``
+and ``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0``
+and ``U = J0 (L L* - I)``.  U is non-zero only on its support
 ``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries; all three
 constructions are evaluated there and cross-checked entrywise whenever
 a walk is built.  The dense ``m' x m'`` U is formed only where it is
@@ -60,7 +63,7 @@ from .qmatrix import (
     psi,
     qvec,
 )
-from .quaternion import CLASS_TOL, Quaternion, as_quaternion
+from .quaternion import CLASS_TOL, Quaternion
 
 __all__ = [
     "EigenspaceCount",
@@ -74,7 +77,7 @@ __all__ = [
     "UnitarityReport",
     "VertexUnitarity",
     "WalkOperators",
-    "WeightMap",
+    "arc_weights",
     "build_kl",
     "build_walk",
     "check_pm1_eigenspaces",
@@ -86,6 +89,7 @@ __all__ = [
     "match_multisets",
     "random_instance",
     "spectral_map",
+    "uniform_weights",
     "vector_components",
     "vector_payload",
     "verify_structure",
@@ -109,67 +113,76 @@ SPECTRUM_TOL = 1e-8
 _SQRT2 = math.sqrt(2.0)
 
 
-class WeightMap(NamedTuple):
-    """Arc weights ``q``: a mapping ``(origin, terminus) -> Quaternion``."""
-
-    values: dict
-
-    @classmethod
-    def from_dict(cls, mapping) -> "WeightMap":
-        values = {}
-        for key, raw in mapping.items():
-            u, v = key
-            values[(int(u), int(v))] = as_quaternion(raw)
-        return cls(values)
-
-    @classmethod
-    def uniform(cls, graph: Graph) -> "WeightMap":
-        """Classical choice ``q(e) = 1/sqrt(outdeg(o(e)))``."""
-        values = {}
-        for u in range(graph.n):
-            arcs = graph.out_arcs(u)
-            if not arcs:
-                raise ValidationError(f"vertex {u} has no outgoing arcs")
-            w = 1.0 / math.sqrt(len(arcs))
-            for arc in arcs:
-                values[arc.key] = Quaternion(w)
-        return cls(values)
-
-    def get(self, origin: int, terminus: int) -> Quaternion:
-        try:
-            return self.values[(origin, terminus)]
-        except KeyError:
-            raise ValidationError(
-                f"no weight for arc ({origin},{terminus})"
-            ) from None
-
-    def aligned(self, graph: Graph) -> list[Quaternion]:
-        """Weights in canonical arc order; demands an exact key match."""
-        keys = {arc.key for arc in graph.arcs}
-        given = set(self.values)
-        missing = sorted(keys - given)
-        extra = sorted(given - keys)
-        if missing:
-            raise ValidationError(f"missing weights for arcs {missing}")
-        if extra:
-            raise ValidationError(f"weights given for non-arcs {extra}")
-        return [self.values[arc.key] for arc in graph.arcs]
+def arc_weights(graph: Graph, weights) -> np.ndarray:
+    """Weights ``{(origin, terminus): q}``, each ``q`` four real
+    components, as the read-only ``(m', 4)`` array in canonical arc
+    order; demands exactly one weight per arc."""
+    keys = list(zip(graph.origin.tolist(), graph.terminus.tolist()))
+    missing = sorted(set(keys) - set(weights))
+    extra = sorted(set(weights) - set(keys))
+    if missing:
+        raise ValidationError(f"missing weights for arcs {missing}")
+    if extra:
+        raise ValidationError(f"weights given for non-arcs {extra}")
+    return _check_weights(graph, [weights[key] for key in keys],
+                          shape_only=True)[0]
 
 
-def _aligned_norms(
-    graph: Graph, weights: WeightMap
-) -> tuple[list[Quaternion], np.ndarray]:
-    """Weights in canonical arc order and their squared norms as an
-    array; rejects a zero weight."""
-    q = weights.aligned(graph)
-    # Per arc: a components array would cost more to build than this.
-    norm_sq = np.array([value.norm_sq() for value in q], dtype=float)
-    zero = np.flatnonzero(norm_sq == 0.0)
-    if zero.size:
-        arc = graph.arcs[zero[0]]
+def uniform_weights(graph: Graph) -> np.ndarray:
+    """Classical choice ``q(e) = 1/sqrt(outdeg(o(e)))``, as the read-only
+    ``(m', 4)`` array."""
+    outdeg = _out_degrees(graph)
+    q = np.zeros((graph.m_prime, 4))
+    q[:, 0] = 1.0 / np.sqrt(outdeg[graph.origin])
+    q.flags.writeable = False
+    return q
+
+
+def _out_degrees(graph: Graph) -> np.ndarray:
+    """Arcs leaving each vertex; rejects a vertex without any."""
+    outdeg = np.bincount(graph.origin, minlength=graph.n)
+    if not outdeg.all():
         raise ValidationError(
-            f"weight on arc ({arc.origin},{arc.terminus}) is zero"
+            f"vertex {np.flatnonzero(outdeg == 0)[0]} has no outgoing arcs"
         )
+    return outdeg
+
+
+def _check_weights(
+    graph: Graph, weights, what: str = "weights", *, shape_only=False
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """Weights as a read-only ``(m', 4)`` float array, one row of
+    components per arc, and unless ``shape_only`` their squared norms.
+
+    The norm adds ``x0^2 + x1^2 + x2^2 + x3^2`` left to right.  Unless
+    ``shape_only``, a non-finite component, a squared norm that overflows
+    and a zero weight are rejected, naming the first such arc.
+    """
+    try:
+        q = np.array(weights, dtype=float)
+        if q.shape != (graph.m_prime, 4):
+            raise ValueError(f"got shape {q.shape}")
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(
+            f"{what}: expected {graph.m_prime} entries of four real "
+            f"components; {exc}"
+        ) from None
+    q.flags.writeable = False
+    if shape_only:
+        return q, None
+    with np.errstate(over="ignore"):
+        norm_sq = (q * q).sum(axis=1)
+    for bad, problem in (
+        (~np.isfinite(q).all(axis=1), "is not finite"),
+        (~np.isfinite(norm_sq), "has a squared norm that overflows"),
+        (norm_sq == 0.0, "is zero"),
+    ):
+        if bad.any():
+            e = np.flatnonzero(bad)[0]
+            raise ValidationError(
+                f"weight on arc ({graph.origin[e]},{graph.terminus[e]}) "
+                f"{problem}"
+            )
     return q, norm_sq
 
 
@@ -217,27 +230,28 @@ class UnitarityReport(NamedTuple):
 
 
 def check_unitary_condition(
-    graph: Graph, weights: WeightMap, tol: float = UNITARITY_TOL
+    graph: Graph, weights, tol: float = UNITARITY_TOL
 ) -> UnitarityReport:
     """Check ``sum |q(e)|^2 = 1`` over the arcs leaving each vertex.
 
     Each vertex's sum adds its arcs' squared norms in arc order, from 0.
     """
-    norm_sq = _aligned_norms(graph, weights)[1]
+    norm_sq = _check_weights(graph, weights)[1]
     totals = np.bincount(graph.origin, weights=norm_sq, minlength=graph.n)
-    rows = []
-    worst = 0.0
-    for u, total in enumerate(totals.tolist()):
-        if not graph.out_arcs(u):
-            total = 0  # an empty sum: reports write the int 0
-        deviation = abs(total - 1.0)
-        worst = max(worst, deviation)
-        rows.append(VertexUnitarity(u, total, deviation, deviation <= tol))
+    deviations = np.abs(totals - 1.0)
+    outdeg = np.bincount(graph.origin, minlength=graph.n)
+    rows = tuple(
+        # An empty sum: reports write the int 0.
+        VertexUnitarity(u, total if count else 0, deviation, deviation <= tol)
+        for u, (total, deviation, count) in enumerate(
+            zip(totals.tolist(), deviations.tolist(), outdeg.tolist())
+        )
+    )
     return UnitarityReport(
-        vertices=tuple(rows),
+        vertices=rows,
         tol=tol,
         passed=all(r.ok for r in rows),
-        max_deviation=worst,
+        max_deviation=float(deviations.max()),  # np.max keeps a NaN
     )
 
 
@@ -245,14 +259,16 @@ def build_kl(graph: Graph, a, b) -> tuple[QMatrix, QMatrix]:
     """Incidence-type weight matrices from arc maps ``a`` and ``b``.
 
     ``K[e, o(e)] = a(e)`` and ``L[e, t(e)] = b(e)``; all other entries
-    vanish.  Inputs are sequences aligned with the canonical arc order,
-    or ``m' x 1`` QMatrix columns.
+    vanish.  Inputs are ``(m', 4)`` component arrays in canonical arc
+    order, or ``m' x 1`` QMatrix columns.
     """
     rows = np.arange(graph.m_prime)
     out = []
     for values, columns in ((a, graph.origin), (b, graph.terminus)):
         if not isinstance(values, QMatrix):
-            values = qvec(values)
+            values = QMatrix.from_components(
+                np.asarray(values, dtype=float)[:, None]
+            )
         mat = QMatrix.zeros(graph.m_prime, graph.n)
         mat.a[rows, columns] = values.a[:, 0]
         mat.b[rows, columns] = values.b[:, 0]
@@ -271,6 +287,8 @@ class WalkOperators:
 
     Attributes
     ----------
+    q : ndarray
+        The weights, the read-only ``(m', 4)`` array in arc order.
     K, L : QMatrix
         Origin/terminus incidence weight matrices with rows indexed by
         arcs and columns by vertices.
@@ -299,7 +317,7 @@ class WalkOperators:
     """
 
     graph: Graph
-    q: tuple[Quaternion, ...]
+    q: np.ndarray = field(compare=False)
     K: QMatrix
     L: QMatrix
     W: QMatrix
@@ -330,7 +348,7 @@ class WalkOperators:
         return values, vecs
 
 
-def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
+def build_walk(graph: Graph, weights) -> WalkOperators:
     """Construct the walk matrices, cross-checking three U constructions.
 
     The direct entrywise formula, the factorization ``K L* - J0``, and
@@ -341,8 +359,8 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
     ``m' x m'`` array is formed.  Unitarity of the weights is NOT
     required here: non-unitary instances still define all matrices.
     """
-    q = _aligned_norms(graph, weights)[0]
-    qcol = qvec(q)
+    q = _check_weights(graph, weights)[0]
+    qcol = QMatrix.from_components(q[:, None])
     qinv = qcol.take_rows(graph.inverse)
     K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
 
@@ -352,13 +370,13 @@ def build_walk(graph: Graph, weights: WeightMap) -> WalkOperators:
 
     W = L.H @ K
     herm_gap = (W.H - W).max_entry_norm()
-    if herm_gap > 1e-13 * max(1.0, W.max_entry_norm()):
+    if not herm_gap <= 1e-13 * max(1.0, W.max_entry_norm()):
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
     return WalkOperators(
         graph=graph,
-        q=tuple(q),
+        q=q,
         K=K,
         L=L,
         W=W,
@@ -446,7 +464,7 @@ def _support_check(graph: Graph, direct, other, label: str) -> None:
             f"{label} differ in support ({len(e)} vs {len(keys)} entries)"
         )
     gap = (values.take_rows(order) - reference).max_entry_norm()
-    if gap > CROSS_CHECK_TOL:
+    if not gap <= CROSS_CHECK_TOL:  # a NaN gap fails
         raise NumericalError(
             f"transition-matrix construction paths disagree: direct vs "
             f"{label} differ by {gap:.3g}"
@@ -770,7 +788,7 @@ def _spectrum_classes(mapped, extra) -> tuple[SpectrumClass, ...]:
 
 def full_spectrum(
     graph: Graph,
-    weights: WeightMap,
+    weights,
     *,
     want_oracle: bool = False,
     want_eigenvectors: bool = False,
@@ -1257,20 +1275,20 @@ def verify_structure(
     return StructureReport(checks=checks, passed=all(c.ok for c in checks))
 
 
-def random_instance(graph: Graph, seed: int) -> WeightMap:
-    """Random quaternionic weights satisfying the unitarity condition.
+def random_instance(graph: Graph, seed: int) -> np.ndarray:
+    """Random quaternionic weights satisfying the unitarity condition, as
+    the read-only ``(m', 4)`` array.
 
-    Per vertex, each outgoing arc gets four standard normal components
-    (resampled while the magnitude is below 1e-6), then the group is
-    rescaled so the squared norms sum to one.  Deterministic in
-    ``seed`` via a dedicated generator.
+    Vertex by vertex, each outgoing arc in canonical order gets four
+    standard normal components (resampled while the magnitude is below
+    1e-6), then the group is rescaled so the squared norms sum to one.
+    Deterministic in ``seed`` via a dedicated generator.
     """
     rng = np.random.default_rng(seed)
-    values: dict[tuple[int, int], Quaternion] = {}
-    for u in range(graph.n):
-        arcs = graph.out_arcs(u)
-        if not arcs:
-            raise ValidationError(f"vertex {u} has no outgoing arcs")
+    outdeg = _out_degrees(graph)
+    by_origin = np.argsort(graph.origin, kind="stable")
+    q = np.empty((graph.m_prime, 4))
+    for arcs in np.split(by_origin, np.cumsum(outdeg)[:-1]):
         samples = []
         for _ in arcs:
             comps = rng.standard_normal(4)
@@ -1278,7 +1296,6 @@ def random_instance(graph: Graph, seed: int) -> WeightMap:
                 comps = rng.standard_normal(4)
             samples.append(comps)
         total = sum(float(c @ c) for c in samples)
-        factor = 1.0 / math.sqrt(total)
-        for arc, comps in zip(arcs, samples):
-            values[arc.key] = Quaternion(*(comps * factor))
-    return WeightMap(values)
+        q[arcs] = np.array(samples) * (1.0 / math.sqrt(total))
+    q.flags.writeable = False
+    return q

@@ -48,8 +48,7 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Graph
 from .qmatrix import psi
-from .quaternion import as_quaternion
-from .szegedy import build_kl
+from .szegedy import _check_weights, build_kl
 
 __all__ = [
     "EdgeMatrices",
@@ -170,7 +169,6 @@ def _compare(name, samples, sides, tol) -> IdentityCheck:
     variants: dict[str, float] = {}
     first_lhs: list[complex] = []
     first_rhs: list[complex] = []
-    worst = 0.0
     for idx, (label, (lhs_fn, rhs_fn)) in enumerate(sides.items()):
         errs = []
         for t in samples:
@@ -180,8 +178,8 @@ def _compare(name, samples, sides, tol) -> IdentityCheck:
                 first_lhs.append(lhs)
                 first_rhs.append(rhs)
             errs.append(_rel_error(lhs, rhs))
-        variants[label] = max(errs)
-        worst = max(worst, variants[label])
+        variants[label] = float(np.max(errs))  # np.max keeps a NaN
+    worst = float(np.max(list(variants.values())))
     return IdentityCheck(
         name=name,
         samples=tuple(samples),
@@ -246,7 +244,7 @@ def _bass_identity(
     err = _poly_coeff_error(*next(iter(built.values())), degree)
     check.variants["polynomial"] = err
     return check._replace(
-        max_rel_error=max(check.max_rel_error, err),
+        max_rel_error=float(np.max([check.max_rel_error, err])),
         passed=check.passed and err <= POLY_TOL,
     )
 
@@ -325,14 +323,17 @@ def quaternionic_identity(
 ) -> IdentityCheck:
     """Quaternionic determinant identity over the complex embedding.
 
-    ``a`` and ``b`` are arbitrary quaternionic arc maps, given either
-    aligned with the canonical arc order or as ``{(u, v): value}``
-    mappings; no unitarity is assumed.  Loops are allowed and feed the
-    ``(1 + t)^(2 m1)`` prefactor.
+    ``a`` and ``b`` are arbitrary quaternionic arc maps: array-likes of
+    shape ``(m', 4)``, one row of components per arc in canonical order.
+    Only their shape is checked; no unitarity is assumed, and a
+    non-finite determinant gives a NaN error that fails the check.
+    Loops are allowed and feed the ``(1 + t)^(2 m1)`` prefactor.
     """
-    a = _arc_map(graph, a, "a")
-    b = _arc_map(graph, b, "b")
-    K, L = build_kl(graph, a, b)
+    K, L = build_kl(
+        graph,
+        _check_weights(graph, a, "arc map 'a'", shape_only=True)[0],
+        _check_weights(graph, b, "arc map 'b'", shape_only=True)[0],
+    )
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
@@ -342,25 +343,6 @@ def quaternionic_identity(
         psi(L.take_rows(graph.inverse).H @ K),
         2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol, polynomial,
     )
-
-
-def _arc_map(graph: Graph, values, what: str):
-    """Normalize an arc map to a list aligned with the arc order."""
-    if isinstance(values, dict):
-        wm_keys = {(int(u), int(v)): as_quaternion(q) for (u, v), q in values.items()}
-        arc_keys = {arc.key for arc in graph.arcs}
-        if set(wm_keys) != arc_keys:
-            raise ValidationError(
-                f"arc map {what!r} keys do not match the arc set"
-            )
-        return [wm_keys[arc.key] for arc in graph.arcs]
-    values = [as_quaternion(v) for v in values]
-    if len(values) != graph.m_prime:
-        raise ValidationError(
-            f"arc map {what!r} has {len(values)} entries, "
-            f"expected {graph.m_prime}"
-        )
-    return values
 
 
 def _times_power(slogdet, alpha: complex, k: int) -> tuple[complex, float]:

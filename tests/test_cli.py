@@ -25,9 +25,9 @@ from qszegedy.quaternion import format_quaternion
 from qszegedy.szegedy import (
     LiftedVector,
     SpectrumReport,
-    WeightMap,
     full_spectrum,
     random_instance,
+    uniform_weights,
 )
 
 
@@ -140,7 +140,9 @@ class TestSpectrum:
         [("spectrum",), ("spectrum", "--force"), ("verify",)],
         ids=["spectrum", "spectrum-force", "verify"],
     )
-    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [
+        float("nan"), float("inf"), pytest.param(10**400, id="huge-int"),
+    ])
     def test_non_finite_weight_is_invalid(self, capsys, tmp_path, argv, bad):
         raw = load_bundled("p3_tree").to_dict()
         raw["weights"]["0->1"][0] = bad
@@ -406,6 +408,24 @@ def test_duplicate_weight_key_is_invalid(capsys, tmp_path, command, flags):
 
 
 @pytest.mark.parametrize(
+    "command, flags", [("verify", ()), ("spectrum", ("--force",))]
+)
+def test_overflowing_weights_are_invalid(capsys, tmp_path, command, flags):
+    # Finite components whose squared norms overflow: once NaN
+    # determinants read as "max rel error 0 ok"; now a precise input error.
+    raw = load_bundled("k4").to_dict()
+    for key, comps in raw["weights"].items():
+        raw["weights"][key] = [c * 1e160 for c in comps]
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: weight on arc (0,1) has a squared norm that overflows\n"
+    )
+
+
+@pytest.mark.parametrize(
     "edit, vertices",
     [
         (lambda raw: raw["weights"].update({"1->0": [0.9, 0, 0, 0]}), "[2]"),
@@ -516,7 +536,7 @@ class TestLift:
         # Vertex 0 at sqrt(share +- 1e-8) splits a base eigenvalue into
         # clusters 1e-8 apart, each lifting only its own vectors.
         payload = instance_to_dict(
-            parse_graph_spec(spec), WeightMap.uniform(parse_graph_spec(spec))
+            parse_graph_spec(spec), uniform_weights(parse_graph_spec(spec))
         )
         first, second = [
             key for key in payload["weights"] if key.startswith("0->")

@@ -30,7 +30,6 @@ from qszegedy.cli import (
     _write_json,
     main,
 )
-from qszegedy.graph import Arc
 from qszegedy.instances import (
     bundled_names,
     instance_from_dict,
@@ -40,7 +39,12 @@ from qszegedy.instances import (
 )
 from qszegedy.qmatrix import QMatrix
 from qszegedy.quaternion import format_components
-from qszegedy.szegedy import SpectrumClass, full_spectrum, vector_components
+from qszegedy.szegedy import (
+    SpectrumClass,
+    VertexUnitarity,
+    full_spectrum,
+    vector_components,
+)
 
 SPECIAL_FLOATS = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, 1e16,
                   1e-5, 0.1, -1e300, 1.7976931348623157e308]
@@ -323,7 +327,7 @@ def test_full_stdout_exits_2_without_traceback(argv):
     {"classes": [SpectrumClass(1j, 2, ("lift",))]},
     {"class": SpectrumClass(1j, 2, ("lift",))},
     {"rows": [[0.5, 1.0], SpectrumClass(0.5, 1.0, ())]},
-    [Arc(0, 1, 0)],
+    [VertexUnitarity(0, 1.0, 0.0, True)],
     SpectrumClass(1j, 2, ("lift",)),
 ])
 def test_records_in_a_report_are_refused(report):

@@ -5,7 +5,7 @@ component is a random spanning tree plus extra edges; any subset of the
 vertices carries a loop, and every isolated vertex does (without one it
 has no arc and can never meet the unitarity condition).  Weights are
 ``random_instance`` at a drawn seed or the real, degenerate
-``WeightMap.uniform``.  A disconnected graph is the direct sum of its
+``uniform_weights``.  A disconnected graph is the direct sum of its
 components: W is block diagonal and both signed counts of the Bass
 prefactor add over components, so every invariant below holds for it
 exactly as for a connected one.
@@ -23,12 +23,12 @@ from hypothesis import strategies as st
 from qszegedy.graph import build_graph
 from qszegedy.qmatrix import h_linear_independent
 from qszegedy.szegedy import (
-    WeightMap,
     build_walk,
     check_pm1_eigenspaces,
     full_spectrum,
     match_multisets,
     random_instance,
+    uniform_weights,
     verify_structure,
 )
 from qszegedy.zeta import ihara_identity, quaternionic_identity
@@ -71,7 +71,7 @@ def graphs(draw):
 
 def _weights(graph, seed):
     if seed is None:
-        return WeightMap.uniform(graph)
+        return uniform_weights(graph)
     return random_instance(graph, seed)
 
 
@@ -115,9 +115,8 @@ def test_invariants_over_graph_space(graph, seed):
     ops = build_walk(graph, weights)
     assert all(count.ok for count in check_pm1_eigenspaces(ops))
     assert verify_structure(ops).passed
-    root2 = math.sqrt(2.0)
-    a = [value * root2 for value in ops.q]
-    b = [ops.q[i] * root2 for i in graph.inverse]
+    a = ops.q * math.sqrt(2.0)
+    b = a[graph.inverse]
     assert quaternionic_identity(graph, a, b, tol=TOL).passed
     # Ihara on the loopless core, which may be edgeless or have isolated
     # vertices.

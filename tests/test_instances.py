@@ -5,6 +5,7 @@ import json
 import sys
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from qszegedy.cli import main
@@ -21,7 +22,7 @@ from qszegedy.instances import (
     resolve_instance,
 )
 from qszegedy.qmatrix import is_unitary
-from qszegedy.szegedy import build_walk, check_unitary_condition
+from qszegedy.szegedy import arc_weights, build_walk, check_unitary_condition
 
 
 # Frozen so silent changes to canonical serialization are caught.
@@ -96,7 +97,8 @@ def test_round_trip_dict():
     assert again.to_dict() == raw
     assert again.sha256 == inst.sha256
     assert again.graph.n == inst.graph.n
-    assert [a.key for a in again.graph.arcs] == [a.key for a in inst.graph.arcs]
+    assert again.graph.origin.tolist() == inst.graph.origin.tolist()
+    assert again.graph.terminus.tolist() == inst.graph.terminus.tolist()
 
 
 def test_to_dict_layout():
@@ -231,6 +233,43 @@ def test_random_instance_dict_deterministic_and_unitary():
     assert check_unitary_condition(inst.graph, inst.weights).passed
 
 
+#: sha256 of ``generate SPEC --seed SEED`` stdout, frozen so that a change
+#: to the draw order of ``random_instance`` cannot pass unnoticed.
+GENERATED_SHA = {
+    ("K4", 0): "0dea04327ed970f648d6b54872a390eb82689ea95372d3f2fed01c93441ac58e",
+    ("K4", 1): "fa62fdbcb7636b0d60de210f1913fd2c0328de608e322015d9adea5b28be5574",
+    ("K4", 7): "8b79aa9bec058f7caef31bde3f1566c4db1d46a1ff4ee2b3250c06a188b73c9f",
+    ("C5", 0): "ef0ae687b456ef62e7967013d90d96729358c8e7d46d271bc5b699cacbbf1caa",
+    ("C5", 1): "d0c0265c9a10b5f6e40919c03bfd4a86830203050681c2fc95c13e8fa9f3fb0d",
+    ("C5", 7): "09165fcef4879a45de9dc231997cb3c7a3c8d74730688af48e207144efc20e2f",
+    ("P3", 0): "b130a7c04992676e12089bd0ae0850d19eb4945b7016be1771bc4e348362fa25",
+    ("P3", 1): "3c0c0f6b8d251232b3b3b9e2c823cc47eaaa6428d5841ae22a2e03083dfa088c",
+    ("P3", 7): "93f2b7df8672f015eef7f08e85dcced504d80213af456377f453177bb269a242",
+    ("K3+loops", 0):
+        "cf9df578611249f015efebcc8a6bdd5c384c69aababea6bd2abfeedd25e9fef8",
+    ("K3+loops", 1):
+        "91d7f4bebf371cae77586e48e4e15c59a97d2778164c03e569dcb53f7b982ae6",
+    ("K3+loops", 7):
+        "594b6ac73e3a598b1232031c99232c197614da527a90c11b17232eae7d6dcd00",
+    ("star3+loop", 0):
+        "4c79ea3b97de96b3e411846d71187ee171bdbff2cc82c0e7354a6999515dac10",
+    ("star3+loop", 1):
+        "c2f14447cd38d95c42c381c5a5d655d99ffa4a8cc03bc125e79a39d6f8499fa4",
+    ("star3+loop", 7):
+        "23d01450fb07ef115b74c18265bf32e78c2910afd34807e826c6e2875945db0c",
+    ("K12", 0): "8b4a33daf82c4e4b0c47ade0c0ec4e4a7cd74c07ba095b1d3a6cf4565ba47ce0",
+    ("K12", 1): "d65f21345d88e06fbcbc36860ceba7422c0ee8675c208e0bca8fd7d772e6912e",
+    ("K12", 7): "bbe9109d17cecc0acf46ebba5f48f3334b5b9936228eb1d6e06217893111f528",
+}
+
+
+@pytest.mark.parametrize("spec, seed", sorted(GENERATED_SHA))
+def test_generated_weights_are_frozen(capsys, spec, seed):
+    assert main(["generate", spec, "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GENERATED_SHA[spec, seed]
+
+
 def test_random_instance_dict_seed_sensitivity():
     assert random_instance_dict("P3", 1) != random_instance_dict("P3", 2)
 
@@ -277,12 +316,20 @@ def test_resolve_instance_unknown():
 
 def test_instance_to_dict_requires_total_weights():
     inst = load_bundled("p3_tree")
-    partial = dict(inst.weights.values)
-    del partial[(0, 1)]
-    from qszegedy.szegedy import WeightMap
-
-    with pytest.raises(ValidationError, match="0"):
-        instance_to_dict(inst.graph, WeightMap(partial))
+    with pytest.raises(ValidationError, match=r"expected 4 entries"):
+        instance_to_dict(inst.graph, inst.weights[1:])
+    rows = dict(zip(zip(inst.graph.origin.tolist(),
+                        inst.graph.terminus.tolist()), inst.weights))
+    del rows[(0, 1)]
+    with pytest.raises(ValidationError,
+                       match=r"missing weights for arcs \[\(0, 1\)\]"):
+        arc_weights(inst.graph, rows)
+    rows[(0, 1)] = rows[(2, 0)] = inst.weights[0]
+    with pytest.raises(ValidationError,
+                       match=r"weights given for non-arcs \[\(2, 0\)\]"):
+        arc_weights(inst.graph, rows)
+    rows.pop((2, 0))
+    assert np.array_equal(arc_weights(inst.graph, rows), inst.weights)
 
 
 def test_duplicate_keys_rejected_with_field_path(tmp_path):

@@ -27,7 +27,7 @@ from qszegedy.qmatrix import (
     root_subspaces,
 )
 from qszegedy.quaternion import I, J, K, ONE, Quaternion
-from qszegedy.szegedy import WeightMap, build_walk
+from qszegedy.szegedy import build_walk, uniform_weights
 
 SQ2 = math.sqrt(2.0)
 
@@ -76,6 +76,25 @@ def test_components_match_entries():
     for r in range(4):
         for c in range(3):
             assert tuple(comps[r, c].tolist()) == m.entry(r, c).components
+
+
+def test_from_components_inverts_components_bit_for_bit():
+    comps = _random_qmatrix(4, 3, 11).components()
+    for position in range(4):  # a signed zero in every component position
+        comps[position, 0, position] = -0.0
+        comps[position, 1, position] = 0.0
+    m = QMatrix.from_components(comps)
+    back = m.components()
+    assert back.shape == (4, 3, 4)
+    assert back.view(np.int64).tolist() == comps.view(np.int64).tolist()
+    assert QMatrix.from_components(back).components().tobytes() == (
+        comps.tobytes()
+    )
+    for r in range(4):
+        for c in range(3):
+            assert m.entry(r, c) == Quaternion(*comps[r, c])
+    with pytest.raises(ValidationError, match=r"\(rows, cols, 4\)"):
+        QMatrix.from_components(np.zeros((2, 3)))
 
 
 def test_psi_golden_diag_1_k():
@@ -315,7 +334,7 @@ def test_root_subspaces_of_rounding_noise_are_full():
 
 def test_right_eigenbasis_one_vertex_loop():
     graph = build_graph(1, [], loops=[0])
-    w = build_walk(graph, WeightMap.uniform(graph)).W
+    w = build_walk(graph, uniform_weights(graph)).W
     assert w.a[0, 0] != 2.0  # 2.0000000000000004
     basis = right_eigenbasis(w, 2.0)
     assert len(basis) == 1

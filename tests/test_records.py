@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from qszegedy.graph import Arc, build_graph
+from qszegedy.graph import build_graph
 from qszegedy.instances import Instance, instance_to_dict
 from qszegedy.qmatrix import MinimalPolynomial, PolyFactor, RootSubspace, qvec
 from qszegedy.quaternion import ConjugacyClass, Quaternion
@@ -22,12 +22,12 @@ from qszegedy.szegedy import (
     StructureReport,
     UnitarityReport,
     VertexUnitarity,
-    WeightMap,
+    uniform_weights,
 )
 from qszegedy.zeta import EdgeMatrices, IdentityCheck
 
 _GRAPH = build_graph(2, [(0, 1)])
-_WEIGHTS = WeightMap({(0, 1): Quaternion(1.0), (1, 0): Quaternion(1.0)})
+_WEIGHTS = uniform_weights(_GRAPH)
 _FACTOR = PolyFactor((1.0, -1.0), 1, 1 + 0j)
 _VERTEX = VertexUnitarity(0, 1.0, 0.0, True)
 _CLASS = SpectrumClass(1j, 2, ("lift",))
@@ -38,13 +38,11 @@ _BASIS = (qvec([1.0, 0.0]),)
 
 # Each record with its field values in declaration order.
 RECORDS = [
-    (Arc, (0, 1, 0)),
     (ConjugacyClass, (1 + 2j,)),
     (Instance, ("k2", _GRAPH, _WEIGHTS, None, "ab" * 32)),
     (PolyFactor, ((1.0, -1.0), 1, 1 + 0j)),
     (MinimalPolynomial, ((_FACTOR,), ("note",))),
     (RootSubspace, (_FACTOR, _BASIS)),
-    (WeightMap, (_WEIGHTS.values,)),
     (VertexUnitarity, (0, 1.0, 0.0, True)),
     (UnitarityReport, ((_VERTEX,), 1e-10, True, 0.0)),
     (SpectrumClass, (1j, 2, ("lift",))),
@@ -59,13 +57,11 @@ RECORDS = [
 ]
 
 FIELDS = {
-    Arc: ("origin", "terminus", "index"),
     ConjugacyClass: ("rep",),
     Instance: ("name", "graph", "weights", "seed", "sha256"),
     PolyFactor: ("coefficients", "exponent", "root"),
     MinimalPolynomial: ("factors", "warnings"),
     RootSubspace: ("factor", "basis"),
-    WeightMap: ("values",),
     VertexUnitarity: ("vertex", "total", "deviation", "ok"),
     UnitarityReport: ("vertices", "tol", "passed", "max_deviation"),
     SpectrumClass: ("rep", "multiplicity", "sources"),
@@ -147,7 +143,6 @@ def test_conjugacy_class_canonical_representative():
 
 
 def test_hashable_records_hash_by_value():
-    assert hash(Arc(0, 1, 0)) == hash(Arc(0, 1, 0))
     assert hash(SpectrumClass(1j, 2, ("lift",))) == hash(_CLASS)
     assert hash(StructureReport((_CHECK,), True)) == hash(
         StructureReport((_CHECK,), True)
@@ -155,18 +150,13 @@ def test_hashable_records_hash_by_value():
 
 
 def test_record_methods_and_properties():
-    arc = Arc(2, 2, 5)
-    assert arc.is_loop and arc.key == (2, 2)
-    assert not Arc(0, 1, 0).is_loop
     assert _FACTOR.degree == 1
     quadratic = PolyFactor((1.0, 0.0, 1.0), 2, 1j)
     mp = MinimalPolynomial((_FACTOR, quadratic))
     assert mp.degree == 5
     assert mp.coefficients() == (1.0, -1.0, 2.0, -2.0, 1.0, -1.0)
     assert RootSubspace(_FACTOR, _BASIS).dimension == 1
-    assert _WEIGHTS.get(0, 1) == Quaternion(1.0)
-    assert WeightMap.from_dict({(0, 1): 1.0}).values == {(0, 1): Quaternion(1.0)}
-    assert WeightMap.uniform(_GRAPH) == _WEIGHTS
+    assert _WEIGHTS.tolist() == [[1.0, 0.0, 0.0, 0.0]] * 2
     failing = UnitarityReport(
         (_VERTEX, VertexUnitarity(1, 0.5, 0.5, False)), 1e-10, False, 0.5
     )

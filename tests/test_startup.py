@@ -32,7 +32,6 @@ DATACLASSES = {
 }
 
 ALL = [
-    "Arc",
     "ConjugacyClass",
     "DegenerateLiftError",
     "Graph",
@@ -48,7 +47,7 @@ ALL = [
     "UnitarityReport",
     "ValidationError",
     "WalkOperators",
-    "WeightMap",
+    "arc_weights",
     "build_graph",
     "build_walk",
     "check_unitary_condition",
@@ -74,6 +73,7 @@ ALL = [
     "spectral_map",
     "sylvester_det_property",
     "symplectic_decompose",
+    "uniform_weights",
     "verify_structure",
     "__version__",
 ]

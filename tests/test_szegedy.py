@@ -39,11 +39,11 @@ from qszegedy.qmatrix import (
     qvec,
     right_eigenbasis,
 )
-from qszegedy.quaternion import CLASS_TOL, I, J, K, ONE, Quaternion
+from qszegedy.quaternion import CLASS_TOL, I, J, K, Quaternion
 from qszegedy.szegedy import (
     LiftedVector,
-    WeightMap,
     _base_spectrum,
+    arc_weights,
     build_walk,
     check_pm1_eigenspaces,
     check_unitary_condition,
@@ -54,6 +54,7 @@ from qszegedy.szegedy import (
     match_multisets,
     random_instance,
     spectral_map,
+    uniform_weights,
     verify_structure,
     walk_eigenvectors,
 )
@@ -105,9 +106,9 @@ def test_unitarity_condition_golden():
 
 def test_unitarity_condition_failure_vertex():
     graph, weights = _k3_loops()
-    values = dict(weights.values)
-    values[(1, 2)] = values[(1, 2)] * 1.5  # breaks vertex 1 only
-    report = check_unitary_condition(graph, WeightMap(values))
+    broken = weights.copy()
+    broken[graph.arc_index(1, 2)] *= 1.5  # breaks vertex 1 only
+    report = check_unitary_condition(graph, broken)
     assert not report.passed
     assert report.failing_vertices() == [1]
 
@@ -119,7 +120,11 @@ def _unitarity_by_loop(graph, weights, tol):
     rows = []
     for u in range(graph.n):
         total = sum(
-            weights.get(*arc.key).norm_sq() for arc in graph.out_arcs(u)
+            x0 * x0 + x1 * x1 + x2 * x2 + x3 * x3
+            for (x0, x1, x2, x3), origin in zip(
+                weights.tolist(), graph.origin.tolist()
+            )
+            if origin == u
         )
         rows.append((u, total, abs(total - 1.0), abs(total - 1.0) <= tol))
     return rows
@@ -131,10 +136,7 @@ def _unitarity_by_loop(graph, weights, tol):
 ])
 def test_unitarity_sums_match_the_arc_loop(spec, seed, scale):
     graph = parse_graph_spec(spec)
-    weights = WeightMap({
-        key: value * scale
-        for key, value in szegedy.random_instance(graph, seed).values.items()
-    })
+    weights = szegedy.random_instance(graph, seed) * scale
     for tol in (1e-10, 1e-8):
         report = check_unitary_condition(graph, weights, tol)
         want = _unitarity_by_loop(graph, weights, tol)
@@ -149,7 +151,7 @@ def test_unitarity_sums_match_the_arc_loop(spec, seed, scale):
 
 def test_unitarity_of_a_vertex_without_arcs():
     graph = build_graph(3, [(0, 1)])
-    weights = WeightMap({(0, 1): Quaternion(1.0), (1, 0): Quaternion(0, 1)})
+    weights = np.array([[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
     report = check_unitary_condition(graph, weights)
     got = [(r.vertex, r.total, r.deviation, r.ok) for r in report.vertices]
     assert got == _unitarity_by_loop(graph, weights, 1e-10)
@@ -160,19 +162,20 @@ def test_unitarity_of_a_vertex_without_arcs():
 
 def test_unitarity_names_the_first_zero_weight():
     graph, weights = _k3_loops()
-    values = dict(weights.values)
-    values[(2, 0)] = Quaternion()
-    values[(2, 2)] = Quaternion()
+    broken = weights.copy()
+    broken[[graph.arc_index(2, 0), graph.arc_index(2, 2)]] = 0.0
     with pytest.raises(ValidationError, match=r"arc \(2,0\) is zero"):
-        check_unitary_condition(graph, WeightMap(values))
-    values = dict(weights.values)
+        check_unitary_condition(graph, broken)
+    with pytest.raises(ValidationError, match="expected 9 entries"):
+        check_unitary_condition(graph, weights[:-1])
+    values = dict(zip(zip(graph.origin.tolist(), graph.terminus.tolist()),
+                      weights))
     del values[(1, 2)]
     with pytest.raises(ValidationError, match=r"missing .* \[\(1, 2\)\]"):
-        check_unitary_condition(graph, WeightMap(values))
-    values = dict(weights.values)
-    values[(0, 5)] = Quaternion(1.0)
+        arc_weights(graph, values)
+    values[(1, 2)] = values[(0, 5)] = weights[0]
     with pytest.raises(ValidationError, match=r"non-arcs \[\(0, 5\)\]"):
-        check_unitary_condition(graph, WeightMap(values))
+        arc_weights(graph, values)
 
 def test_walk_matrices_match_frozen_example():
     graph, weights = _k3_loops()
@@ -186,9 +189,8 @@ def test_walk_matrices_match_frozen_example():
             want = L_GOLDEN.get((r, c), Quaternion())
             assert abs(ops.L.entry(r, c) - want) <= 1e-14, (r, c)
         # K[e, o(e)] = sqrt(2) q(e), zero elsewhere.
-        arc = graph.arc(r)
-        got = ops.K.entry(r, arc.origin)
-        assert abs(got - weights.get(*arc.key) * SQ2) <= 1e-14
+        got = ops.K.entry(r, graph.origin[r])
+        assert abs(got - Quaternion(*weights[r]) * SQ2) <= 1e-14
     w_golden = QMatrix.from_real(np.full((3, 3), -T23) + np.diag([2 * T23] * 3))
     assert (ops.W - w_golden).max_entry_norm() <= 1e-14
     assert (ops.D - QMatrix.eye(3).scale(2.0)).max_entry_norm() <= 1e-14
@@ -197,17 +199,60 @@ def test_walk_matrices_match_frozen_example():
 def test_walk_operator_unitary_iff_condition():
     graph, weights = _k3_loops()
     assert is_unitary(build_walk(graph, weights).U)
-    values = dict(weights.values)
-    values[(0, 1)] = values[(0, 1)] * 1.5
-    assert not is_unitary(build_walk(graph, WeightMap(values)).U)
+    broken = weights.copy()
+    broken[graph.arc_index(0, 1)] *= 1.5
+    assert not is_unitary(build_walk(graph, broken).U)
 
 
 def test_build_walk_rejects_zero_weight():
     graph, weights = _k3_loops()
-    values = dict(weights.values)
-    values[(0, 1)] = Quaternion()
+    broken = weights.copy()
+    broken[graph.arc_index(0, 1)] = 0.0
     with pytest.raises(ValidationError, match="zero"):
-        build_walk(graph, WeightMap(values))
+        build_walk(graph, broken)
+
+
+@pytest.mark.parametrize("value, problem", [
+    (math.nan, "is not finite"), (math.inf, "is not finite"),
+    (-math.inf, "is not finite"), (1e160, "has a squared norm that overflows"),
+])
+@pytest.mark.parametrize("check", [check_unitary_condition, build_walk])
+def test_non_finite_weights_are_rejected(check, value, problem):
+    # A NaN once read as a unitarity deviation of 2.2e-16, and an infinite
+    # component built a W of NaN that passed the cross-checks.
+    graph, weights = _k3_loops()
+    broken = weights.copy()
+    broken[graph.arc_index(2, 1), 3] = value
+    with pytest.raises(ValidationError, match=rf"arc \(2,1\) {problem}"):
+        check(graph, broken)
+
+
+def test_support_check_fails_on_a_nan_gap(monkeypatch):
+    unperturbed = szegedy._coin_entries
+
+    def perturbed(graph, qinv):
+        rows, cols, values = unperturbed(graph, qinv)
+        values.a[0, 0] = complex(math.nan, 0.0)
+        return rows, cols, values
+
+    monkeypatch.setattr(szegedy, "_coin_entries", perturbed)
+    inst = load_bundled("k3_loops")
+    with pytest.raises(NumericalError, match=r"differ by nan"):
+        build_walk(inst.graph, inst.weights)
+
+
+def test_build_kl_reads_arrays_as_quaternion_columns():
+    graph = parse_graph_spec("K3+loops")
+    rows = np.random.default_rng(3).standard_normal((graph.m_prime, 4))
+    rows[0] = [-0.0, 0.0, -0.0, -0.0]
+    rows[1, 2] = -0.0
+    from_array = szegedy.build_kl(graph, rows, rows[::-1])
+    columns = (qvec([Quaternion(*row) for row in rows]),
+               qvec([Quaternion(*row) for row in rows[::-1]]))
+    for got, want in zip(from_array, szegedy.build_kl(graph, *columns)):
+        assert np.array_equal(got.components(), want.components())
+        assert np.array_equal(np.signbit(got.components()),
+                              np.signbit(want.components()))
 
 
 def test_spectral_map_goldens():
@@ -230,7 +275,7 @@ def test_spectral_map_clamp_and_reject():
 
 def test_base_spectrum_snaps_boundary():
     graph = build_graph(3, [(0, 1), (1, 2)])
-    ops = build_walk(graph, WeightMap.uniform(graph))
+    ops = build_walk(graph, uniform_weights(graph))
     mus = _base_spectrum(ops.W)
     assert np.allclose(mus, [-2.0, -2.0, 0.0, 0.0, 2.0, 2.0], atol=1e-10)
     # Boundary values are snapped exactly, not merely approximated.
@@ -306,20 +351,20 @@ def test_full_spectrum_k3_mu_multiset():
 
 def test_full_spectrum_rejects_bad_inputs():
     graph, weights = _k3_loops()
-    values = dict(weights.values)
-    values[(2, 0)] = values[(2, 0)] * 2.0
+    broken = weights.copy()
+    broken[graph.arc_index(2, 0)] *= 2.0
     with pytest.raises(ValidationError, match="unitarity"):
-        full_spectrum(graph, WeightMap(values))
+        full_spectrum(graph, broken)
     # A disconnected graph is accepted as a direct sum; an isolated vertex
     # without a loop can never meet the unitarity condition.
     disconnected = build_graph(4, [(0, 1), (2, 3)])
     report = full_spectrum(
-        disconnected, WeightMap.uniform(disconnected), want_oracle=True
+        disconnected, uniform_weights(disconnected), want_oracle=True
     )
     assert report.oracle.matched and report.tree_case == "forest"
     isolated = build_graph(3, [(0, 1)])
     with pytest.raises(ValidationError, match=r"unitarity.*vertices \[3\]"):
-        full_spectrum(isolated, WeightMap({(0, 1): ONE, (1, 0): ONE}))
+        full_spectrum(isolated, uniform_weights(build_graph(2, [(0, 1)])))
 
 
 # Tree, tree-with-loops and non-tree families; uniform weights (seed None)
@@ -342,7 +387,7 @@ def test_full_spectrum_rejects_bad_inputs():
 def test_full_spectrum_pm1_multiplicities(spec, tree_case, seed):
     graph = parse_graph_spec(spec)
     weights = (
-        WeightMap.uniform(graph) if seed is None
+        uniform_weights(graph) if seed is None
         else random_instance(graph, seed)
     )
     report = full_spectrum(
@@ -412,7 +457,7 @@ def test_lift_right_linearity_gives_companion():
 
 def test_lift_degenerates_at_boundary():
     graph = build_graph(3, [(0, 1), (1, 2)])
-    ops = build_walk(graph, WeightMap.uniform(graph))
+    ops = build_walk(graph, uniform_weights(graph))
     for mu, lam in ((2.0, complex(1.0)), (-2.0, complex(-1.0))):
         v = right_eigenbasis(ops.W, complex(mu))[0]
         with pytest.raises(DegenerateLiftError):
@@ -632,7 +677,7 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
     else:
         graph = parse_graph_spec(spec)
         weights = (
-            WeightMap.uniform(graph) if seed is None
+            uniform_weights(graph) if seed is None
             else random_instance(graph, seed)
         )
     ops = build_walk(graph, weights)
@@ -666,7 +711,7 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
 def test_birth_kernel_spans_the_svd_kernel(spec, seed):
     graph = parse_graph_spec(spec)
     weights = (
-        WeightMap.uniform(graph) if seed is None
+        uniform_weights(graph) if seed is None
         else random_instance(graph, seed)
     )
     ops = build_walk(graph, weights)
@@ -744,11 +789,11 @@ def _split_weights(spec: str, share: float, eps: float):
     """Uniform weights, except vertex 0's first two arcs at
     ``sqrt(share +- eps)``; unitary whenever ``share`` is the uniform one."""
     graph = parse_graph_spec(spec)
-    values = dict(WeightMap.uniform(graph).values)
-    first, second = (arc.key for arc in graph.out_arcs(0)[:2])
-    values[first] = Quaternion(math.sqrt(share + eps))
-    values[second] = Quaternion(math.sqrt(share - eps))
-    return graph, WeightMap(values)
+    weights = uniform_weights(graph).copy()
+    first, second = np.flatnonzero(graph.origin == 0)[:2]
+    weights[first, 0] = math.sqrt(share + eps)
+    weights[second, 0] = math.sqrt(share - eps)
+    return graph, weights
 
 
 @pytest.mark.parametrize("spec, share", [("K4", 1 / 3), ("C6", 1 / 2)])
@@ -777,16 +822,15 @@ def test_bridged_triangles_split_clusters_at_walk_scale(tmp_path):
     graph = build_graph(
         6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (2, 3)]
     )
-    values = {}
-    for arc in graph.arcs:
-        if arc.key in ((2, 3), (3, 2)):
-            weight = 1e-4
-        elif arc.origin in (2, 3):
-            weight = math.sqrt((1 - 1e-8) / 2)
+    weights = np.zeros((graph.m_prime, 4))
+    arcs = zip(graph.origin.tolist(), graph.terminus.tolist())
+    for e, (u, v) in enumerate(arcs):
+        if (u, v) in ((2, 3), (3, 2)):
+            weights[e, 0] = 1e-4
+        elif u in (2, 3):
+            weights[e, 0] = math.sqrt((1 - 1e-8) / 2)
         else:
-            weight = 1 / SQ2
-        values[arc.key] = Quaternion(weight)
-    weights = WeightMap(values)
+            weights[e, 0] = 1 / SQ2
     report = full_spectrum(
         graph, weights, want_oracle=True, want_eigenvectors=True
     )
@@ -864,13 +908,12 @@ def test_random_instance_deterministic_and_unitary():
     graph = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], loops=[2])
     w1 = random_instance(graph, seed=11)
     w2 = random_instance(graph, seed=11)
-    assert w1.values == w2.values
-    assert random_instance(graph, seed=12).values != w1.values
+    assert np.array_equal(w1, w2)
+    assert not np.array_equal(random_instance(graph, seed=12), w1)
+    assert w1.shape == (graph.m_prime, 4) and not w1.flags.writeable
     assert check_unitary_condition(graph, w1).passed
     # Weights are genuinely quaternionic, not complex-valued.
-    assert any(
-        abs(q.x2) > 1e-3 or abs(q.x3) > 1e-3 for q in w1.values.values()
-    )
+    assert (np.abs(w1[:, 2:]) > 1e-3).any()
 
 
 def test_build_walk_cross_check_guard():
@@ -887,21 +930,22 @@ def test_build_walk_matches_entrywise_loop():
     # so entries of size <= 2 may differ by a few ulps.
     graph = parse_graph_spec("K4+loops")
     weights = random_instance(graph, 3)
-    q = weights.aligned(graph)
+    q = [Quaternion(*row) for row in weights]
+    origin, terminus = graph.origin.tolist(), graph.terminus.tolist()
     ops = build_walk(graph, weights)
-    for e in graph.arcs:
-        inv_e = graph.inverse_index(e.index)
-        assert ops.K.entry(e.index, e.origin) == q[e.index] * SQ2
-        assert ops.L.entry(e.index, e.terminus) == q[inv_e] * SQ2
-        for f in graph.arcs:
-            if f.index == inv_e:
-                want = Quaternion(2.0 * q[e.index].norm_sq() - 1.0)
-            elif f.terminus == e.origin:
-                q_inv_f = q[graph.inverse_index(f.index)]
-                want = q[e.index] * q_inv_f.conjugate() * 2.0
+    for e in range(graph.m_prime):
+        inv_e = graph.inverse_index(e)
+        assert ops.K.entry(e, origin[e]) == q[e] * SQ2
+        assert ops.L.entry(e, terminus[e]) == q[inv_e] * SQ2
+        for f in range(graph.m_prime):
+            if f == inv_e:
+                want = Quaternion(2.0 * q[e].norm_sq() - 1.0)
+            elif terminus[f] == origin[e]:
+                q_inv_f = q[graph.inverse_index(f)]
+                want = q[e] * q_inv_f.conjugate() * 2.0
             else:
                 want = Quaternion()
-            assert abs(ops.U.entry(e.index, f.index) - want) <= 1e-14
+            assert abs(ops.U.entry(e, f) - want) <= 1e-14
 
 
 def test_build_walk_cross_check_fires(monkeypatch):

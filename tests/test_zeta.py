@@ -10,7 +10,6 @@ from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.instances import load_bundled
 from qszegedy.qmatrix import QMatrix
-from qszegedy.quaternion import Quaternion
 from qszegedy.szegedy import build_walk
 from qszegedy.zeta import (
     EdgeMatrices,
@@ -132,8 +131,8 @@ def test_quaternionic_identity_matches_frozen_spectrum():
     inst = load_bundled("k3_loops")
     graph = inst.graph
     ops = build_walk(graph, inst.weights)
-    a = [q * SQ2 for q in ops.q]
-    b = [ops.q[graph.inverse_index(r)] * SQ2 for r in range(graph.m_prime)]
+    a = ops.q * SQ2
+    b = a[graph.inverse]
     samples = [0.5, 0.25]
     check = quaternionic_identity(graph, a, b, t_samples=samples)
     assert check.passed
@@ -152,7 +151,7 @@ def test_quaternionic_identity_random_nonunitary():
     rng = np.random.default_rng(17)
 
     def draw(m):
-        return [Quaternion(*rng.standard_normal(4)) for _ in range(m)]
+        return rng.standard_normal((m, 4))
 
     for maker in (
         lambda: build_graph(3, [(0, 1), (1, 2)], loops=[1]),
@@ -166,17 +165,28 @@ def test_quaternionic_identity_random_nonunitary():
         assert check.passed, (g.n, check.max_rel_error)
 
 
-def test_quaternionic_identity_accepts_dict_maps():
-    g = build_graph(2, [(0, 1)], loops=[0])
-    a = {(0, 1): Quaternion(1), (1, 0): Quaternion(0, 1), (0, 0): Quaternion(0, 0, 1)}
-    b = {(0, 1): Quaternion(2), (1, 0): Quaternion(0, 0, 0, 1), (0, 0): Quaternion(1, 1)}
+def test_quaternionic_identity_checks_map_shape():
+    g = build_graph(2, [(0, 1)], loops=[0])  # arcs (0,1), (1,0), (0,0)
+    a = [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
+    b = [[2, 0, 0, 0], [0, 0, 0, 1], [1, 1, 0, 0]]
     assert quaternionic_identity(g, a, b).passed
-    with pytest.raises(ValidationError, match="entries"):
-        quaternionic_identity(g, [Quaternion(1)], b)
-    bad = dict(a)
-    del bad[(0, 0)]
-    with pytest.raises(ValidationError, match="keys"):
-        quaternionic_identity(g, bad, b)
+    with pytest.raises(ValidationError, match="'a': expected 3 entries"):
+        quaternionic_identity(g, [[1, 0, 0, 0]], b)
+    with pytest.raises(ValidationError, match="'b': expected 3 entries"):
+        quaternionic_identity(g, a, [row[:3] for row in b])
+
+
+def test_quaternionic_identity_fails_on_a_nan_determinant():
+    # Weights of 1e160 overflow the determinants to NaN; a NaN error must
+    # fail the check, not vanish from the maximum.
+    inst = load_bundled("k4")
+    a = inst.weights * 1e160 * SQ2
+    b = a[inst.graph.inverse]
+    with np.errstate(all="ignore"):
+        check = quaternionic_identity(inst.graph, a, b)
+    assert not check.passed
+    assert math.isnan(check.max_rel_error)
+    assert math.isnan(check.variants["standard"])
 
 
 def test_sylvester_rectangular_frozen():
