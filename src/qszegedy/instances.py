@@ -52,7 +52,7 @@ _BUNDLED_SPECS = {
     "c5": "C5",
 }
 
-_ARC_KEY = re.compile(r"^(\d+)->(\d+)$")
+_ARC_KEY = re.compile(r"([0-9]+)->([0-9]+)")  # ASCII digits, as the schema
 _SPEC = re.compile(r"^(k|p|c|star)(\d+)(\+loops|\+loop)?$", re.IGNORECASE)
 
 
@@ -188,10 +188,10 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
     graph = build_graph(n, edges, loops)
 
     wblock = _expect_mapping(raw["weights"], "weights")
-    values: dict[tuple[int, int], list] = {}
+    keys: dict[tuple[int, int], str] = {}
     for key, comps in wblock.items():
         path = f"weights[{key!r}]"
-        match = _ARC_KEY.match(key) if isinstance(key, str) else None
+        match = _ARC_KEY.fullmatch(key) if isinstance(key, str) else None
         if not match:
             raise ValidationError(
                 f"{path}: keys must look like 'origin->terminus'"
@@ -199,6 +199,11 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
         u, v = int(match.group(1)), int(match.group(2))
         if not graph.has_arc(u, v):
             raise ValidationError(f"{path}: ({u},{v}) is not an arc")
+        if keys.setdefault((u, v), key) != key:
+            raise ValidationError(
+                f"{path}: arc ({u},{v}) already has a weight under "
+                f"{keys[u, v]!r}"
+            )
         if not isinstance(comps, list) or len(comps) != 4:
             raise ValidationError(
                 f"{path}: expected four real components"
@@ -212,8 +217,7 @@ def instance_from_dict(raw: dict, source: str = "<instance>") -> Instance:
                 raise ValidationError(
                     f"{path}[{cidx}]: expected a finite number, got {c!r}"
                 )
-        values[(u, v)] = comps
-    weights = arc_weights(graph, values)
+    weights = arc_weights(graph, {arc: wblock[k] for arc, k in keys.items()})
 
     name = "instance"
     seed = None
@@ -291,6 +295,8 @@ def load_instance_file(path) -> Instance:
         raise ValidationError(
             f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
         ) from exc
+    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+        raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
     return instance_from_dict(raw, source=str(path))
 
 

@@ -16,9 +16,10 @@ and ``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0``
 and ``U = J0 (L L* - I)``.  U is non-zero only on its support
 ``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries; all three
 constructions are evaluated there and cross-checked entrywise whenever
-a walk is built.  The dense ``m' x m'`` U is formed only where it is
-read (the oracle, ``verify``, the direct ``--force`` path and
-``examples``); walk residuals apply ``U x = K (L* x) - J0 x`` instead.
+a walk is built.  A walk keeps only the weights and W: K, L and the
+dense ``m' x m'`` U are formed from the weights where they are read
+(U by the oracle, ``verify``, the direct ``--force`` path and
+``examples``); walk residuals apply ``U x = K (L* x) - J0 x``.
 
 The right spectrum comes from the doubly weighted matrix
 ``W = L* K`` through the spectral mapping: every eigenvalue ``mu`` of
@@ -262,79 +263,76 @@ def build_kl(graph: Graph, a, b) -> tuple[QMatrix, QMatrix]:
     vanish.  Inputs are ``(m', 4)`` component arrays in canonical arc
     order, or ``m' x 1`` QMatrix columns.
     """
+    return _scatter(graph, a, graph.origin), _scatter(graph, b, graph.terminus)
+
+
+def _scatter(graph: Graph, values, columns: np.ndarray) -> QMatrix:
+    """The ``m' x n`` matrix with ``values[e]`` at ``(e, columns[e])``."""
+    if not isinstance(values, QMatrix):
+        values = QMatrix.from_components(
+            np.asarray(values, dtype=float)[:, None]
+        )
+    mat = QMatrix.zeros(graph.m_prime, graph.n)
     rows = np.arange(graph.m_prime)
-    out = []
-    for values, columns in ((a, graph.origin), (b, graph.terminus)):
-        if not isinstance(values, QMatrix):
-            values = QMatrix.from_components(
-                np.asarray(values, dtype=float)[:, None]
-            )
-        mat = QMatrix.zeros(graph.m_prime, graph.n)
-        mat.a[rows, columns] = values.a[:, 0]
-        mat.b[rows, columns] = values.b[:, 0]
-        out.append(mat)
-    return tuple(out)
+    mat.a[rows, columns] = values.a[:, 0]
+    mat.b[rows, columns] = values.b[:, 0]
+    return mat
 
 
 @dataclass(frozen=True)
 class WalkOperators:
-    """All matrices attached to one walk instance.
-
-    ``build_walk`` forms K, L and W and checks the three constructions
-    of U on U's support; the dense matrices U and D are built only when
-    first read, and so are the base spectrum and the eigendecomposition
-    of ``psi(W)``.
+    """One walk: its graph, its weights and ``W``, the matrix every job
+    reads.  Everything else is built from the weights when first read.
 
     Attributes
     ----------
     q : ndarray
         The weights, the read-only ``(m', 4)`` array in arc order.
-    K, L : QMatrix
-        Origin/terminus incidence weight matrices with rows indexed by
-        arcs and columns by vertices.
     W : QMatrix
         Doubly weighted matrix ``L* K``; Hermitian by construction.
-    support : tuple of two integer arrays
-        Row and column indices ``(e, f)`` of U's support ``t(f) = o(e)``,
-        in row-major order.
-    support_values : QMatrix
-        ``|S| x 1`` column of U's entries on the support, as the direct
-        formula gives them and the cross-check compared.
+    K, L : QMatrix
+        Origin/terminus incidence weight matrices with rows indexed by
+        arcs and columns by vertices; ``K = J0 L``.
     U : QMatrix
-        Transition matrix on arcs (dense, built on first access by
-        scattering the checked ``support_values`` onto ``support``).
+        Transition matrix on arcs, dense: the direct formula's entries
+        on U's support, the values ``build_walk`` cross-checked.
     D : QMatrix
-        Weighted-degree diagonal ``L* J0 K``; equals ``2 I`` under the
-        unitarity condition (built on first access).
+        Weighted-degree diagonal ``L* J0 K = K* K``; equals ``2 I`` under
+        the unitarity condition.
     mu_spectrum : tuple of float
         The eigenvalues of ``psi(W)``, ascending, with those within
         ``MU_SNAP_TOL`` of +-2 snapped to exactly +-2: the one snap
         decision of the walk, which the theorem path, the eigenvector
         clusters, the +-1 eigenspaces and their rank count all read.
     w_eigh : tuple of arrays
-        ``np.linalg.eigh(psi(W))``, read-only, computed on first access;
-        its columns are in the order of ``mu_spectrum``.
+        ``np.linalg.eigh(psi(W))``, read-only; its columns are in the
+        order of ``mu_spectrum``.
     """
 
     graph: Graph
     q: np.ndarray = field(compare=False)
-    K: QMatrix
-    L: QMatrix
     W: QMatrix
-    support: tuple[np.ndarray, np.ndarray] = field(repr=False, compare=False)
-    support_values: QMatrix = field(repr=False, compare=False)
+
+    @cached_property
+    def L(self) -> QMatrix:
+        qinv = QMatrix.from_components(self.q[self.graph.inverse, None])
+        return _scatter(self.graph, qinv.scale(_SQRT2), self.graph.terminus)
+
+    @cached_property
+    def K(self) -> QMatrix:
+        return self.L.take_rows(self.graph.inverse)
 
     @cached_property
     def U(self) -> QMatrix:
+        e, f, values = _direct_entries(self.graph, self.q)
         U = QMatrix.zeros(self.graph.m_prime, self.graph.m_prime)
-        e, f = self.support
-        U.a[e, f] = self.support_values.a[:, 0]
-        U.b[e, f] = self.support_values.b[:, 0]
+        U.a[e, f] = values.a[:, 0]
+        U.b[e, f] = values.b[:, 0]
         return U
 
     @cached_property
     def D(self) -> QMatrix:
-        return self.L.take_rows(self.graph.inverse).H @ self.K
+        return self.K.H @ self.K
 
     @cached_property
     def mu_spectrum(self) -> tuple[float, ...]:
@@ -349,22 +347,23 @@ class WalkOperators:
 
 
 def build_walk(graph: Graph, weights) -> WalkOperators:
-    """Construct the walk matrices, cross-checking three U constructions.
+    """Construct the walk, cross-checking three U constructions.
 
     The direct entrywise formula, the factorization ``K L* - J0``, and
     the shift-times-coin product ``J0 (L L* - I)`` are each evaluated on
     the pairs where its own factors are non-zero, and must give the same
     support and agree entrywise to ``1e-14``; disagreement indicates a
     broken invariant, not bad input, and raises NumericalError.  No
-    ``m' x m'`` array is formed.  Unitarity of the weights is NOT
-    required here: non-unitary instances still define all matrices.
+    ``m' x m'`` array is formed, and K and L are kept only for ``W =
+    L* K`` and the check.  Unitarity of the weights is NOT required
+    here: non-unitary instances still define all matrices.
     """
     q = _check_weights(graph, weights)[0]
     qcol = QMatrix.from_components(q[:, None])
     qinv = qcol.take_rows(graph.inverse)
     K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
 
-    direct = _direct_entries(graph, qcol)
+    direct = _direct_entries(graph, q)
     _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0")
     _support_check(graph, direct, _coin_entries(graph, qinv), "J0 (L L* - I)")
 
@@ -374,22 +373,15 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
-    return WalkOperators(
-        graph=graph,
-        q=q,
-        K=K,
-        L=L,
-        W=W,
-        support=direct[:2],
-        support_values=direct[2],
-    )
+    return WalkOperators(graph=graph, q=q, W=W)
 
 
-def _direct_entries(graph: Graph, qcol: QMatrix):
-    """U on its support from the defining formula, in row-major order:
-    ``2 q(e) q(f^-1)*`` on the pairs ``t(f) = o(e)``, with
-    ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns ``(rows, cols, values)``
-    with the values an ``|S| x 1`` column."""
+def _direct_entries(graph: Graph, q: np.ndarray):
+    """U on its support from the defining formula and the ``(m', 4)``
+    weights, in row-major order: ``2 q(e) q(f^-1)*`` on the pairs
+    ``t(f) = o(e)``, with ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns
+    ``(rows, cols, values)`` with the values an ``|S| x 1`` column."""
+    qcol = QMatrix.from_components(q[:, None])
     e, f = _pairs(graph.origin, graph.terminus)
     inv = graph.inverse
     values = _times_conj(
@@ -897,7 +889,7 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
     +-2 therefore holds only snapped values, and its mean is exactly
     +-2.0.  A value further beyond +-2 (accepted up to ``MU_CLAMP_TOL``)
     has the clamped walk value +-1 and can join that cluster: the open
-    overshoot defect of ROADMAP item 2.
+    overshoot defect of ROADMAP item 1.
     """
     groups: list[list[float]] = []
     for mu in mus:

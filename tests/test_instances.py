@@ -296,6 +296,41 @@ def test_load_instance_file_bad_json_reports_position(tmp_path):
         load_instance_file(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    # One integer component of 5,000 digits, past Python's parse limit.
+    ('{"weights": {"0->1": [1' + "0" * 4999 + ', 0, 0, 0]}}',
+     r"^.*big\.json: invalid JSON: Exceeds the limit"),
+    (b"\xff{}", r"^.*big\.json: invalid JSON: 'utf-8' codec can't decode"),
+], ids=["huge-int-literal", "not-utf8"])
+def test_unparsable_file_is_invalid_json(capsys, tmp_path, text, message):
+    path = tmp_path / "big.json"
+    if isinstance(text, str):
+        path.write_text(text, encoding="utf-8")
+    else:
+        path.write_bytes(text)
+    with pytest.raises(ValidationError, match=message):
+        load_instance_file(path)
+    assert main(["spectrum", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["00->1", "\u0660->1"])
+def test_each_arc_takes_one_weight_key(capsys, tmp_path, key):
+    # A second spelling of arc 0->1 (leading zero, or a Unicode digit)
+    # must not replace the weight given under '0->1'.
+    raw = load_bundled("k4").to_dict()
+    q = raw["weights"]["0->1"]
+    raw["weights"][key] = [q[1], q[0], q[2], q[3]]  # also of unit norm
+    path = tmp_path / "k4.json"
+    path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+    assert main(["spectrum", str(path)]) == 2
+    err = capsys.readouterr().err
+    if key == "00->1":
+        assert "'00->1']: arc (0,1) already has a weight under '0->1'" in err
+    else:
+        assert "keys must look like 'origin->terminus'" in err
+
+
 def test_load_instance_file_missing(tmp_path):
     with pytest.raises(ValidationError, match="cannot read"):
         load_instance_file(tmp_path / "absent.json")
@@ -374,8 +409,11 @@ def test_generated_files_match_schema(schema_validator, capsys, spec):
         lambda r: r["weights"].update({"0->1": [1.0, 0.0, 0.0]}),
         lambda r: r.update(extra=1),
         lambda r: r["weights"].update({"0-1": r["weights"].pop("0->1")}),
+        # An Arabic-Indic zero is a Unicode digit, not one of [0-9].
+        lambda r: r["weights"].update({"\u0660->1": r["weights"].pop("0->1")}),
     ],
-    ids=["negative-seed", "three-components", "unknown-key", "arc-key"],
+    ids=["negative-seed", "three-components", "unknown-key", "arc-key",
+         "unicode-digit"],
 )
 def test_schema_and_loader_reject_alike(schema_validator, mutate):
     raw = _valid_raw()

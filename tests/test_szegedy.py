@@ -1019,10 +1019,10 @@ def test_dense_u_matches_support_on_first_access():
     weights = random_instance(graph, 3)
     ops = build_walk(graph, weights)
     assert "U" not in vars(ops)
-    e, f = ops.support
+    e, f, values = szegedy._direct_entries(graph, ops.q)
     u = ops.U
     on_support = QMatrix(u.a[e, f][:, None], u.b[e, f][:, None])
-    assert (on_support - ops.support_values).max_entry_norm() <= 1e-14
+    assert (on_support - values).max_entry_norm() <= 1e-14
     off = np.ones(u.shape, dtype=bool)
     off[e, f] = False
     assert not u.a[off].any() and not u.b[off].any()
@@ -1044,6 +1044,31 @@ def test_theorem_path_never_reads_dense_u(monkeypatch, capsys):
     # The oracle is the one theorem-path option that diagonalises psi(U).
     with pytest.raises(AssertionError, match="dense U was read"):
         full_spectrum(graph, weights, want_oracle=True)
+
+
+def test_walk_stores_only_graph_weights_and_w():
+    graph = parse_graph_spec("K4+loops")
+    ops = build_walk(graph, random_instance(graph, 3))
+    assert set(vars(ops)) == {"graph", "q", "W"}
+    # Built on first read (entries: test_build_walk_matches_entrywise_loop).
+    assert ops.K is ops.K and ops.L is ops.L
+
+
+def test_plain_spectrum_never_reads_k_or_l(monkeypatch, capsys):
+    def refuse(self):
+        raise AssertionError("dense K or L was read")
+
+    monkeypatch.setattr(szegedy.WalkOperators, "K", property(refuse))
+    monkeypatch.setattr(szegedy.WalkOperators, "L", property(refuse))
+    graph = parse_graph_spec("K4+loops")
+    weights = random_instance(graph, 3)
+    report = full_spectrum(graph, weights)
+    assert len(report.psi_u_spectrum) == 2 * graph.m_prime
+    assert main(["spectrum", "k3_loops"]) == 0
+    assert "result: PASS" in capsys.readouterr().out
+    # The lifts read L (and the walk residuals K).
+    with pytest.raises(AssertionError, match="dense K or L was read"):
+        full_spectrum(graph, weights, want_eigenvectors=True)
 
 
 def test_full_spectrum_diagonalises_psi_w_once(monkeypatch):
