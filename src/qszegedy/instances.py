@@ -284,20 +284,46 @@ def instance_hash(graph: Graph, weights) -> str:
     return sha256(canonical.encode("utf-8")).hexdigest()
 
 
+#: Python's message for an integer literal past its digit limit.
+_DIGIT_LIMIT = re.compile(
+    r"Exceeds the limit \((\d+) digits\) for integer string conversion"
+    r"(?:: value has (\d+) digits)?"
+)
+
+
+def _parse_json(text: str, where: str):
+    """``json.loads`` with every parse failure a positioned ValidationError.
+
+    An integer literal past Python's digit limit is named in the file's
+    terms; Python's own message advises a call no file can make.
+    """
+    try:
+        return json.loads(text, object_pairs_hook=_JSONObject)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(
+            f"{where}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
+        ) from exc
+    except ValueError as exc:  # an integer literal past the digit limit
+        message = str(exc)
+        match = _DIGIT_LIMIT.match(message)
+        if match:
+            message = (
+                f"Exceeds the limit of {match[1]} digits for an integer "
+                "literal" + (f": one has {match[2]} digits" if match[2] else "")
+            )
+        raise ValidationError(f"{where}: invalid JSON: {message}") from exc
+
+
 def load_instance_file(path) -> Instance:
     """Parse and validate a JSON instance file."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            raw = json.load(handle, object_pairs_hook=_JSONObject)
+            text = handle.read()
     except OSError as exc:
         raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(
-            f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}"
-        ) from exc
-    except ValueError as exc:  # not UTF-8, or an integer past the digit limit
+    except ValueError as exc:  # not UTF-8
         raise ValidationError(f"{path}: invalid JSON: {exc}") from exc
-    return instance_from_dict(raw, source=str(path))
+    return instance_from_dict(_parse_json(text, str(path)), source=str(path))
 
 
 def bundled_names() -> tuple[str, ...]:
@@ -320,9 +346,9 @@ def load_bundled(name: str) -> Instance:
 
     bundled_spec(name)  # rejects unknown names
     ref = resources.files("qszegedy").joinpath(f"instances/{name}.json")
+    source = f"bundled:{name}"
     text = ref.read_text(encoding="utf-8")
-    raw = json.loads(text, object_pairs_hook=_JSONObject)
-    return instance_from_dict(raw, source=f"bundled:{name}")
+    return instance_from_dict(_parse_json(text, source), source=source)
 
 
 def resolve_instance(arg: str) -> Instance:

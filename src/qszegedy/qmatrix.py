@@ -278,8 +278,19 @@ def psi(m: QMatrix) -> np.ndarray:
 
     Multiplicative (``psi(MN) = psi(M) psi(N)``), additive, and exact on
     conjugate transposes.  Shape is ``(2r, 2c)`` for an ``r x c`` input.
+    The four blocks are written into the one result array, so nothing
+    else of a block's size is allocated.  ``-conj(B)`` is written as
+    ``-Re B + i Im B``, the same bits, since negation and conjugation
+    only flip sign bits.
     """
-    return np.block([[m.a, -np.conj(m.b)], [m.b, np.conj(m.a)]])
+    r, c = m.shape
+    out = np.empty((2 * r, 2 * c), dtype=complex)
+    out[:r, :c] = m.a
+    np.negative(m.b.real, out=out[:r, c:].real)
+    out[:r, c:].imag = m.b.imag
+    out[r:, :c] = m.b
+    np.conjugate(m.a, out=out[r:, c:])
+    return out
 
 
 def from_psi(c) -> QMatrix:

@@ -18,8 +18,9 @@ and ``U = J0 (L L* - I)``.  U is non-zero only on its support
 constructions are evaluated there and cross-checked entrywise whenever
 a walk is built.  A walk keeps only the weights and W: K, L and the
 dense ``m' x m'`` U are formed from the weights where they are read
-(U by the oracle, ``verify``, the direct ``--force`` path and
-``examples``); walk residuals apply ``U x = K (L* x) - J0 x``.
+(U by ``verify``, the direct ``--force`` path and ``examples``; the
+oracle scatters ``psi(U)`` from U's support instead); walk residuals
+apply ``U x = K (L* x) - J0 x``.
 
 The right spectrum comes from the doubly weighted matrix
 ``W = L* K`` through the spectral mapping: every eigenvalue ``mu`` of
@@ -293,9 +294,15 @@ class WalkOperators:
     K, L : QMatrix
         Origin/terminus incidence weight matrices with rows indexed by
         arcs and columns by vertices; ``K = J0 L``.
+    LH : QMatrix
+        ``L*``, the conjugate transpose of L, which every walk residual
+        applies (``U x = K (L* x) - J0 x``) and the +-1 birth matrix
+        gathers from.
     U : QMatrix
         Transition matrix on arcs, dense: the direct formula's entries
-        on U's support, the values ``build_walk`` cross-checked.
+        on U's support, the values ``build_walk`` cross-checked.  Read by
+        ``verify``, the direct ``--force`` path and ``examples``; the
+        oracle scatters ``psi(U)`` from the same entries without it.
     D : QMatrix
         Weighted-degree diagonal ``L* J0 K = K* K``; equals ``2 I`` under
         the unitarity condition.
@@ -317,6 +324,10 @@ class WalkOperators:
     def L(self) -> QMatrix:
         qinv = QMatrix.from_components(self.q[self.graph.inverse, None])
         return _scatter(self.graph, qinv.scale(_SQRT2), self.graph.terminus)
+
+    @cached_property
+    def LH(self) -> QMatrix:
+        return self.L.H
 
     @cached_property
     def K(self) -> QMatrix:
@@ -354,9 +365,11 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
     the pairs where its own factors are non-zero, and must give the same
     support and agree entrywise to ``1e-14``; disagreement indicates a
     broken invariant, not bad input, and raises NumericalError.  No
-    ``m' x m'`` array is formed, and K and L are kept only for ``W =
-    L* K`` and the check.  Unitarity of the weights is NOT required
-    here: non-unitary instances still define all matrices.
+    ``m' x m'`` array is formed.  K and L live only for the check and
+    ``W = L* K``, which :func:`_adjoint_product` forms bit for bit as
+    ``L.H @ K`` with no m' x n array besides them.  Unitarity of the
+    weights is NOT required here: non-unitary instances still define
+    all matrices.
     """
     q = _check_weights(graph, weights)[0]
     qcol = QMatrix.from_components(q[:, None])
@@ -366,14 +379,56 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
     direct = _direct_entries(graph, q)
     _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0")
     _support_check(graph, direct, _coin_entries(graph, qinv), "J0 (L L* - I)")
+    del direct
 
-    W = L.H @ K
+    W = _adjoint_product(L, K)
+    del K, L
     herm_gap = (W.H - W).max_entry_norm()
     if not herm_gap <= 1e-13 * max(1.0, W.max_entry_norm()):
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
     return WalkOperators(graph=graph, q=q, W=W)
+
+
+def _psi_u(graph: Graph, q: np.ndarray) -> np.ndarray:
+    """``psi(U)`` scattered from U's support into the one 2m' x 2m'
+    result, with no dense U.  It is ``psi(ops.U)`` byte for byte: off the
+    support, psi's blocks hold the images of zero, ``-conj(0) = -0 + 0i``
+    at the top right and ``conj(0) = 0 - 0i`` at the bottom right."""
+    e, f, values = _direct_entries(graph, q)
+    m = graph.m_prime
+    out = np.zeros((2 * m, 2 * m), dtype=complex)
+    out[:m, m:] = complex(-0.0, 0.0)
+    out[m:, m:] = complex(0.0, -0.0)
+    a, b = values.a[:, 0], values.b[:, 0]
+    out[e, f] = a
+    out[e, m + f] = -np.conj(b)
+    out[m + e, f] = b
+    out[m + e, m + f] = np.conj(a)
+    return out
+
+
+def _adjoint_product(L: QMatrix, K: QMatrix) -> QMatrix:
+    """``L* K``, bit for bit ``L.H @ K``, without its operand copies.
+
+    ``QMatrix.__matmul__(L.H, K)`` makes four complex products.  Their
+    left operands are ``conj(L.a).T``, ``conj(-L.b).T``, ``(-L.b).T`` and
+    ``L.a.T``: transposes of m' x n arrays.  Here L's own parts are
+    converted into them in place, one step before each product, and back
+    afterwards; conjugation and negation only flip sign bits, so L ends
+    as it began.  Each operand keeps the values and the memory layout
+    that ``L.H`` gives it, and the products are written into W, so every
+    entry of W, signed zeros included, is the one ``L.H @ K`` gives.
+    """
+    la, lb = L.a, L.b
+    a = np.matmul(np.conjugate(la, out=la).T, K.a)
+    b = np.matmul(np.conjugate(np.negative(lb, out=lb), out=lb).T, K.b)
+    a -= b
+    np.matmul(np.conjugate(lb, out=lb).T, K.a, out=b)
+    np.negative(lb, out=lb)
+    b += np.conjugate(la, out=la).T @ K.b
+    return QMatrix._adopt(a, b)
 
 
 def _direct_entries(graph: Graph, q: np.ndarray):
@@ -430,16 +485,25 @@ def _pairs(left: np.ndarray, right: np.ndarray):
     start = np.searchsorted(right[order], left, "left")
     counts = np.searchsorted(right[order], left, "right") - start
     i = np.repeat(np.arange(len(left)), counts)
-    first = np.repeat(np.cumsum(counts) - counts, counts)
-    return i, order[np.repeat(start, counts) + np.arange(len(i)) - first]
+    # Pair k of left index i sits at start[i] + k - (pairs before i).
+    j = np.repeat(start - (np.cumsum(counts) - counts), counts)
+    j += np.arange(len(i))
+    return i, order[j]
 
 
 def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
-    """Entrywise quaternion products ``x y*`` of two equal-shape matrices."""
-    return QMatrix._adopt(
-        x.a * np.conj(y.a) + np.conj(x.b) * y.b,
-        x.b * np.conj(y.a) - np.conj(x.a) * y.b,
-    )
+    """Entrywise quaternion products ``x y*`` of two equal-shape matrices:
+    ``x.a conj(y.a) + conj(x.b) y.b`` and ``x.b conj(y.a) - conj(x.a) y.b``,
+    each product with its operands in that order, computed in place in
+    three arrays of the result's size."""
+    a = np.conjugate(y.a)
+    np.multiply(x.a, a, out=a)
+    b = np.conjugate(x.b)
+    a += np.multiply(b, y.b, out=b)
+    np.multiply(x.b, np.conjugate(y.a, out=b), out=b)
+    t = np.conjugate(x.a)
+    b -= np.multiply(t, y.b, out=t)
+    return QMatrix._adopt(a, b)
 
 
 def _support_check(graph: Graph, direct, other, label: str) -> None:
@@ -455,7 +519,13 @@ def _support_check(graph: Graph, direct, other, label: str) -> None:
             f"transition-matrix construction paths disagree: direct vs "
             f"{label} differ in support ({len(e)} vs {len(keys)} entries)"
         )
-    gap = (values.take_rows(order) - reference).max_entry_norm()
+    # The largest entry norm of the difference, |d| as entry_norms forms
+    # it, with one array of each kind alive.
+    diff = np.subtract(values.a[order], reference.a)
+    norm_sq = np.square(np.abs(diff))
+    np.subtract(values.b[order], reference.b, out=diff)
+    norm_sq += np.square(np.abs(diff))
+    gap = float(np.max(np.sqrt(norm_sq, out=norm_sq)))
     if not gap <= CROSS_CHECK_TOL:  # a NaN gap fails
         raise NumericalError(
             f"transition-matrix construction paths disagree: direct vs "
@@ -847,7 +917,9 @@ def _walk_spectrum(
 
     oracle = None
     if want_oracle:
-        direct = [complex(z) for z in np.linalg.eigvals(psi(ops.U))]
+        direct = [
+            complex(z) for z in np.linalg.eigvals(_psi_u(graph, ops.q))
+        ]
         max_distance, matched = match_multisets(theorem_values, direct, tol)
         oracle = OracleComparison(
             max_distance=max_distance,
@@ -1017,7 +1089,7 @@ def _birth_matrix(ops: WalkOperators, lam: float):
     first = np.flatnonzero(arcs < inv if lam > 0 else arcs <= inv)
     edge = inv[first] != first
     second = inv[first][edge]
-    lh = ops.L.H
+    lh = ops.LH
     p = QMatrix._adopt(lh.a[:, first], lh.b[:, first])
     p.a[:, edge] -= lam * lh.a[:, second]
     p.b[:, edge] -= lam * lh.b[:, second]
@@ -1123,7 +1195,7 @@ def _column_norms(m: QMatrix) -> np.ndarray:
 
 def _apply_walk(ops: WalkOperators, x: QMatrix) -> QMatrix:
     """``U x`` without U, as ``K (L* x) - J0 x``: O(m' n) per column."""
-    return ops.K @ (ops.L.H @ x) - x.take_rows(ops.graph.inverse)
+    return ops.K @ (ops.LH @ x) - x.take_rows(ops.graph.inverse)
 
 
 def _walk_residual(ops: WalkOperators, vec: QMatrix, lam: complex) -> float:

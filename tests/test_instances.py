@@ -314,6 +314,30 @@ def test_unparsable_file_is_invalid_json(capsys, tmp_path, text, message):
     assert "invalid JSON" in capsys.readouterr().err
 
 
+def test_oversized_integer_names_the_limit_in_file_terms(
+    capsys, monkeypatch, tmp_path
+):
+    # Python's own message ends "use sys.set_int_max_str_digits() to
+    # increase the limit", advice that no instance file can follow.
+    text = '{"weights": {"0->1": [1' + "0" * 4999 + ', 0, 0, 0]}}'
+    message = (
+        "invalid JSON: Exceeds the limit of 4300 digits for an integer "
+        "literal: one has 5000 digits"
+    )
+    path = tmp_path / "big.json"
+    path.write_text(text, encoding="utf-8")
+    assert main(["spectrum", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: {message}\n"
+    # Bundled files take the same parser.
+    (tmp_path / "instances").mkdir()
+    (tmp_path / "instances" / "k4.json").write_text(text, encoding="utf-8")
+    monkeypatch.setattr(resources, "files", lambda package: tmp_path)
+    with pytest.raises(ValidationError) as raised:
+        load_bundled("k4")
+    assert str(raised.value) == f"bundled:k4: {message}"
+
+
 @pytest.mark.parametrize("key", ["00->1", "\u0660->1"])
 def test_each_arc_takes_one_weight_key(capsys, tmp_path, key):
     # A second spelling of arc 0->1 (leading zero, or a Unicode digit)

@@ -980,6 +980,23 @@ def test_build_walk_peak_memory():
     assert peak < 10 * unit
 
 
+def test_build_walk_w_product_peak_memory():
+    # W = L* K is formed with no m' x n array besides K and L, and K and
+    # L are freed before the Hermitian check.  On C120 (m' = 240, n = 120)
+    # with numpy 2.4 the tracemalloc peak is 5.5 units of m' n complex
+    # entries, against 8.6 when W came from L.H @ K and its copies.
+    graph = parse_graph_spec("C120")
+    weights = random_instance(graph, 7)
+    unit = graph.m_prime * graph.n * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        build_walk(graph, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6.5 * unit
+
+
 def test_build_walk_coin_check_fires(monkeypatch):
     # The coin reads only q(e^-1); a 1e-12 error in its input is far
     # above the 1e-14 gate.
@@ -1041,9 +1058,48 @@ def test_theorem_path_never_reads_dense_u(monkeypatch, capsys):
     assert all(v.residual <= 1e-12 for v in report.eigenvectors)
     assert main(["lift", "k3_loops", "--all"]) == 0
     assert "result: PASS" in capsys.readouterr().out
-    # The oracle is the one theorem-path option that diagonalises psi(U).
-    with pytest.raises(AssertionError, match="dense U was read"):
-        full_spectrum(graph, weights, want_oracle=True)
+    # The oracle is the one theorem-path option that diagonalises psi(U),
+    # and it scatters psi(U) from U's support instead of reading U.
+    unpatched, calls = szegedy._psi_u, []
+
+    def counted(*args):
+        calls.append(args)
+        return unpatched(*args)
+
+    monkeypatch.setattr(szegedy, "_psi_u", counted)
+    assert full_spectrum(graph, weights, want_oracle=True).oracle.matched
+    assert len(calls) == 1
+
+
+def test_walk_applies_cached_adjoint(monkeypatch):
+    # L* is built once per walk: the lifts' residuals and the +-1 birth
+    # matrices read ops.LH.  When every residual apply rebuilt L.H, the
+    # eigenvectors of generated C200 took 406 conjugate transposes.
+    graph = parse_graph_spec("P30")
+    weights = random_instance(graph, 7)
+    unpatched, calls = QMatrix.conj_transpose, []
+
+    def counted(self):
+        calls.append(self.shape)
+        return unpatched(self)
+
+    monkeypatch.setattr(QMatrix, "conj_transpose", counted)
+    monkeypatch.setattr(QMatrix, "H", property(counted))
+    report = full_spectrum(graph, weights, want_eigenvectors=True)
+    assert len(report.eigenvectors) == graph.m_prime
+    # W's Hermitian check in build_walk, then L* once.
+    assert calls == [(graph.n, graph.n), (graph.m_prime, graph.n)]
+
+
+def test_walk_residual_keeps_its_bits():
+    # The cached L* holds the bits of a fresh L.H, so U x does too.
+    graph = parse_graph_spec("K6+loops")
+    ops = build_walk(graph, random_instance(graph, 1))
+    x = ops.L
+    fresh = ops.K @ (ops.L.H @ x) - x.take_rows(graph.inverse)
+    applied = szegedy._apply_walk(ops, x)
+    assert applied.a.tobytes() == fresh.a.tobytes()
+    assert applied.b.tobytes() == fresh.b.tobytes()
 
 
 def test_walk_stores_only_graph_weights_and_w():
