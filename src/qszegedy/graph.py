@@ -17,26 +17,30 @@ gathers and scatters and ``J0 @ M`` is the row gather ``M[inverse]``;
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .errors import ValidationError
+from .errors import Frozen, ValidationError
 
 __all__ = ["Graph", "build_graph"]
 
 
-@dataclass(frozen=True)
-class Graph:
-    """An undirected graph with loops, exposed through its arc set."""
+class Graph(Frozen):
+    """An undirected graph with loops, exposed through its arc set.
 
-    n: int
-    edges: tuple[tuple[int, int], ...]
-    loops: tuple[int, ...]
-    _arc_lookup: dict = field(repr=False, hash=False, compare=False)
-    origin: np.ndarray = field(repr=False, hash=False, compare=False)
-    terminus: np.ndarray = field(repr=False, hash=False, compare=False)
-    inverse: np.ndarray = field(repr=False, hash=False, compare=False)
+    Immutable.  Equality, hash and repr read ``n``, ``edges`` and
+    ``loops`` only; the arc arrays and lookup follow from them.
+    """
+
+    _FIELDS = ("n", "edges", "loops")
+
+    def __init__(self, n: int, edges: tuple[tuple[int, int], ...],
+                 loops: tuple[int, ...], _arc_lookup: dict,
+                 origin: np.ndarray, terminus: np.ndarray,
+                 inverse: np.ndarray):
+        vars(self).update(
+            n=n, edges=edges, loops=loops, _arc_lookup=_arc_lookup,
+            origin=origin, terminus=terminus, inverse=inverse,
+        )
 
     @property
     def m0(self) -> int:

@@ -16,10 +16,9 @@ representative ``Re(x) + i * |Im(x)|`` with nonnegative imaginary part.
 from __future__ import annotations
 
 import math
-from dataclasses import FrozenInstanceError, dataclass
 from typing import NamedTuple
 
-from .errors import ValidationError
+from .errors import Frozen, ValidationError
 
 __all__ = [
     "CLASS_TOL",
@@ -38,20 +37,26 @@ __all__ = [
 CLASS_TOL = 1e-8
 
 
-@dataclass(frozen=True, slots=True)
-class Quaternion:
-    """A quaternion ``x0 + x1*i + x2*j + x3*k`` with float components."""
+class Quaternion(Frozen):
+    """A quaternion ``x0 + x1*i + x2*j + x3*k`` with float components.
 
-    x0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    x3: float = 0.0
+    Immutable, with value equality and hash; ``__slots__`` leaves it no
+    instance dict.
+    """
 
-    def __post_init__(self):
-        object.__setattr__(self, "x0", float(self.x0))
-        object.__setattr__(self, "x1", float(self.x1))
-        object.__setattr__(self, "x2", float(self.x2))
-        object.__setattr__(self, "x3", float(self.x3))
+    __slots__ = _FIELDS = ("x0", "x1", "x2", "x3")
+
+    def __init__(self, x0: float = 0.0, x1: float = 0.0, x2: float = 0.0,
+                 x3: float = 0.0):
+        object.__setattr__(self, "x0", float(x0))
+        object.__setattr__(self, "x1", float(x1))
+        object.__setattr__(self, "x2", float(x2))
+        object.__setattr__(self, "x3", float(x3))
+
+    def __reduce__(self):
+        # Pickle and copy rebuild through __init__: their default path
+        # would set the slots through the refusing __setattr__.
+        return (type(self), self.components)
 
     @classmethod
     def from_components(cls, components) -> "Quaternion":
@@ -165,22 +170,6 @@ class Quaternion:
     def __str__(self) -> str:
         return format_quaternion(self)
 
-
-def _refuse_assignment(self, name, value):
-    raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-
-def _refuse_deletion(self, name):
-    raise FrozenInstanceError(f"cannot delete field {name!r}")
-
-
-# With slots=True, the frozen __setattr__ and __delattr__ that dataclass
-# writes call super() with the class that slots replaced, so a name that
-# is not a field raised TypeError.  These raise FrozenInstanceError (an
-# AttributeError) for every name, as a frozen dataclass without slots
-# does; __init__ and __post_init__ set fields through object.__setattr__.
-Quaternion.__setattr__ = _refuse_assignment
-Quaternion.__delattr__ = _refuse_deletion
 
 #: Basis quaternions.
 ONE = Quaternion(1.0)

@@ -48,13 +48,12 @@ from __future__ import annotations
 import itertools
 import math
 import warnings
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DegenerateLiftError, NumericalError, ValidationError
+from .errors import DegenerateLiftError, Frozen, NumericalError, ValidationError
 from .graph import Graph
 from .qmatrix import (
     QMatrix,
@@ -280,10 +279,11 @@ def _scatter(graph: Graph, values, columns: np.ndarray) -> QMatrix:
     return mat
 
 
-@dataclass(frozen=True)
-class WalkOperators:
+class WalkOperators(Frozen):
     """One walk: its graph, its weights and ``W``, the matrix every job
-    reads.  Everything else is built from the weights when first read.
+    reads.  Everything else is built from the weights when first read
+    and cached in the instance dict.  Immutable; equality, hash and repr
+    read ``graph`` and ``W`` (by identity).
 
     Attributes
     ----------
@@ -316,9 +316,10 @@ class WalkOperators:
         order of ``mu_spectrum``.
     """
 
-    graph: Graph
-    q: np.ndarray = field(compare=False)
-    W: QMatrix
+    _FIELDS = ("graph", "W")
+
+    def __init__(self, graph: Graph, q: np.ndarray, W: QMatrix):
+        vars(self).update(graph=graph, q=q, W=W)
 
     @cached_property
     def L(self) -> QMatrix:
@@ -611,20 +612,21 @@ class OracleComparison(NamedTuple):
         }
 
 
-@dataclass(frozen=True)
-class LiftedVector:
+class LiftedVector(Frozen):
     """An eigenvector of the walk with its provenance and residual.
 
-    ``residual`` is the absolute ``|U e - e lam|``; ``base`` is the
-    eigenvector of W that a lift started from (None for "direct").
+    ``residual`` is the absolute ``|U e - e lam|``; ``origin`` is "lift",
+    "lift-companion" or "direct"; ``base`` is the eigenvector of W that a
+    lift started from (None for "direct").  Immutable; equality, hash and
+    repr leave ``base`` out and compare ``vector`` by identity.
     """
 
-    lam: complex
-    mu: float | None
-    vector: QMatrix
-    residual: float
-    origin: str  # "lift", "lift-companion", or "direct"
-    base: QMatrix | None = field(default=None, repr=False, compare=False)
+    _FIELDS = ("lam", "mu", "vector", "residual", "origin")
+
+    def __init__(self, lam: complex, mu: float | None, vector: QMatrix,
+                 residual: float, origin: str, base: QMatrix | None = None):
+        vars(self).update(lam=lam, mu=mu, vector=vector, residual=residual,
+                          origin=origin, base=base)
 
     @property
     def relative_residual(self) -> float:

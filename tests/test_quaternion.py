@@ -158,7 +158,7 @@ def test_class_invariant_under_similarity(q, u):
 
 @pytest.mark.parametrize("name", ["x0", "x3", "foo", "components"])
 def test_assignment_and_deletion_raise_attribute_error(name):
-    # A frozen slots dataclass: every name is refused with
+    # Immutable with slots: every name is refused with
     # FrozenInstanceError (an AttributeError), fields and others alike.
     from dataclasses import FrozenInstanceError
 

@@ -5,15 +5,20 @@ These pin what callers may rely on, whatever form the records take.
 
 from __future__ import annotations
 
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
-from qszegedy.graph import build_graph
+from qszegedy.graph import Graph, build_graph
 from qszegedy.instances import Instance, instance_to_dict
 from qszegedy.qmatrix import MinimalPolynomial, PolyFactor, RootSubspace, qvec
 from qszegedy.quaternion import ConjugacyClass, Quaternion
 from qszegedy.szegedy import (
     EigenspaceCount,
+    LiftedVector,
     LiftGroup,
     OracleComparison,
     SpectrumClass,
@@ -22,6 +27,8 @@ from qszegedy.szegedy import (
     StructureReport,
     UnitarityReport,
     VertexUnitarity,
+    WalkOperators,
+    build_walk,
     uniform_weights,
 )
 from qszegedy.zeta import EdgeMatrices, IdentityCheck
@@ -243,3 +250,75 @@ def test_replace_keeps_the_record_type_and_invariants():
     assert type(failed) is IdentityCheck
     assert (failed.max_rel_error, failed.passed) == (1.0, False)
     assert failed.variants is check.variants
+
+
+# The plain immutable classes: Quaternion, Graph, WalkOperators and
+# LiftedVector (tests/test_quaternion.py covers Quaternion's refusals).
+
+
+def _frozen_object(cls):
+    if cls is LiftedVector:
+        return LiftedVector(1j, None, _BASIS[0], 0.0, "direct"), "lam"
+    if cls is WalkOperators:
+        return build_walk(_GRAPH, _WEIGHTS), "W"
+    return _GRAPH, "n"
+
+
+@pytest.mark.parametrize(
+    "cls", [Graph, WalkOperators, LiftedVector],
+    ids=lambda cls: cls.__name__,
+)
+def test_frozen_classes_refuse_assignment_and_deletion(cls):
+    obj, field = _frozen_object(cls)
+    for name in (field, "other"):
+        with pytest.raises(FrozenInstanceError, match=repr(name)):
+            setattr(obj, name, 1.0)
+        with pytest.raises(FrozenInstanceError, match=repr(name)):
+            delattr(obj, name)
+
+
+def test_quaternion_repr_equality_hash_and_copies():
+    q = Quaternion(1, 2, x3=4)
+    assert type(q.x0) is float and type(q.x3) is float
+    assert repr(q) == "Quaternion(x0=1.0, x1=2.0, x2=0.0, x3=4.0)"
+    assert q == Quaternion(1.0, 2.0, 0.0, 4.0) and q != Quaternion(1, 2)
+    assert hash(q) == hash(Quaternion(1.0, 2.0, 0.0, 4.0))
+    assert q != (1.0, 2.0, 0.0, 4.0) and Quaternion(1) != 1
+    assert pickle.loads(pickle.dumps(q)) == q
+    assert copy.copy(q) == q and copy.deepcopy(q) == q
+
+
+def test_graph_equality_hash_and_repr_skip_its_arrays():
+    twin = build_graph(2, [(0, 1)])
+    assert twin == _GRAPH and hash(twin) == hash(_GRAPH)
+    assert twin.origin is not _GRAPH.origin
+    assert build_graph(2, [(0, 1)], loops=[1]) != _GRAPH
+    assert build_graph(2, [(1, 0)]) != _GRAPH
+    assert repr(_GRAPH) == "Graph(n=2, edges=((0, 1),), loops=())"
+    restored = pickle.loads(pickle.dumps(_GRAPH))
+    assert restored == _GRAPH
+    np.testing.assert_array_equal(restored.inverse, _GRAPH.inverse)
+    assert restored.arc_index(1, 0) == 1
+
+
+def test_walk_operators_cache_their_matrices():
+    ops = build_walk(_GRAPH, _WEIGHTS)
+    assert "L" not in vars(ops)
+    assert ops.L is ops.L and vars(ops)["L"] is ops.L
+    assert ops.K is ops.K and ops.U is ops.U
+    assert ops == ops and hash(ops) == hash(ops)
+    # W is compared by identity, so a second build is a different walk.
+    assert build_walk(_GRAPH, _WEIGHTS) != ops
+    assert repr(ops).startswith("WalkOperators(graph=Graph(n=2, ")
+
+
+def test_lifted_vector_leaves_base_out_of_repr_and_equality():
+    vector = _BASIS[0]
+    lifted = LiftedVector(1j, 0.5, vector, 0.0, "lift", base=vector)
+    plain = LiftedVector(1j, 0.5, vector, 0.0, "lift")
+    assert plain.base is None and lifted.base is vector
+    assert lifted == plain and hash(lifted) == hash(plain)
+    assert "base" not in repr(lifted)
+    assert repr(lifted).startswith("LiftedVector(lam=1j, mu=0.5, vector=")
+    assert LiftedVector(1j, 0.5, vector, 0.0, "direct") != plain
+    assert LiftedVector(1j, 0.5, qvec([1.0, 0.0]), 0.0, "lift") != plain
