@@ -44,7 +44,6 @@ from .qmatrix import (
     QMatrix,
     h_rank,
     minimal_polynomial,
-    psi,
     qvec,
     right_eigenvalues,
     right_eigenvector,
@@ -57,7 +56,6 @@ from .quaternion import Quaternion, format_components
 from .szegedy import (
     SpectrumClass,
     build_walk,
-    check_pm1_eigenspaces,
     check_unitary_condition,
     full_spectrum,
     group_mus,
@@ -67,7 +65,6 @@ from .szegedy import (
     spectral_map,
     vector_components,
     vector_payload,
-    verify_structure,
 )
 
 DEFAULT_TOL = 1e-8
@@ -613,107 +610,44 @@ def cmd_lift(args) -> int:
 # ------------------------------------------------------------------ verify
 
 
-def _verify_one(graph: Graph, weights, tol: float, sample_count: int,
-                w_seed: int) -> tuple[dict, list[str], bool]:
-    """Run the full identity battery on one weighted graph."""
-    # Only verify checks the zeta identities: other commands skip the import.
-    from .zeta import (
-        default_samples,
-        ihara_identity,
-        quaternionic_identity,
-        second_weighted_identity,
-        sylvester_det_property,
-    )
-
-    section: dict = {}
-    lines: list[str] = []
-    passed = True
-
-    unitarity = check_unitary_condition(graph, weights)
-    section["unitarity"] = unitarity.to_dict()
-    lines.extend(_unitarity_lines(unitarity))
-    passed = passed and unitarity.passed
-
-    ops = build_walk(graph, weights)
-    structure = verify_structure(ops)
-    section["structure"] = structure.to_dict()
+def _verify_lines(result) -> list[str]:
+    """The text form of one ``zeta.VerifyReport``."""
+    lines = _unitarity_lines(result.unitarity)
     lines.append("structure identities:")
-    for check in structure.checks:
+    for check in result.structure.checks:
         mark = "ok" if check.ok else "FAIL"
         lines.append(
             f"  {check.name:<14} residual {check.residual:.3g} "
             f"(tol {check.tol:g}) {mark}"
         )
-    passed = passed and structure.passed
-
-    samples = default_samples(sample_count)
-    identities = []
-    a = ops.q * math.sqrt(2.0)
-    b = a[graph.inverse]
-    identities.append(quaternionic_identity(graph, a, b, samples, tol))
-
-    if graph.m1 == 0:
-        identities.append(ihara_identity(graph, samples, tol))
-        rng = np.random.default_rng(w_seed)
-        w = np.where(
-            graph.arc_mask(),
-            rng.standard_normal((graph.n, graph.n))
-            + 1j * rng.standard_normal((graph.n, graph.n)),
-            0.0,
-        )
-        identities.append(second_weighted_identity(graph, w, samples, tol))
-        skipped = None
-    else:
-        skipped = "ihara/second-weighted skipped: graph has loops"
-
-    # Nonzero eigenvalues of psi(K L*) are real (psi(W) is Hermitian), so
-    # 2i stays at distance >= 2 from them; alpha = 2 can sit on one.
-    alphas = [2j] + default_samples(sample_count, radius=1.0)
-    k, lh = psi(ops.K), psi(ops.L).conj().T
-    outcomes = [sylvester_det_property(k, lh, alpha) for alpha in alphas]
-    syl_worst = float(np.max([o.max_rel_error for o in outcomes]))
-    syl_ok = all(outcome.passed for outcome in outcomes)
-
-    lines.append(f"determinant identities ({len(samples)} sample points):")
-    section["identities"] = []
-    for check in identities:
+    points = len(result.identities[0].samples)
+    lines.append(f"determinant identities ({points} sample points):")
+    for check in result.identities:
         mark = "ok" if check.passed else "FAIL"
         lines.append(
             f"  {check.name:<16} max rel error {check.max_rel_error:.3g} {mark}"
         )
-        section["identities"].append(check.to_dict())
-        passed = passed and check.passed
-    if skipped:
-        lines.append(f"  {skipped}")
+    if "ihara/second-weighted" in result.skipped:
+        lines.append("  ihara/second-weighted skipped: "
+                     + result.skipped["ihara/second-weighted"])
+    syl = result.sylvester
     lines.append(
-        f"  {'sylvester':<16} max rel error {syl_worst:.3g} "
-        f"({len(alphas)} alpha samples) " + ("ok" if syl_ok else "FAIL")
+        f"  {'sylvester':<16} max rel error {syl.max_rel_error:.3g} "
+        f"({len(syl.samples)} alpha samples) {'ok' if syl.passed else 'FAIL'}"
     )
-    section["sylvester"] = {"max_rel_error": syl_worst, "passed": syl_ok}
-    passed = passed and syl_ok
-
-    if not unitarity.passed:  # the theorem path needs unitary weights
-        eig_skip = "weights violate the unitarity condition"
-        lines.append(f"eigenspaces skipped: {eig_skip}")
-        section["eigenspaces"] = {"skipped": eig_skip}
+    if "eigenspaces" in result.skipped:
+        lines.append(f"eigenspaces skipped: {result.skipped['eigenspaces']}")
     else:
-        counts = check_pm1_eigenspaces(ops)
-        ok = all(count.ok for count in counts)
         lines.append(
             "eigenspaces (birth + inherited = multiplicity): "
             + ", ".join(
                 f"{count.lam:+g}: {count.birth} + {count.inherited} = "
                 f"{count.multiplicity}"
-                for count in counts
+                for count in result.eigenspaces
             )
-            + (" ok" if ok else " FAIL")
+            + (" ok" if all(c.ok for c in result.eigenspaces) else " FAIL")
         )
-        section["eigenspaces"] = {
-            "passed": ok,
-            "targets": [count.to_dict() for count in counts],
-        }
-        passed = passed and ok
-    return section, lines, passed
+    return lines
 
 
 def cmd_verify(args) -> int:
@@ -723,23 +657,20 @@ def cmd_verify(args) -> int:
     if args.instance is not None and args.random is not None:
         raise ValidationError("give either an INSTANCE or --random, not both")
     _check_seed(args.seed)
-    if args.count < 1:
-        raise ValidationError(f"--count must be at least 1, got {args.count}")
+    for flag, value in (("--count", args.count), ("--samples", args.samples)):
+        if value < 1:
+            raise ValidationError(f"{flag} must be at least 1, got {value}")
+    # Only verify checks the zeta identities: other commands skip the import.
+    from .zeta import verify_walk
 
     if args.instance is not None:
         instance = resolve_instance(args.instance)
-        w_seed = (
-            instance.seed
-            if instance.seed is not None
-            else int(instance.sha256[:8], 16)
-        )
+        graph = instance.graph
+        w_seed = instance.seed
+        if w_seed is None:
+            w_seed = int(instance.sha256[:8], 16)
         report, lines = _header("verify", tol, instance, seeds=[w_seed])
-        lines.append(_graph_line(instance.graph))
-        section, sub_lines, passed = _verify_one(
-            instance.graph, instance.weights, tol, args.samples, w_seed
-        )
-        report.update(section)
-        lines.extend(sub_lines)
+        runs = [(w_seed, instance.weights)]
     else:
         graph = parse_graph_spec(args.random)
         seeds = [args.seed + i for i in range(args.count)]
@@ -747,18 +678,20 @@ def cmd_verify(args) -> int:
         report["random"] = {"spec": args.random, "count": args.count}
         lines.append(f"random weightings of {args.random}: {args.count} "
                       f"instance(s) from seed {args.seed}")
-        lines.append(_graph_line(graph))
         report["runs"] = []
-        passed = True
-        for seed in seeds:
-            weights = random_instance(graph, seed)
-            section, sub_lines, ok = _verify_one(
-                graph, weights, tol, args.samples, seed
-            )
-            report["runs"].append({"seed": seed, **section})
+        runs = ((seed, random_instance(graph, seed)) for seed in seeds)
+    lines.append(_graph_line(graph))
+    passed = True
+    for seed, weights in runs:
+        result = verify_walk(graph, weights, tol=tol, samples=args.samples,
+                             seed=seed)
+        if args.instance is not None:
+            report.update(result.to_dict())
+        else:
+            report["runs"].append({"seed": seed, **result.to_dict()})
             lines.append(f"--- seed {seed} ---")
-            lines.extend(sub_lines)
-            passed = passed and ok
+        lines.extend(_verify_lines(result))
+        passed = passed and result.passed
 
     report["passed"] = bool(passed)
     lines.append(f"result: {'PASS' if passed else 'FAIL'}")

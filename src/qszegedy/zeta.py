@@ -48,17 +48,29 @@ import numpy as np
 from .errors import ValidationError
 from .graph import Graph
 from .qmatrix import psi
-from .szegedy import _check_weights, build_kl
+from .szegedy import (
+    EigenspaceCount,
+    StructureReport,
+    UnitarityReport,
+    _check_weights,
+    build_kl,
+    build_walk,
+    check_pm1_eigenspaces,
+    check_unitary_condition,
+    verify_structure,
+)
 
 __all__ = [
     "EdgeMatrices",
     "IdentityCheck",
+    "VerifyReport",
     "build_edge_matrices",
     "default_samples",
     "ihara_identity",
     "quaternionic_identity",
     "second_weighted_identity",
     "sylvester_det_property",
+    "verify_walk",
 ]
 
 #: Relative error allowed at each sample point.
@@ -403,3 +415,93 @@ def sylvester_det_property(
         max_rel_error=err,
         passed=err <= tol,
     )
+
+
+class VerifyReport(NamedTuple):
+    """The ``verify`` battery on one weighted graph: :func:`verify_walk`.
+
+    ``sylvester`` is the cancellation lemma at every ``alpha``; ``skipped``
+    maps each part that did not run to the reason.
+    """
+
+    unitarity: UnitarityReport
+    structure: StructureReport
+    identities: tuple[IdentityCheck, ...]
+    sylvester: IdentityCheck
+    eigenspaces: tuple[EigenspaceCount, ...]
+    skipped: dict[str, str]
+
+    @property
+    def passed(self) -> bool:
+        checks = (self.unitarity, self.structure, self.sylvester,
+                  *self.identities)
+        return (all(check.passed for check in checks)
+                and all(count.ok for count in self.eigenspaces))
+
+    def to_dict(self) -> dict:
+        counts = self.eigenspaces
+        return {
+            "unitarity": self.unitarity.to_dict(),
+            "structure": self.structure.to_dict(),
+            "identities": [check.to_dict() for check in self.identities],
+            "sylvester": {"max_rel_error": self.sylvester.max_rel_error,
+                          "passed": self.sylvester.passed},
+            "eigenspaces": (
+                {"skipped": self.skipped["eigenspaces"]}
+                if "eigenspaces" in self.skipped
+                else {"passed": all(count.ok for count in counts),
+                      "targets": [count.to_dict() for count in counts]}
+            ),
+        }
+
+def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
+                samples: int = DEFAULT_SAMPLE_COUNT, seed: int = 0
+                ) -> VerifyReport:
+    """Run the checks of ``verify`` on one weighted graph, in its order.
+
+    The structure identities follow :func:`build_walk`; Ihara and the
+    second weighted identity (arc weights drawn from ``seed``) run on
+    loopless graphs only, the +-1 eigenspace counts on unitary weights.
+    """
+    unitarity = check_unitary_condition(graph, weights)
+    ops = build_walk(graph, weights)
+    structure = verify_structure(ops)
+    points = default_samples(samples)
+    skipped = {}
+
+    a = ops.q * math.sqrt(2.0)
+    identities = [
+        quaternionic_identity(graph, a, a[graph.inverse], points, tol)
+    ]
+    if graph.m1 == 0:
+        identities.append(ihara_identity(graph, points, tol))
+        rng = np.random.default_rng(seed)
+        w = np.where(
+            graph.arc_mask(),
+            rng.standard_normal((graph.n, graph.n))
+            + 1j * rng.standard_normal((graph.n, graph.n)),
+            0.0,
+        )
+        identities.append(second_weighted_identity(graph, w, points, tol))
+    else:
+        skipped["ihara/second-weighted"] = "graph has loops"
+
+    # Nonzero eigenvalues of psi(K L*) are real (psi(W) is Hermitian), so
+    # 2i stays at distance >= 2 from them; alpha = 2 can sit on one.
+    alphas = [2j] + default_samples(samples, radius=1.0)
+    k, lh = psi(ops.K), psi(ops.L).conj().T
+    outcomes = [sylvester_det_property(k, lh, alpha) for alpha in alphas]
+    sylvester = IdentityCheck(
+        "sylvester", tuple(alphas),
+        tuple(o.lhs[0] for o in outcomes), tuple(o.rhs[0] for o in outcomes),
+        float(np.max([o.max_rel_error for o in outcomes])),  # keeps a NaN
+        all(o.passed for o in outcomes),
+    )
+
+    eigenspaces = ()
+    if unitarity.passed:  # the theorem path needs unitary weights
+        eigenspaces = check_pm1_eigenspaces(ops)
+    else:
+        skipped["eigenspaces"] = "weights violate the unitarity condition"
+    return VerifyReport(unitarity, structure, tuple(identities), sylvester,
+                        eigenspaces, skipped)

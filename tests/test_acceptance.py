@@ -251,7 +251,7 @@ def test_criterion_6_structure_identities(announce):
         for name in bundled_names():
             inst = load_bundled(name)
             ops = build_walk(inst.graph, inst.weights)
-            report = verify_structure(ops, identity_tol=1e-10, unitary_tol=1e-10)
+            report = verify_structure(ops)
             assert report.passed
             assert all(c.residual <= 1e-10 for c in report.checks)
             checked += 1
@@ -259,7 +259,7 @@ def test_criterion_6_structure_identities(announce):
             graph = parse_graph_spec(spec)
             for seed in range(5):
                 ops = build_walk(graph, random_instance(graph, seed))
-                report = verify_structure(ops, identity_tol=1e-10, unitary_tol=1e-10)
+                report = verify_structure(ops)
                 assert report.passed
                 assert all(c.residual <= 1e-10 for c in report.checks)
                 checked += 1

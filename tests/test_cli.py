@@ -331,6 +331,46 @@ class TestVerify:
         assert report["eigenspaces"]["passed"] is False
         assert report["passed"] is False
 
+    @pytest.mark.parametrize("name", ["k4", "k3_loops", "non-unitary"])
+    def test_report_is_the_library_record(self, capsys, tmp_path, name):
+        # cmd_verify only formats zeta.verify_walk's record.
+        from qszegedy.zeta import verify_walk
+
+        if name == "non-unitary":
+            raw = load_bundled("p3_tree").to_dict()
+            raw["weights"]["0->1"] = [0.9, 0.0, 0.0, 0.0]
+            name = str(tmp_path / "broken.json")
+            Path(name).write_text(json.dumps(raw), encoding="utf-8")
+        path = tmp_path / "verify.json"
+        code, _, _ = run(capsys, "verify", name, "--output", str(path))
+        report = json.loads(path.read_text(encoding="utf-8"))
+        inst = load_instance_file(name) if "/" in name else load_bundled(name)
+        result = verify_walk(inst.graph, inst.weights, tol=1e-8, samples=8,
+                             seed=report["seeds"][0])
+        section = result.to_dict()
+        assert list(section) == [
+            "unitarity", "structure", "identities", "sylvester", "eigenspaces",
+        ]
+        assert {key: report[key] for key in section} == section
+        assert code == (0 if result.passed else 1)
+
+    def test_random_runs_are_the_library_records(self, capsys, tmp_path):
+        from qszegedy.zeta import verify_walk
+
+        path = tmp_path / "verify.json"
+        code, _, _ = run(capsys, "verify", "--random", "K4", "--count", "2",
+                         "--seed", "5", "--output", str(path))
+        runs = json.loads(path.read_text(encoding="utf-8"))["runs"]
+        graph = parse_graph_spec("K4")
+        assert [item.pop("seed") for item in runs] == [5, 6]
+        results = [
+            verify_walk(graph, random_instance(graph, seed), tol=1e-8,
+                        samples=8, seed=seed)
+            for seed in (5, 6)
+        ]
+        assert runs == [result.to_dict() for result in results]
+        assert code == (0 if all(r.passed for r in results) else 1)
+
     def test_eigenspaces_skipped(self, capsys, tmp_path):
         raw = load_bundled("p3_tree").to_dict()
         raw["weights"]["0->1"] = [0.9, 0.0, 0.0, 0.0]
@@ -662,6 +702,13 @@ class TestArgumentRanges:
         assert code == 2
         assert out == ""
         assert f"--count must be at least 1, got {count}" in err
+
+    @pytest.mark.parametrize("samples", ["0", "-2"])
+    def test_samples_below_one_is_invalid(self, capsys, samples):
+        code, out, err = run(capsys, "verify", "k4", "--samples", samples)
+        assert code == 2
+        assert out == ""
+        assert f"--samples must be at least 1, got {samples}" in err
 
     @pytest.mark.parametrize(
         "argv",

@@ -193,7 +193,6 @@ def test_walk_matrices_match_frozen_example():
         assert abs(got - Quaternion(*weights[r]) * SQ2) <= 1e-14
     w_golden = QMatrix.from_real(np.full((3, 3), -T23) + np.diag([2 * T23] * 3))
     assert (ops.W - w_golden).max_entry_norm() <= 1e-14
-    assert (ops.D - QMatrix.eye(3).scale(2.0)).max_entry_norm() <= 1e-14
 
 
 def test_walk_operator_unitary_iff_condition():
@@ -511,9 +510,34 @@ def test_verify_structure_all_bundled():
         report = verify_structure(build_walk(inst.graph, inst.weights))
         assert report.passed, name
         assert {c.name for c in report.checks} == {
-            "K* K = 2I", "L* L = 2I", "J0 K L* = L L*",
-            "L* J0 L = W", "D = 2I", "U* U = I",
+            "K* K = 2I", "L* L = 2I", "L* J0 L = W", "U* U = I",
         }
+
+
+def test_verify_structure_w_row_fails_on_a_moved_w_entry(monkeypatch):
+    # W comes from _adjoint_product; the row recomputes (J0 L)* L.
+    adjoint_product = szegedy._adjoint_product
+
+    def moved(L, K):
+        W = adjoint_product(L, K)
+        W.a[0, 1] += 1e-9
+        W.a[1, 0] += 1e-9
+        return W
+
+    monkeypatch.setattr(szegedy, "_adjoint_product", moved)
+    inst = load_bundled("k4")
+    report = verify_structure(build_walk(inst.graph, inst.weights))
+    assert [c.name for c in report.checks if not c.ok] == ["L* J0 L = W"]
+
+
+def test_verify_structure_unitarity_rows_fail_on_a_scaled_weight():
+    inst = load_bundled("k4")
+    q = np.array(inst.weights)
+    q[0] *= math.sqrt(1.0 + 1e-9)
+    report = verify_structure(build_walk(inst.graph, q))
+    assert {c.name for c in report.checks if not c.ok} == {
+        "K* K = 2I", "L* L = 2I", "U* U = I",
+    }
 
 
 def test_match_multisets():
