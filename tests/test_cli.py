@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qszegedy import __version__, cli
-from qszegedy.cli import _row_labels, _vector_lines, main
+from qszegedy import __version__, cli, commands
+from qszegedy.cli import main
+from qszegedy.commands import _row_labels, _vector_lines
 from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.instances import (
@@ -39,9 +40,11 @@ def run(capsys, *argv):
 
 def test_cli_imports_no_private_names():
     # The CLI only formats: everything it takes from the library is public.
-    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    trees = [ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+             for module in (cli, commands)]
     private = [
         alias.name
+        for tree in trees
         for node in ast.walk(tree)
         if isinstance(node, ast.ImportFrom)
         and (node.level or (node.module or "").startswith("qszegedy"))

@@ -20,15 +20,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qszegedy import cli
-from qszegedy.cli import (
+from qszegedy import cli, commands
+from qszegedy.cli import main
+from qszegedy.commands import (
     _json_chunks,
     _json_native,
     _row_labels,
     _vector_lines,
     _vector_texts,
     _write_json,
-    main,
 )
 from qszegedy.instances import (
     bundled_names,
@@ -363,8 +363,8 @@ def test_stacked_texts_match_format_components(kind, data):
     vertices, arcs = _row_labels(parse_graph_spec("K4"))  # 4 and 12 rows
     # "wide" vectors have so many rows that a block holds one of them.
     labels = {"vertices": vertices, "arcs": arcs,
-              "wide": [f"r{r}" for r in range(cli._TEXT_ROWS // 2 + 1)]}[kind]
-    per_block = max(1, cli._TEXT_ROWS // len(labels))
+              "wide": [f"r{r}" for r in range(commands._TEXT_ROWS // 2 + 1)]}[kind]
+    per_block = max(1, commands._TEXT_ROWS // len(labels))
     # Few vectors, or two or three blocks with one vector in the last.
     count = data.draw(st.integers(1, 4)
                       | st.sampled_from([per_block + 1, 2 * per_block + 1]),
@@ -554,7 +554,7 @@ def test_report_writer_peak_memory_stays_small(tmp_path, monkeypatch, capsys):
     instance = tmp_path / "k12.json"
     instance.write_text(json.dumps(random_instance_dict("K12", 1)),
                         encoding="utf-8")
-    write, peaks = cli._write_json, []
+    write, peaks = commands._write_json, []
 
     def traced(value, handle, path):
         tracemalloc.start()
@@ -564,7 +564,7 @@ def test_report_writer_peak_memory_stays_small(tmp_path, monkeypatch, capsys):
         finally:
             tracemalloc.stop()
 
-    monkeypatch.setattr(cli, "_write_json", traced)
+    monkeypatch.setattr(commands, "_write_json", traced)
     out = tmp_path / "report.json"
     assert main(["spectrum", str(instance), "--oracle", "--eigenvectors",
                  "--output", str(out)]) == 0
