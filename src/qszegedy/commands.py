@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-import operator
 import os
 import sys
 from contextlib import contextmanager, nullcontext
@@ -62,7 +61,6 @@ from .szegedy import (
     random_instance,
     spectral_map,
     vector_components,
-    vector_payload,
 )
 
 DEFAULT_TOL = 1e-8
@@ -191,39 +189,6 @@ _JSON_ARRAYS = (list, tuple)
 _JSON_TYPES = frozenset(_SCALAR_TEXT).union(_JSON_ARRAYS, (dict,))
 
 
-def _blocks(items):
-    """Consecutive slices of an array's items: a long table is written
-    block by block, so it is never held as one string."""
-    return (items[start:start + 512] for start in range(0, len(items), 512))
-
-
-def _float_table(rows, indent: str) -> str | None:
-    """``rows`` as the items of a JSON array at ``indent``, if they are
-    exact floats (``repr`` of a numpy scalar differs) or equal-length
-    rows of them, else None: one cached ``%r`` template filled at once.
-    Every scan of the items runs in C."""
-    kinds = set(map(type, rows))
-    if kinds == {float}:
-        return _table_text(rows, indent, 0, len(rows))
-    widths = set(map(len, rows)) if kinds.issubset(_JSON_ARRAYS) else ()
-    if len(widths) != 1 or 0 in widths:
-        return None
-    width, = widths
-    flat = tuple(itertools.chain.from_iterable(rows))
-    if operator.countOf(map(type, flat), float) != len(flat):
-        return None
-    return _table_text(flat, indent, width, len(rows))
-
-
-def _table_text(flat, indent: str, width: int, rows: int) -> str:
-    """The floats ``flat`` as ``rows`` items of a JSON array at
-    ``indent``, each an array of ``width`` of them (width 0: bare)."""
-    text = _table_template(indent, width, rows) % tuple(flat)
-    if "n" in text:  # repr gives nan, inf and -inf
-        text = text.replace("nan", "NaN").replace("inf", "Infinity")
-    return text
-
-
 @functools.lru_cache(maxsize=64)
 def _table_template(indent: str, width: int, rows: int) -> str:
     """``%`` template of ``rows`` table rows at ``indent``: one ``%r`` per
@@ -240,14 +205,13 @@ def _json_chunks(value, indent: str = ""):
     pieces, for ``value`` nested at ``indent``.
 
     Dicts with string keys and non-empty lists and tuples are walked
-    here, by exact type, a block of items at a time: a block that
-    ``_float_table`` takes is written whole, the items of any other one
-    by one, in the same layout.  A non-empty 1-D or 2-D float64 array
-    is a table by its dtype, written a block of rows at a time.  Keys
-    and leaves of ``_SCALAR_TEXT``'s types are written by its
-    primitives; empty containers and dicts with other keys go to the
-    stdlib encoder, re-indented (JSON text holds no raw newline); any
-    other type through ``_json_native`` first.
+    here, by exact type, item by item.  A non-empty 1-D or 2-D float64
+    array is a table, by its dtype: each block of 512 rows (so a long
+    table is never held as one string) fills one cached template at
+    once.  Keys and leaves of ``_SCALAR_TEXT``'s types are written by
+    its primitives; empty containers and dicts with other keys go to
+    the stdlib encoder, re-indented (JSON text holds no raw newline);
+    any other type through ``_json_native`` first.
     """
     inner = indent + "  "
     kind = type(value)
@@ -255,27 +219,25 @@ def _json_chunks(value, indent: str = ""):
             and value.size):
         width = value.shape[1] if value.ndim == 2 else 0
         opener = "[\n"
-        for block in _blocks(value):
-            yield opener + inner + _table_text(block.ravel().tolist(), inner,
-                                               width, len(block))
+        for start in range(0, len(value), 512):
+            block = value[start:start + 512]
+            text = (_table_template(inner, width, len(block))
+                    % tuple(block.ravel().tolist()))
+            if "n" in text:  # repr gives nan, inf and -inf
+                text = text.replace("nan", "NaN").replace("inf", "Infinity")
+            yield opener + inner + text
             opener = ",\n"
         yield "\n" + indent + "]"
     elif kind in _JSON_ARRAYS and value:
         opener = "[\n"
-        for block in _blocks(value):
-            table = _float_table(block, inner)
-            if table is not None:
-                yield opener + inner + table
-                opener = ",\n"
-                continue
-            for item in block:
-                scalar = _SCALAR_TEXT.get(type(item))
-                if scalar is not None:
-                    yield f"{opener}{inner}{scalar(item)}"
-                else:
-                    yield opener + inner
-                    yield from _json_chunks(item, inner)
-                opener = ",\n"
+        for item in value:
+            scalar = _SCALAR_TEXT.get(type(item))
+            if scalar is not None:
+                yield f"{opener}{inner}{scalar(item)}"
+            else:
+                yield opener + inner
+                yield from _json_chunks(item, inner)
+            opener = ",\n"
         yield "\n" + indent + "]"
     elif kind is dict and value and all(
         map(isinstance, value, itertools.repeat(str))
@@ -564,8 +526,7 @@ def cmd_lift(args) -> int:
     base_texts = iter(_vector_texts(vertices, vector_components(
         [item.base for item in items if item.origin == "lift"]
     )))
-    if args.output:  # the JSON form is built only to be written
-        payload = iter(vector_payload(items, components))
+    tables = iter(components)  # each vector's JSON table
     for group in groups:
         mu = group.mu
         if mu is None:
@@ -587,11 +548,10 @@ def cmd_lift(args) -> int:
             label = f"vector {index + 1}" if mu is None else item.origin
             lines.append(f"  {label} (relative residual {rel:.3g}):")
             lines.append(next(texts))
-            if args.output:
-                data = next(payload)
-                entries.append({"mu": mu, "lambda": data["lambda"],
-                                "origin": item.origin, "residual": rel,
-                                "vector": data["vector"]})
+            entries.append({
+                "mu": mu, "lambda": [item.lam.real, item.lam.imag],
+                "origin": item.origin, "residual": rel, "vector": next(tables),
+            })
         if group.independent is not None:
             passed = passed and group.independent
             verdict = ("H-linearly independent" if group.independent
@@ -702,7 +662,7 @@ def cmd_verify(args) -> int:
 def _golden_suite(tol: float):
     """Worked examples with frozen expected values.
 
-    Yields (description, ok, detail) triples; every mismatch carries the
+    Returns (description, ok, detail) triples; every mismatch carries the
     observed value so failures are diagnosable from the output alone.
     """
     sq2 = math.sqrt(2.0)
@@ -712,6 +672,24 @@ def _golden_suite(tol: float):
     def add(description: str, ok: bool, detail: str = ""):
         checks.append((description, bool(ok), detail))
 
+    def classes(description: str, got, want, sep: str = "; "):
+        # (value, multiplicity) pairs against ``want``, in order.
+        add(description, len(got) == len(want) and all(
+            abs(value - target) <= tol and count == expected
+            for (value, count), (target, expected) in zip(got, want)
+        ), "got " + sep.join(f"{value:.6g} x{count}" for value, count in got))
+
+    def factors(description: str, got, want):
+        # Minimal-polynomial factors, each of exponent 1, against ``want``.
+        add(description, len(got) == len(want) and all(
+            f.exponent == 1 and np.allclose(f.coefficients, coeffs, atol=tol)
+            for f, coeffs in zip(got, want)
+        ), f"got {[f.coefficients for f in got]}")
+
+    def span(description: str, vector: QMatrix, golden: list):
+        # ``vector`` spans the same right H-line as the known ``golden``.
+        add(description, h_rank(QMatrix.hstack([vector, qvec(golden)])) == 1)
+
     # Quaternion algebra.
     add("i*j = k and j*i = -k",
         (QI * QJ - QK).is_zero() and (QJ * QI + QK).is_zero())
@@ -720,56 +698,26 @@ def _golden_suite(tol: float):
 
     # Example A: diag(1, k).
     m1 = QMatrix.diag([Quaternion(1.0), QK])
-    classes = right_eigenvalues(m1)
-    ok = (
-        len(classes) == 2
-        and abs(classes[0][0].rep - 1j) <= tol and classes[0][1] == 1
-        and abs(classes[1][0].rep - 1.0) <= tol and classes[1][1] == 1
-    )
-    add("diag(1,k): classes {class of i, class of 1}", ok,
-        "got " + "; ".join(f"{c.rep:.6g} x{m}" for c, m in classes))
-    mp = minimal_polynomial(m1)
-    ok = (
-        len(mp.factors) == 2
-        and mp.factors[0].exponent == 1 and mp.factors[1].exponent == 1
-        and np.allclose(mp.factors[0].coefficients, (1.0, 0.0, 1.0), atol=tol)
-        and np.allclose(mp.factors[1].coefficients, (1.0, -1.0), atol=tol)
-    )
-    add("diag(1,k): minimal polynomial (y^2+1)(y-1)", ok,
-        f"got {[f.coefficients for f in mp.factors]}")
-    v = right_eigenvector(m1, 1j)
-    golden = qvec([Quaternion(), Quaternion(1, 0, -1, 0)])
-    add("diag(1,k): eigenvector for i proportional to (0, 1-j)",
-        h_rank(QMatrix.hstack([v, golden])) == 1)
+    classes("diag(1,k): classes {class of i, class of 1}",
+            [(c.rep, m) for c, m in right_eigenvalues(m1)],
+            [(1j, 1), (1.0, 1)])
+    factors("diag(1,k): minimal polynomial (y^2+1)(y-1)",
+            minimal_polynomial(m1).factors, [(1.0, 0.0, 1.0), (1.0, -1.0)])
+    span("diag(1,k): eigenvector for i proportional to (0, 1-j)",
+         right_eigenvector(m1, 1j), [Quaternion(), Quaternion(1, 0, -1, 0)])
 
     # Example B: [[0, i], [j, 0]].
     m2 = QMatrix.from_rows([[Quaternion(), QI], [QJ, Quaternion()]])
-    classes = right_eigenvalues(m2)
-    want = [complex(-1.0, 1.0) / sq2, complex(1.0, 1.0) / sq2]
-    ok = (
-        len(classes) == 2
-        and all(
-            abs(cls.rep - target) <= tol and mult == 1
-            for (cls, mult), target in zip(classes, want)
-        )
-    )
-    add("[[0,i],[j,0]]: classes {(+-1+i)/sqrt2}", ok,
-        "got " + "; ".join(f"{c.rep:.6g} x{m}" for c, m in classes))
-    mp = minimal_polynomial(m2)
-    ok = (
-        len(mp.factors) == 2
-        and np.allclose(mp.factors[0].coefficients, (1.0, sq2, 1.0), atol=tol)
-        and np.allclose(mp.factors[1].coefficients, (1.0, -sq2, 1.0), atol=tol)
-    )
-    add("[[0,i],[j,0]]: minimal polynomial (y^2+sqrt2 y+1)(y^2-sqrt2 y+1)",
-        ok, f"got {[f.coefficients for f in mp.factors]}")
-    v = right_eigenvector(m2, complex(1.0, 1.0) / sq2)
-    golden = qvec([
-        Quaternion(1, 0, -1, 0),
-        Quaternion(1 / sq2, -1 / sq2, 1 / sq2, 1 / sq2),
-    ])
-    add("[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
-        h_rank(QMatrix.hstack([v, golden])) == 1)
+    classes("[[0,i],[j,0]]: classes {(+-1+i)/sqrt2}",
+            [(c.rep, m) for c, m in right_eigenvalues(m2)],
+            [(complex(-1.0, 1.0) / sq2, 1), (complex(1.0, 1.0) / sq2, 1)])
+    factors("[[0,i],[j,0]]: minimal polynomial (y^2+sqrt2 y+1)(y^2-sqrt2 y+1)",
+            minimal_polynomial(m2).factors,
+            [(1.0, sq2, 1.0), (1.0, -sq2, 1.0)])
+    span("[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
+         right_eigenvector(m2, complex(1.0, 1.0) / sq2),
+         [Quaternion(1, 0, -1, 0),
+          Quaternion(1 / sq2, -1 / sq2, 1 / sq2, 1 / sq2)])
 
     # Example C: the complete triangle with loops at every vertex.
     instance = load_bundled("k3_loops")
@@ -792,59 +740,33 @@ def _golden_suite(tol: float):
     add("k3_loops: transition matrix spot entries", ok)
 
     spectrum = full_spectrum(graph, weights, want_oracle=True, tol=tol)
-    got_mu = group_mus(spectrum.mu_spectrum)
-    ok = (
-        len(got_mu) == 2
-        and abs(got_mu[0][0] + 2.0 / 3.0) <= tol and got_mu[0][1] == 2
-        and abs(got_mu[1][0] - 4.0 / 3.0) <= tol and got_mu[1][1] == 4
-    )
-    add("k3_loops: base spectrum {-2/3 x2, 4/3 x4}", ok,
-        "got " + ", ".join(f"{v:.6g} x{c}" for v, c in got_mu))
-    want_classes = [
-        (complex(-1.0), 3),
-        (complex(-1.0 / 3.0, 2.0 * sq2 / 3.0), 2),
-        (complex(2.0 / 3.0, sq5 / 3.0), 4),
-    ]
-    ok = len(spectrum.classes) == 3 and all(
-        abs(cls.rep - rep) <= tol and cls.multiplicity == mult
-        for cls, (rep, mult) in zip(spectrum.classes, want_classes)
-    )
-    add("k3_loops: classes {-1 x3, (-1+2sqrt2 i)/3 x2, (2+sqrt5 i)/3 x4}",
-        ok,
-        "got " + "; ".join(
-            f"{c.rep:.6g} x{c.multiplicity}" for c in spectrum.classes
-        ))
+    classes("k3_loops: base spectrum {-2/3 x2, 4/3 x4}",
+            group_mus(spectrum.mu_spectrum),
+            [(-2.0 / 3.0, 2), (4.0 / 3.0, 4)], sep=", ")
+    classes("k3_loops: classes {-1 x3, (-1+2sqrt2 i)/3 x2, (2+sqrt5 i)/3 x4}",
+            [(c.rep, c.multiplicity) for c in spectrum.classes],
+            [(complex(-1.0), 3), (complex(-1.0 / 3.0, 2.0 * sq2 / 3.0), 2),
+             (complex(2.0 / 3.0, sq5 / 3.0), 4)])
     add("k3_loops: theorem spectrum matches direct diagonalization",
         spectrum.oracle is not None and spectrum.oracle.matched,
         f"max distance {spectrum.oracle.max_distance:.3g}")
 
-    mp = minimal_polynomial(ops.U)
-    want_factors = [
-        (1.0, 1.0),
-        (1.0, 2.0 / 3.0, 1.0),
-        (1.0, -4.0 / 3.0, 1.0),
-    ]
-    ok = len(mp.factors) == 3 and all(
-        f.exponent == 1 and np.allclose(f.coefficients, want, atol=tol)
-        for f, want in zip(mp.factors, want_factors)
-    )
-    add("k3_loops: minimal polynomial (y+1)(y^2+2/3 y+1)(y^2-4/3 y+1)", ok,
-        f"got {[f.coefficients for f in mp.factors]}")
     subspaces = root_subspaces(ops.U)
+    factors("k3_loops: minimal polynomial (y+1)(y^2+2/3 y+1)(y^2-4/3 y+1)",
+            [s.factor for s in subspaces],
+            [(1.0, 1.0), (1.0, 2.0 / 3.0, 1.0), (1.0, -4.0 / 3.0, 1.0)])
     dims = [s.dimension for s in subspaces]
     add("k3_loops: root subspace dimensions (3, 2, 4) summing to 9",
         dims == [3, 2, 4], f"got {dims}")
 
     lam_p, _ = spectral_map(-2.0 / 3.0)
-    lifted = lift_eigenvector(ops, qvec([1.0, 1.0, 1.0]), lam_p)
-    u1 = qvec([
-        Quaternion(sq2, 1), Quaternion(-sq2, -1),
-        Quaternion(0, 0, 1, sq2), Quaternion(0, 0, -1, -sq2),
-        Quaternion(0, 0, -sq2, 1), Quaternion(0, 0, sq2, -1),
-        Quaternion(2, sq2), Quaternion(2, sq2), Quaternion(2, sq2),
-    ])
-    add("k3_loops: lift of (1,1,1) at mu=-2/3 is proportional to the "
-        "known eigenvector", h_rank(QMatrix.hstack([lifted, u1])) == 1)
+    span("k3_loops: lift of (1,1,1) at mu=-2/3 is proportional to the "
+         "known eigenvector",
+         lift_eigenvector(ops, qvec([1.0, 1.0, 1.0]), lam_p),
+         [Quaternion(sq2, 1), Quaternion(-sq2, -1),
+          Quaternion(0, 0, 1, sq2), Quaternion(0, 0, -1, -sq2),
+          Quaternion(0, 0, -sq2, 1), Quaternion(0, 0, sq2, -1),
+          Quaternion(2, sq2), Quaternion(2, sq2), Quaternion(2, sq2)])
 
     direct_goldens = [
         qvec([QI, QI, Quaternion(), Quaternion(), Quaternion(), Quaternion(),

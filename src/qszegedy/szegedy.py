@@ -1286,16 +1286,15 @@ def verify_structure(ops: WalkOperators) -> StructureReport:
 
     Every row can fail.  ``L* J0 L = W`` compares ``(J0 L)* L`` with the W
     that ``build_walk`` forms from L's parts in place, for every weighting.
-    ``K* K = 2I``, ``L* L = 2I`` and ``U* U = I`` (at ``UNITARITY_TOL``)
-    fail on weights that miss the unitarity condition: the first two once
-    a vertex's deviation passes ``STRUCTURE_TOL / 2``.
+    ``K* K = 2I`` (also ``L* L``, as K is ``J0 L``) and ``U* U = I`` (at
+    ``UNITARITY_TOL``) fail on weights that miss the unitarity condition,
+    the first once a vertex's deviation passes ``STRUCTURE_TOL / 2``.
     """
     two_eye = QMatrix.eye(ops.graph.n).scale(2.0)
     eye_m = QMatrix.eye(ops.graph.m_prime)
     K, L, U = ops.K, ops.L, ops.U
     rows = [
         ("K* K = 2I", (K.H @ K - two_eye).max_entry_norm(), STRUCTURE_TOL),
-        ("L* L = 2I", (L.H @ L - two_eye).max_entry_norm(), STRUCTURE_TOL),
         ("L* J0 L = W", (K.H @ L - ops.W).max_entry_norm(), STRUCTURE_TOL),
         ("U* U = I", (U.H @ U - eye_m).max_entry_norm(), UNITARITY_TOL),
     ]

@@ -639,12 +639,40 @@ class TestRowLabels:
         assert labels and labels == arcs * (len(labels) // len(arcs))
 
 
+EXAMPLE_CHECKS = [
+    "i*j = k and j*i = -k",
+    "x * x^-1 = 1",
+    "diag(1,k): classes {class of i, class of 1}",
+    "diag(1,k): minimal polynomial (y^2+1)(y-1)",
+    "diag(1,k): eigenvector for i proportional to (0, 1-j)",
+    "[[0,i],[j,0]]: classes {(+-1+i)/sqrt2}",
+    "[[0,i],[j,0]]: minimal polynomial (y^2+sqrt2 y+1)(y^2-sqrt2 y+1)",
+    "[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
+    "k3_loops: doubly weighted matrix has 2/3 diagonal, -2/3 off",
+    "k3_loops: transition matrix spot entries",
+    "k3_loops: base spectrum {-2/3 x2, 4/3 x4}",
+    "k3_loops: classes {-1 x3, (-1+2sqrt2 i)/3 x2, (2+sqrt5 i)/3 x4}",
+    "k3_loops: theorem spectrum matches direct diagonalization",
+    "k3_loops: minimal polynomial (y+1)(y^2+2/3 y+1)(y^2-4/3 y+1)",
+    "k3_loops: root subspace dimensions (3, 2, 4) summing to 9",
+    "k3_loops: lift of (1,1,1) at mu=-2/3 is proportional to the known "
+    "eigenvector",
+    "k3_loops: three independent eigenvectors at lambda=-1",
+]
+
+
 class TestExamples:
     def test_all_pass(self, capsys):
         code, out, _ = run(capsys, "examples")
         assert code == 0
         assert out.count("  ok  ") == 17
         assert "result: PASS (17/17)" in out
+
+    def test_checks_in_order(self, capsys):
+        # The descriptions are literals: a rename, reorder or drop shows.
+        _, out, _ = run(capsys, "examples")
+        checks = [line for line in out.splitlines() if line.startswith("  ")]
+        assert checks == [f"  ok  {desc}" for desc in EXAMPLE_CHECKS]
 
     def test_deterministic(self, capsys):
         _, first, _ = run(capsys, "examples")

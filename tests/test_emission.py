@@ -63,8 +63,8 @@ scalars = floats | ints | st.booleans() | st.none() | texts | numpy_scalars
 
 
 def float_tables():
-    """Flat float lists and lists of equal-length float rows: the
-    writer's template path."""
+    """Flat float lists and lists of equal-length float rows, the shape
+    of report lists such as ``psi_u_spectrum``."""
     return st.integers(0, 4).flatmap(
         lambda width: st.lists(
             floats if width == 0 else st.lists(floats, min_size=width,
@@ -75,7 +75,8 @@ def float_tables():
 
 
 def near_tables():
-    """Rows that only nearly qualify: ints among floats, ragged rows."""
+    """Float lists with ints or numpy scalars among the floats, and
+    ragged rows."""
     return (
         st.lists(st.lists(floats | ints, min_size=2, max_size=2), min_size=1)
         | st.lists(st.lists(floats, max_size=3), min_size=2)
@@ -113,8 +114,9 @@ def test_writer_matches_stdlib_encoder(value):
     assert "".join(_json_chunks(value)) == reference(value)
 
 
-def test_writer_template_path_spans_blocks():
-    # Tables longer than one block of rows, with every special value.
+def test_writer_walks_long_float_lists():
+    # Long float lists and lists of float rows, every special value
+    # included, go through the item walk.
     rng = np.random.default_rng(3)
     flat = (rng.standard_normal(4 * 1300) * 10.0 ** rng.integers(
         -300, 300, 4 * 1300)).tolist()

@@ -510,7 +510,7 @@ def test_verify_structure_all_bundled():
         report = verify_structure(build_walk(inst.graph, inst.weights))
         assert report.passed, name
         assert {c.name for c in report.checks} == {
-            "K* K = 2I", "L* L = 2I", "L* J0 L = W", "U* U = I",
+            "K* K = 2I", "L* J0 L = W", "U* U = I",
         }
 
 
@@ -536,7 +536,7 @@ def test_verify_structure_unitarity_rows_fail_on_a_scaled_weight():
     q[0] *= math.sqrt(1.0 + 1e-9)
     report = verify_structure(build_walk(inst.graph, q))
     assert {c.name for c in report.checks if not c.ok} == {
-        "K* K = 2I", "L* L = 2I", "U* U = I",
+        "K* K = 2I", "U* U = I",
     }
 
 
