@@ -16,6 +16,7 @@ import argparse
 import atexit
 import gc
 import sys
+import warnings
 
 from . import __version__
 from .errors import QWalkError, ValidationError
@@ -94,6 +95,7 @@ def main(argv=None) -> int:
 
     from . import commands
 
+    saved, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return getattr(commands, f"cmd_{args.command}")(args)
     except ValidationError as exc:
@@ -102,6 +104,16 @@ def main(argv=None) -> int:
     except (QWalkError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        warnings.formatwarning = saved
+
+
+def _format_warning(message, *_location) -> str:
+    """``warnings.formatwarning`` while a command runs: a warning prints
+    as one ``warning: <message>`` line, without the file path and source
+    line of Python's format, so stderr does not depend on where the
+    package is installed.  Filters, ``-W`` and recording still apply."""
+    return f"warning: {message}\n"
 
 
 def run() -> int:

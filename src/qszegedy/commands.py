@@ -206,9 +206,8 @@ def _json_chunks(value, indent: str = ""):
 
     Dicts with string keys and non-empty lists and tuples are walked
     here, by exact type, item by item.  A non-empty 1-D or 2-D float64
-    array is a table, by its dtype: each block of 512 rows (so a long
-    table is never held as one string) fills one cached template at
-    once.  Keys and leaves of ``_SCALAR_TEXT``'s types are written by
+    array is a table, by its dtype, written by one fill of a cached
+    template.  Keys and leaves of ``_SCALAR_TEXT``'s types are written by
     its primitives; empty containers and dicts with other keys go to
     the stdlib encoder, re-indented (JSON text holds no raw newline);
     any other type through ``_json_native`` first.
@@ -218,16 +217,11 @@ def _json_chunks(value, indent: str = ""):
     if (kind is np.ndarray and value.dtype == float and value.ndim in (1, 2)
             and value.size):
         width = value.shape[1] if value.ndim == 2 else 0
-        opener = "[\n"
-        for start in range(0, len(value), 512):
-            block = value[start:start + 512]
-            text = (_table_template(inner, width, len(block))
-                    % tuple(block.ravel().tolist()))
-            if "n" in text:  # repr gives nan, inf and -inf
-                text = text.replace("nan", "NaN").replace("inf", "Infinity")
-            yield opener + inner + text
-            opener = ",\n"
-        yield "\n" + indent + "]"
+        text = (_table_template(inner, width, len(value))
+                % tuple(value.ravel().tolist()))
+        if "n" in text:  # repr gives nan, inf and -inf
+            text = text.replace("nan", "NaN").replace("inf", "Infinity")
+        yield f"[\n{inner}{text}\n{indent}]"
     elif kind in _JSON_ARRAYS and value:
         opener = "[\n"
         for item in value:
@@ -381,13 +375,6 @@ def _vector_texts(labels: list[str], components: np.ndarray,
             for lines, begin, end in zip(templates.tolist(), [0] + ends, ends)
         ]
     return texts
-
-
-def _vector_lines(labels: list[str], vec: QMatrix,
-                  indent: str = "    ") -> list[str]:
-    """The lines ``_vector_texts`` prints for the single vector ``vec``."""
-    text, = _vector_texts(labels, vector_components([vec]), indent)
-    return text.split("\n")
 
 
 # ---------------------------------------------------------------- spectrum

@@ -110,10 +110,6 @@ class Graph(Frozen):
     def is_connected(self) -> bool:
         return self.components() == 1
 
-    def is_tree_core(self) -> bool:
-        """True when the loopless graph is a tree."""
-        return self.m0 == self.n - 1 and self.is_connected()
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

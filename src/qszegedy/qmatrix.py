@@ -183,12 +183,6 @@ class QMatrix:
             [self.a.real, self.a.imag, self.b.real, -self.b.imag], axis=-1
         )
 
-    def to_rows(self) -> list[list[Quaternion]]:
-        return [
-            [self.entry(r, c) for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
-
     def column(self, c: int) -> "QMatrix":
         return QMatrix(self.a[:, c:c + 1], self.b[:, c:c + 1])
 

@@ -250,17 +250,6 @@ class ConjugacyClass(_ClassFields):
         # ``_replace`` builds through here: canonicalise there too.
         return cls(*iterable)
 
-    def is_real(self, tol: float = CLASS_TOL) -> bool:
-        return self.rep.imag <= tol * max(1.0, abs(self.rep))
-
-    def contains(self, q, tol: float = CLASS_TOL) -> bool:
-        q = as_quaternion(q)
-        scale = max(1.0, abs(self.rep))
-        return (
-            abs(self.rep.real - q.x0) <= tol * scale
-            and abs(abs(self.rep) - abs(q)) <= tol * scale
-        )
-
     def matches(self, other: "ConjugacyClass", tol: float = CLASS_TOL) -> bool:
         scale = max(1.0, abs(self.rep))
         return abs(self.rep - other.rep) <= tol * scale

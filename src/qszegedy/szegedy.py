@@ -524,18 +524,18 @@ def _support_check(graph: Graph, direct, other, label: str) -> None:
         )
 
 
-def spectral_map(mu: float, clamp_tol: float = MU_CLAMP_TOL):
+def spectral_map(mu: float):
     """Map a base eigenvalue ``mu`` to the walk eigenvalue pair.
 
     Returns ``(lam_plus, lam_minus)`` with
     ``lam = mu/2 +- i sqrt(1 - (mu/2)^2)``; the pair is conjugate and of
     unit modulus.  ``mu`` must be real in ``[-2, 2]``; values beyond by
-    at most ``clamp_tol`` are clamped with a warning, anything further
+    at most ``MU_CLAMP_TOL`` are clamped with a warning, anything further
     out raises, since it signals a non-unitary instance upstream.
     """
     mu = float(mu)
     excess = abs(mu) - 2.0
-    if excess > clamp_tol:
+    if excess > MU_CLAMP_TOL:
         raise ValidationError(
             f"base eigenvalue {mu!r} lies outside [-2, 2]; the spectral map "
             "applies only to walks satisfying the unitarity condition"
@@ -941,12 +941,13 @@ def _walk_spectrum(
     )
 
 
-def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
+def group_mus(mus) -> list[tuple[float, int]]:
     """Cluster sorted base eigenvalues into (cluster mean, psi count) pairs.
 
     A value joins the current cluster when it lies within
-    ``tol * max(1, |mu|)`` of the cluster's first member and its walk
-    value ``mu/2 + i sqrt(1 - (mu/2)^2)`` within ``tol`` of that member's.
+    ``SPECTRUM_TOL * max(1, |mu|)`` of the cluster's first member and its
+    walk value ``mu/2 + i sqrt(1 - (mu/2)^2)`` within ``SPECTRUM_TOL`` of
+    that member's.
     Near +-2 the square root stretches base gaps, so the walk test splits
     values whose classes the theorem path tells apart.  On a snapped
     spectrum within ``[-2 - MU_SNAP_TOL, 2 + MU_SNAP_TOL]`` a cluster at
@@ -959,8 +960,9 @@ def group_mus(mus, tol: float = SPECTRUM_TOL) -> list[tuple[float, int]]:
     for mu in mus:
         if (
             groups
-            and abs(mu - groups[-1][0]) <= tol * max(1.0, abs(mu))
-            and abs(_walk_value(mu) - _walk_value(groups[-1][0])) <= tol
+            and abs(mu - groups[-1][0]) <= SPECTRUM_TOL * max(1.0, abs(mu))
+            and abs(_walk_value(mu) - _walk_value(groups[-1][0]))
+            <= SPECTRUM_TOL
         ):
             groups[-1].append(mu)
         else:
@@ -1194,12 +1196,7 @@ def _walk_residual(ops: WalkOperators, vec: QMatrix, lam: complex) -> float:
     return (_apply_walk(ops, vec) - vec.right_scalar(lam)).fro_norm()
 
 
-def lift_eigenvector(
-    ops: WalkOperators,
-    v: QMatrix,
-    lam: complex,
-    residual_tol: float = SPECTRUM_TOL,
-) -> QMatrix:
+def lift_eigenvector(ops: WalkOperators, v: QMatrix, lam: complex) -> QMatrix:
     """Lift a doubly-weighted-matrix eigenvector to the walk.
 
     ``v`` must satisfy ``W v = v mu`` for ``mu = lam + 1/lam`` (checked;
@@ -1207,16 +1204,16 @@ def lift_eigenvector(
 
         e = J0 L v - L v (1/lam),
 
-    right-complex-linear in ``v``, and satisfies ``U e = e lam``.  At
-    ``lam = +-1`` the two branches coincide and the lift degenerates;
-    a vanishing result raises DegenerateLiftError.
+    right-complex-linear in ``v``, and satisfies ``U e = e lam``.  Both
+    residuals, ``W v - v mu`` and ``U e - e lam``, must lie within
+    ``SPECTRUM_TOL`` relative to the vector's norm.  At ``lam = +-1`` the
+    two branches coincide and the lift degenerates; a vanishing result
+    raises DegenerateLiftError.
     """
-    return _lift(ops, v, lam, residual_tol)[0]
+    return _lift(ops, v, lam)[0]
 
 
-def _lift(
-    ops: WalkOperators, v, lam, residual_tol: float = SPECTRUM_TOL
-) -> tuple[QMatrix, float]:
+def _lift(ops: WalkOperators, v, lam) -> tuple[QMatrix, float]:
     """:func:`lift_eigenvector` plus the absolute walk residual it checked."""
     if not isinstance(v, QMatrix):
         v = qvec(v)
@@ -1237,10 +1234,10 @@ def _lift(
     if vnorm == 0.0:
         raise ValidationError("cannot lift the zero vector")
     base_residual = (ops.W @ v - v.right_scalar(mu.real)).fro_norm()
-    if base_residual > residual_tol * vnorm:
+    if base_residual > SPECTRUM_TOL * vnorm:
         raise ValidationError(
             f"input is not an eigenvector of the doubly weighted matrix: "
-            f"residual {base_residual:.3g} exceeds {residual_tol * vnorm:.3g}"
+            f"residual {base_residual:.3g} exceeds {SPECTRUM_TOL * vnorm:.3g}"
         )
     lv = ops.L @ v
     lifted = lv.take_rows(ops.graph.inverse) - lv.right_scalar(1.0 / lam)
@@ -1250,10 +1247,10 @@ def _lift(
             "+1 and -1 need direct eigenvector extraction instead"
         )
     residual = _walk_residual(ops, lifted, lam)
-    if residual > residual_tol * lifted.fro_norm():
+    if residual > SPECTRUM_TOL * lifted.fro_norm():
         raise NumericalError(
             f"lifted vector residual {residual:.3g} exceeds "
-            f"{residual_tol * lifted.fro_norm():.3g}"
+            f"{SPECTRUM_TOL * lifted.fro_norm():.3g}"
         )
     return lifted, residual
 

@@ -10,7 +10,7 @@ import pytest
 
 from qszegedy import __version__, cli, commands
 from qszegedy.cli import main
-from qszegedy.commands import _row_labels, _vector_lines
+from qszegedy.commands import _row_labels, _vector_texts
 from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.instances import (
@@ -29,6 +29,7 @@ from qszegedy.szegedy import (
     full_spectrum,
     random_instance,
     uniform_weights,
+    vector_components,
 )
 
 
@@ -610,6 +611,12 @@ def test_vector_lines_match_entry_formatting(rows):
     assert [line.split(": ", 1)[1] for line in lines] == expected
     assert expected[:3] == ["0", "1.5e-07-0.25i+0.5k", "2i-1j"]
     assert lines[0].startswith("  v1: " if rows == 3 else "  1->2: ")
+
+
+def _vector_lines(labels, vec: QMatrix, indent: str = "    ") -> list[str]:
+    """The lines ``_vector_texts`` prints for the single vector ``vec``."""
+    text, = _vector_texts(labels, vector_components([vec]), indent)
+    return text.split("\n")
 
 
 class TestRowLabels:

@@ -26,7 +26,6 @@ from qszegedy.commands import (
     _json_chunks,
     _json_native,
     _row_labels,
-    _vector_lines,
     _vector_texts,
     _write_json,
 )
@@ -164,6 +163,12 @@ def test_vector_lines_match_format_components(rows, data):
         for label, entry in zip(labels, vec.components()[:, 0].tolist())
     ]
     assert _vector_lines(labels, vec, indent="   ") == expected
+
+
+def _vector_lines(labels, vec: QMatrix, indent: str = "    ") -> list[str]:
+    """The lines ``_vector_texts`` prints for the single vector ``vec``."""
+    text, = _vector_texts(labels, vector_components([vec]), indent)
+    return text.split("\n")
 
 
 def _vector(entries) -> QMatrix:
@@ -463,8 +468,8 @@ def test_writer_matches_stdlib_on_near_tables(table, spoiler, data):
 
 @pytest.mark.parametrize("spoiled", [np.float64(0.5), 7, True, [0.5]])
 def test_writer_spoiled_block_of_a_long_table(spoiled):
-    # Each block of 512 items is a table or not on its own; the layout
-    # is the same either way.
+    # One entry of another type in a 1,300-item list, of rows or flat:
+    # the layout matches the stdlib's around it.
     rows = [[float(i), -0.5 * i] for i in range(1300)]
     flat = [float(i) for i in range(1300)]
     rows[700][1] = spoiled

@@ -9,9 +9,12 @@ it ends; ``cli.main`` itself leaves the collector as it found it.
 
 import gc
 import json
+import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -84,6 +87,35 @@ def test_process_matches_in_process_main(argv, expected, non_unitary,
         reports[side] += (out.read_bytes() if out.exists() else None,)
     assert reports["process"][0] == expected
     assert reports["process"] == reports["main"]
+
+
+@pytest.fixture(scope="module")
+def clamped(tmp_path_factory) -> Path:
+    """k4 with arc 0->1's weight scaled by sqrt(1 + 8e-11): one base
+    eigenvalue lands just above 2, inside the clamp window."""
+    data = json.loads(K4.read_text(encoding="utf-8"))
+    scale = math.sqrt(1 + 8e-11)
+    data["weights"]["0->1"] = [scale * x for x in data["weights"]["0->1"]]
+    path = tmp_path_factory.mktemp("instances") / "k4_over.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return path
+
+
+def test_a_library_warning_prints_one_line_without_its_source(
+        clamped, tmp_path, capsys, monkeypatch):
+    # In a process: in-process, pytest records the warning instead of
+    # printing it.
+    argv = ["spectrum", str(clamped), "--oracle"]
+    code, out, err = _subprocess(argv, tmp_path)
+    assert code == 0
+    assert re.fullmatch(r"warning: clamping base eigenvalue 2\.0+\d+ to "
+                        r"the interval \[-2, 2\]\n", err)
+    # Callers that record warnings still get them, and main restores
+    # the format it found.
+    formatwarning = warnings.formatwarning
+    with pytest.warns(UserWarning, match="clamping base eigenvalue"):
+        assert _in_process(argv, capsys, monkeypatch) == (0, out, "")
+    assert warnings.formatwarning is formatwarning
 
 
 @pytest.fixture(scope="module")

@@ -62,20 +62,21 @@ def test_arc_mask_and_lookup():
 def test_connectivity_and_tree_core():
     path = build_graph(3, [(0, 1), (1, 2)])
     assert path.is_connected()
-    assert path.is_tree_core()
+    assert path.m0 == path.n - 1 and path.is_connected()
     loops_only = build_graph(2, [], loops=[0, 1])
     assert not loops_only.is_connected()  # loops never join components
     cycle = build_graph(3, [(0, 1), (1, 2), (2, 0)])
-    assert not cycle.is_tree_core()
+    assert not (cycle.m0 == cycle.n - 1 and cycle.is_connected())
     tree_with_loops = build_graph(3, [(0, 1), (1, 2)], loops=[0, 2])
-    assert tree_with_loops.is_tree_core()
+    assert (tree_with_loops.m0 == tree_with_loops.n - 1
+            and tree_with_loops.is_connected())
     assert tree_with_loops.m1 == 2
 
 
 def test_single_vertex_with_loop():
     g = build_graph(1, [], loops=[0])
     assert g.is_connected()
-    assert g.is_tree_core()
+    assert g.m0 == g.n - 1 and g.is_connected()
     assert g.m_prime == 1
 
 

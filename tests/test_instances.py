@@ -185,14 +185,15 @@ class TestParseGraphSpec:
     def test_path(self):
         g = parse_graph_spec("P3")
         assert (g.n, g.m0, g.m1) == (3, 2, 0)
-        assert g.is_tree_core()
+        assert g.m0 == g.n - 1 and g.is_connected()
 
     def test_cycle(self):
         g = parse_graph_spec("C5")
         assert (g.n, g.m0, g.m1) == (5, 5, 0)
 
     def test_cycle_core_is_not_a_tree(self):
-        assert not parse_graph_spec("C5").is_tree_core()
+        g = parse_graph_spec("C5")
+        assert not (g.m0 == g.n - 1 and g.is_connected())
 
     def test_star_with_single_loop(self):
         g = parse_graph_spec("star3+loop")
