@@ -18,7 +18,7 @@ _EXPORTS = {
                    "ValidationError"),
         ("graph", "Graph build_graph"),
         ("qmatrix", "MinimalPolynomial PolyFactor QMatrix RootSubspace "
-                    "complex_eigen h_linear_independent is_unitary "
+                    "h_linear_independent is_unitary "
                     "minimal_polynomial psi qvec right_eigenbasis "
                     "right_eigenvalues right_eigenvector root_subspaces"),
         ("quaternion", "ConjugacyClass Quaternion class_of format_quaternion "
@@ -66,7 +66,6 @@ __all__ = [
     "build_walk",
     "check_unitary_condition",
     "class_of",
-    "complex_eigen",
     "format_quaternion",
     "full_spectrum",
     "h_linear_independent",

@@ -8,8 +8,6 @@ loads.  Once the arguments parse, ``main`` imports ``qszegedy.commands``
 
 Exit codes: 0 all checks passed, 1 a check failed or a numerical
 contract broke, 2 invalid input (file, flags, or domain errors).
-The environment variable ``QWALK_TOL`` overrides the default comparison
-tolerance (1e-8); ``--tol`` overrides both.
 """
 
 import argparse
@@ -37,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p):
         p.add_argument("--tol", type=float, default=None,
-                       help="comparison tolerance (default: QWALK_TOL or 1e-8)")
+                       help="comparison tolerance (default: 1e-8)")
         p.add_argument("--output", default=None,
                        help="also write the structured JSON report here")
 

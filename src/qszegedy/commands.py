@@ -18,7 +18,6 @@ import functools
 import itertools
 import json
 import math
-import os
 import sys
 from contextlib import contextmanager, nullcontext
 from json.encoder import encode_basestring_ascii
@@ -87,21 +86,13 @@ def _fmt_c(z: complex) -> str:
 
 
 def _resolve_tol(args) -> float:
-    if getattr(args, "tol", None) is not None:
-        source, tol = "--tol", float(args.tol)
-    else:
-        env = os.environ.get("QWALK_TOL")
-        if env is None:
-            return DEFAULT_TOL
-        try:
-            source, tol = "QWALK_TOL", float(env)
-        except ValueError:
-            raise ValidationError(
-                f"QWALK_TOL={env!r} is not a number"
-            ) from None
+    """``--tol``, or ``DEFAULT_TOL`` when the flag is absent."""
+    tol = getattr(args, "tol", None)
+    if tol is None:
+        return DEFAULT_TOL
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValidationError(
-            f"{source} must be a finite number >= 0, got {tol!r}"
+            f"--tol must be a finite number >= 0, got {tol!r}"
         )
     return tol
 

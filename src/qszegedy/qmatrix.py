@@ -44,7 +44,6 @@ __all__ = [
     "QMatrix",
     "RANK_TOL",
     "RootSubspace",
-    "complex_eigen",
     "from_psi",
     "h_linear_independent",
     "h_rank",
@@ -314,40 +313,21 @@ def _require_square(m: QMatrix) -> int:
     return m.rows
 
 
-def complex_eigen(c):
-    """Eigenpairs of a complex matrix in a deterministic order.
-
-    Returns a list of ``(eigenvalue, unit eigenvector)`` sorted by
-    descending ``|lam|`` and, on ties, ascending argument in
-    ``[0, 2*pi)``.
-    """
-    c = np.asarray(c, dtype=complex)
-    values, vectors = np.linalg.eig(c)
-    order = sorted(range(len(values)), key=lambda r: _eig_sort_key(values[r]))
-    return [(complex(values[r]), vectors[:, r].copy()) for r in order]
-
-
-def _eig_sort_key(lam: complex):
-    arg = float(np.angle(lam))
-    if arg < 0.0:
-        arg += 2.0 * np.pi
-    return (-abs(lam), arg)
-
-
-def right_eigenvalues(m: QMatrix, tol: float = CLUSTER_TOL):
+def right_eigenvalues(m: QMatrix):
     """Right spectrum of ``M`` as conjugacy classes with multiplicities.
 
     Returns ``[(ConjugacyClass, multiplicity)]`` sorted by the real then
     imaginary part of the class representative.  Values are grouped by
-    :func:`_psi_classes`, the one grouping rule of this module.
-    Multiplicities sum to the matrix dimension: each class soaks up an
-    even number of eigenvalues of ``psi(M)`` and counts half of them.
+    :func:`_psi_classes`, the one grouping rule of this module, at
+    ``CLUSTER_TOL`` (1e-6).  Multiplicities sum to the matrix dimension:
+    each class soaks up an even number of eigenvalues of ``psi(M)`` and
+    counts half of them.
     """
     n = _require_square(m)
     values = np.linalg.eigvals(psi(m))
     out = []
     total = 0
-    for rep, count in _psi_classes(values, tol):
+    for rep, count in _psi_classes(values):
         if count % 2:
             raise NumericalError(
                 "conjugate pairing failed: a class received an odd number "
@@ -364,17 +344,17 @@ def right_eigenvalues(m: QMatrix, tol: float = CLUSTER_TOL):
     return out
 
 
-def _psi_classes(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
+def _psi_classes(values: np.ndarray) -> list[tuple[complex, int]]:
     """Group eigenvalues of a psi image into conjugacy classes.
 
     Each value is folded into the upper half-plane and joins the first
-    class whose first member lies within ``tol`` times the spectral
-    radius (floored at 1) of it.  Classes closer than that read as one,
-    and so do the parts of a defective eigenvalue, which split by about
-    ``sqrt(eps * cond)``.  Returns each class's folded mean and its count
+    class whose first member lies within ``CLUSTER_TOL`` (1e-6) times the
+    spectral radius (floored at 1) of it.  Classes closer than that read
+    as one, and so do the parts of a defective eigenvalue, which split by
+    about ``sqrt(eps * cond)``.  Returns each class's folded mean and its count
     of psi eigenvalues, in order of first appearance.
     """
-    radius = tol * max(1.0, float(np.max(np.abs(values), initial=0.0)))
+    radius = CLUSTER_TOL * max(1.0, float(np.max(np.abs(values), initial=0.0)))
     groups: list[list[complex]] = []
     for lam in values:
         key = complex(lam.real, abs(lam.imag))
@@ -392,12 +372,13 @@ def _psi_classes(values: np.ndarray, tol: float) -> list[tuple[complex, int]]:
     return out
 
 
-def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
+def right_eigenvector(m: QMatrix, lam: complex) -> QMatrix:
     """One unit right eigenvector ``v`` with ``M v = v * lam``.
 
-    ``lam`` must sit within ``atol`` of the spectrum of ``psi(M)``.  The
-    companion ``v * j`` is then an eigenvector for ``conj(lam)``; callers
-    wanting it multiply by ``Quaternion(0, 0, 1, 0)`` on the right.
+    ``lam`` must sit within ``1e-7 * max(1, |lam|)`` of the spectrum of
+    ``psi(M)``.  The companion ``v * j`` is then an eigenvector for
+    ``conj(lam)``; callers wanting it multiply by ``Quaternion(0, 0, 1,
+    0)`` on the right.
     """
     _require_square(m)
     lam = complex(lam)
@@ -405,7 +386,7 @@ def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
     values, vectors = np.linalg.eig(c)
     dists = np.abs(values - lam)
     idx = int(np.argmin(dists))
-    if dists[idx] > atol * max(1.0, abs(lam)):
+    if dists[idx] > 1e-7 * max(1.0, abs(lam)):
         nearest = values[idx]
         raise ValidationError(
             f"{lam:.6g} is not an eigenvalue of psi(M); nearest is "
@@ -422,15 +403,13 @@ def right_eigenvector(m: QMatrix, lam: complex, atol: float = 1e-7) -> QMatrix:
     return _vec_from_psi(z)
 
 
-def _rank(s: np.ndarray, rank_tol: float, scale: float = 0.0) -> int:
+def _rank(s: np.ndarray, scale: float = 0.0) -> int:
     """Count the descending singular values ``s`` above
-    ``rank_tol * max(sigma_max, scale)``."""
-    return int(np.sum(s > rank_tol * max(s[0] if s.size else 0.0, scale)))
+    ``RANK_TOL * max(sigma_max, scale)``."""
+    return int(np.sum(s > RANK_TOL * max(s[0] if s.size else 0.0, scale)))
 
 
-def _nullspace(
-    c: np.ndarray, rank_tol: float = RANK_TOL, scale: float = 0.0
-) -> np.ndarray:
+def _nullspace(c: np.ndarray, scale: float = 0.0) -> np.ndarray:
     """Orthonormal nullspace basis (columns) of a complex matrix.
 
     ``scale`` floors the rank threshold: the size of the terms that
@@ -438,7 +417,7 @@ def _nullspace(
     is only rounding noise of ``M`` has a full kernel.
     """
     u, s, vh = np.linalg.svd(c)
-    return vh[_rank(s, rank_tol, scale):, :].conj().T
+    return vh[_rank(s, scale):, :].conj().T
 
 
 def _h_basis(
@@ -478,19 +457,15 @@ def _h_basis(
     return QMatrix._adopt(z[:half], z[half:])
 
 
-def _shifted_kernel(
-    c: np.ndarray, root: complex, power: int, rank_tol: float
-) -> np.ndarray:
+def _shifted_kernel(c: np.ndarray, root: complex, power: int) -> np.ndarray:
     """Orthonormal kernel (columns) of the shifted image
     ``(c - root I)^power``; ``|root|^power``, the size of what cancels,
     floors the rank threshold."""
     shifted = np.linalg.matrix_power(c - root * np.eye(c.shape[0]), power)
-    return _nullspace(shifted, rank_tol, abs(root) ** power)
+    return _nullspace(shifted, abs(root) ** power)
 
 
-def _root_basis(
-    c: np.ndarray, root: complex, power: int, rank_tol: float
-) -> list[QMatrix]:
+def _root_basis(c: np.ndarray, root: complex, power: int) -> list[QMatrix]:
     """Right H-basis, as columns, of the vectors that
     ``(psi(M) - root I)^power`` annihilates, for ``c = psi(M)``.
 
@@ -499,7 +474,7 @@ def _root_basis(
     gives one quaternionic vector; its companion ``v * j`` belongs to the
     conjugate root.
     """
-    ns = _shifted_kernel(c, root, power, rank_tol)
+    ns = _shifted_kernel(c, root, power)
     if root.imag != 0.0:
         return [_vec_from_psi(ns[:, r]) for r in range(ns.shape[1])]
     basis = _h_basis(
@@ -509,11 +484,11 @@ def _root_basis(
     return [basis.column(r) for r in range(basis.cols)]
 
 
-def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
+def right_eigenbasis(m: QMatrix, lam: complex):
     """All H-linearly-independent right eigenvectors for the class of
-    ``lam``, from :func:`_root_basis` at power 1; ``lam`` counts as real
-    when its imaginary part is within ``CLASS_TOL`` times the spectral
-    norm of ``psi(M)`` (floored at 1)."""
+    ``lam``, from :func:`_root_basis` at power 1 and ``RANK_TOL`` (1e-8);
+    ``lam`` counts as real when its imaginary part is within ``CLASS_TOL``
+    times the spectral norm of ``psi(M)`` (floored at 1)."""
     _require_square(m)
     lam = complex(lam)
     c = psi(m)
@@ -522,7 +497,7 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
         1.0, float(np.linalg.norm(c, 2))
     ):
         lam = complex(lam.real, 0.0)
-    basis = _root_basis(c, lam, 1, rank_tol)
+    basis = _root_basis(c, lam, 1)
     if not basis:
         raise ValidationError(
             f"{lam:.6g} is not an eigenvalue of psi(M) at rank tolerance"
@@ -530,12 +505,12 @@ def right_eigenbasis(m: QMatrix, lam: complex, rank_tol: float = RANK_TOL):
     return basis
 
 
-def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
+def h_linear_independent(vectors) -> bool:
     """Right H-linear independence test for quaternionic column vectors.
 
     Accepts a sequence of n x 1 QMatrix columns (or one n x k QMatrix)
     and checks that ``psi`` of the stacked matrix has full column rank;
-    singular values below ``rank_tol * sigma_max`` count as zero.
+    singular values below ``RANK_TOL * sigma_max`` (1e-8) count as zero.
     """
     if isinstance(vectors, QMatrix):
         stacked = vectors
@@ -550,24 +525,24 @@ def h_linear_independent(vectors, rank_tol: float = RANK_TOL) -> bool:
                     "expected column vectors of a common length"
                 )
         stacked = QMatrix.hstack(vectors)
-    return h_rank(stacked, rank_tol) == stacked.cols
+    return h_rank(stacked) == stacked.cols
 
 
-def h_rank(m: QMatrix, rank_tol: float = RANK_TOL) -> int:
+def h_rank(m: QMatrix) -> int:
     """Right H-rank of ``m``: half the numerical rank of ``psi(m)``, with
-    singular values below ``rank_tol * sigma_max`` counted as zero (``m``
-    is not shifted, so ``sigma_max`` is its own scale)."""
-    return _rank(np.linalg.svd(psi(m), compute_uv=False), rank_tol) // 2
+    singular values below ``RANK_TOL * sigma_max`` (1e-8) counted as zero
+    (``m`` is not shifted, so ``sigma_max`` is its own scale)."""
+    return _rank(np.linalg.svd(psi(m), compute_uv=False)) // 2
 
 
-def is_unitary(m: QMatrix, tol: float = 1e-10) -> bool:
-    """Whether ``M* M = I`` entrywise within ``tol``.
+def is_unitary(m: QMatrix) -> bool:
+    """Whether ``M* M = I`` entrywise within 1e-10.
 
     One side suffices: quaternionic matrices embed injectively into
     square complex matrices, where a one-sided inverse is two-sided.
     """
     n = _require_square(m)
-    return (m.H @ m - QMatrix.eye(n)).max_entry_norm() <= tol
+    return (m.H @ m - QMatrix.eye(n)).max_entry_norm() <= 1e-10
 
 
 class PolyFactor(NamedTuple):
@@ -629,20 +604,17 @@ class MinimalPolynomial(NamedTuple):
         return out
 
 
-def minimal_polynomial(
-    m: QMatrix,
-    cluster_tol: float = CLUSTER_TOL,
-    rank_tol: float = RANK_TOL,
-) -> MinimalPolynomial:
+def minimal_polynomial(m: QMatrix) -> MinimalPolynomial:
     """Minimal polynomial of a square quaternionic matrix.
 
     The candidate roots are the classes of :func:`_psi_classes` at
-    ``cluster_tol``.  A root whose imaginary part is within the grouping
-    radius is real and gives a degree-1 factor, any other a degree-2
-    factor with its conjugate.  A factor's exponent is the least power
-    ``k`` at which the nullity of ``(psi(M) - root I)^k`` reaches the
-    root's count of psi eigenvalues (half that count for a non-real root,
-    whose conjugate holds the other half) or stops growing.  When two
+    ``CLUSTER_TOL`` (1e-6), and kernels are ranked at ``RANK_TOL`` (1e-8).
+    A root whose imaginary part is within the grouping radius is real and
+    gives a degree-1 factor, any other a degree-2 factor with its
+    conjugate.  A factor's exponent is the least power ``k`` at which the
+    nullity of ``(psi(M) - root I)^k`` reaches the root's count of psi
+    eigenvalues (half that count for a non-real root, whose conjugate
+    holds the other half) or stops growing.  When two
     roots, or a root and the conjugate of another, pass within three
     times the radius a warning is emitted and recorded on the result,
     since the factorization is then sensitive to the tolerance choice.
@@ -650,10 +622,10 @@ def minimal_polynomial(
     _require_square(m)
     c = psi(m)
     values = np.linalg.eigvals(c)
-    radius = cluster_tol * max(1.0, float(np.max(np.abs(values))))
+    radius = CLUSTER_TOL * max(1.0, float(np.max(np.abs(values))))
     classes = [
         (complex(root.real, 0.0) if root.imag <= radius else root, count)
-        for root, count in _psi_classes(values, cluster_tol)
+        for root, count in _psi_classes(values)
     ]
 
     roots = np.array([root for root, _count in classes])
@@ -676,9 +648,9 @@ def minimal_polynomial(
     factors = []
     for root, count in classes:
         target = count if root.imag == 0.0 else count // 2
-        exponent, nullity = 1, _shifted_kernel(c, root, 1, rank_tol).shape[1]
+        exponent, nullity = 1, _shifted_kernel(c, root, 1).shape[1]
         while nullity < target:
-            grown = _shifted_kernel(c, root, exponent + 1, rank_tol).shape[1]
+            grown = _shifted_kernel(c, root, exponent + 1).shape[1]
             if grown == nullity:
                 break
             exponent, nullity = exponent + 1, grown
@@ -710,23 +682,20 @@ class RootSubspace(NamedTuple):
         return len(self.basis)
 
 
-def root_subspaces(
-    m: QMatrix,
-    cluster_tol: float = CLUSTER_TOL,
-    rank_tol: float = RANK_TOL,
-) -> list[RootSubspace]:
+def root_subspaces(m: QMatrix) -> list[RootSubspace]:
     """Root subspace decomposition along the minimal polynomial.
 
     Each subspace is ``ker p_s(M)^{m_s}``; their dimensions sum to the
     full dimension and the union of the returned bases is H-linearly
     independent.  Each basis comes from the kernel of the shifted psi
-    image ``(psi(M) - root I)^{m_s}`` through :func:`_root_basis`.
+    image ``(psi(M) - root I)^{m_s}`` through :func:`_root_basis`, with
+    the tolerances of :func:`minimal_polynomial`.
     """
     n = _require_square(m)
     c = psi(m)
     out: list[RootSubspace] = []
-    for factor in minimal_polynomial(m, cluster_tol, rank_tol).factors:
-        basis = _root_basis(c, factor.root, factor.exponent, rank_tol)
+    for factor in minimal_polynomial(m).factors:
+        basis = _root_basis(c, factor.root, factor.exponent)
         out.append(RootSubspace(factor, tuple(basis)))
     total = sum(s.dimension for s in out)
     if total != n:
@@ -734,6 +703,6 @@ def root_subspaces(
             f"root subspace dimensions sum to {total}, expected {n}"
         )
     combined = [v for s in out for v in s.basis]
-    if not h_linear_independent(combined, rank_tol):
+    if not h_linear_independent(combined):
         raise NumericalError("combined root subspace bases are dependent")
     return out

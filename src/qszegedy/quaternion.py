@@ -102,8 +102,9 @@ class Quaternion(Frozen):
             raise ValidationError("cannot invert the zero quaternion")
         return Quaternion(self.x0 / ns, -self.x1 / ns, -self.x2 / ns, -self.x3 / ns)
 
-    def is_zero(self, tol: float = 0.0) -> bool:
-        return abs(self) <= tol
+    def is_zero(self) -> bool:
+        """Whether every component is exactly zero (``0.0`` or ``-0.0``)."""
+        return self.x0 == self.x1 == self.x2 == self.x3 == 0.0
 
     # -- arithmetic ---------------------------------------------------
 
@@ -259,24 +260,22 @@ class ConjugacyClass(_ClassFields):
         return format_quaternion(q)
 
 
-def format_quaternion(q: Quaternion, digits: int = 6) -> str:
+def format_quaternion(q: Quaternion) -> str:
     """Render ``a+bi+cj+dk`` with signed terms and 6 significant digits.
 
     Zero components are dropped; the zero quaternion renders as "0".
     """
-    return format_components(q.x0, q.x1, q.x2, q.x3, digits)
+    return format_components(q.x0, q.x1, q.x2, q.x3)
 
 
-def format_components(
-    x0: float, x1: float, x2: float, x3: float, digits: int = 6
-) -> str:
+def format_components(x0: float, x1: float, x2: float, x3: float) -> str:
     """:func:`format_quaternion` of ``x0 + x1*i + x2*j + x3*k``, without
-    building the Quaternion."""
+    building the Quaternion: 6 significant digits."""
     parts = []
     for value, unit in ((x0, ""), (x1, "i"), (x2, "j"), (x3, "k")):
         if value == 0.0:
             continue
-        body = f"{abs(value):.{digits}g}"
+        body = f"{abs(value):.6g}"
         sign = "-" if value < 0.0 else "+"
         if not parts and sign == "+":
             sign = ""

@@ -380,15 +380,14 @@ def _from_log(phase: complex, logabs: float) -> complex:
     )
 
 
-def sylvester_det_property(
-    a, b, alpha: complex, tol: float = SYLVESTER_TOL
-) -> IdentityCheck:
+def sylvester_det_property(a, b, alpha: complex) -> IdentityCheck:
     """Determinant cancellation ``det(aI - AB) a^n = a^m det(aI - BA)``.
 
     ``a`` is ``m x n`` and ``b`` is ``n x m``; holds for every complex
     ``alpha``, including 0.  Both sides are compared in log form
     (``slogdet`` plus ``k log alpha``), so the relative error stays
-    meaningful where the determinants overflow.
+    meaningful where the determinants overflow.  Passes when that error
+    is at most ``SYLVESTER_TOL`` (1e-10).
     """
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
@@ -413,7 +412,7 @@ def sylvester_det_property(
         lhs=(_from_log(lphase, llog),),
         rhs=(_from_log(rphase, rlog),),
         max_rel_error=err,
-        passed=err <= tol,
+        passed=err <= SYLVESTER_TOL,
     )
 
 

@@ -160,7 +160,7 @@ def test_criterion_4_determinant_identities(announce):
                 (cols, rows)
             )
             alpha = complex(*rng.standard_normal(2))
-            check = sylvester_det_property(a, b, alpha, tol=1e-10)
+            check = sylvester_det_property(a, b, alpha)
             assert check.passed and check.max_rel_error <= 1e-10
 
         loopless = [n for n in bundled_names() if not load_bundled(n).graph.loops]

@@ -1,6 +1,7 @@
 """Command line interface: exit codes, output text, JSON reports."""
 
 import ast
+import inspect
 import json
 import math
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qszegedy import __version__, cli, commands
+from qszegedy import __version__, cli, commands, qmatrix, quaternion, zeta
 from qszegedy.cli import main
 from qszegedy.commands import _row_labels, _vector_texts
 from qszegedy.errors import ValidationError
@@ -194,37 +195,52 @@ class TestSpectrum:
             main(["spectrum", "k3_loops", "--tol", "wide"])
         capsys.readouterr()
 
-    def test_tol_env_used(self, capsys, monkeypatch):
-        monkeypatch.setenv("QWALK_TOL", "1e-6")
-        code, out, _ = run(capsys, "spectrum", "k3_loops")
-        assert code == 0
-        assert "tolerance: 1e-06" in out
-
-    def test_tol_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("QWALK_TOL", "1e-6")
-        code, out, _ = run(capsys, "spectrum", "k3_loops", "--tol", "1e-9")
-        assert code == 0
-        assert "tolerance: 1e-09" in out
-
-    def test_tol_env_invalid(self, capsys, monkeypatch):
-        monkeypatch.setenv("QWALK_TOL", "banana")
-        code, _, err = run(capsys, "spectrum", "k3_loops")
-        assert code == 2
-        assert "QWALK_TOL" in err
-
     @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("source", ["--tol", "QWALK_TOL"])
-    def test_tol_out_of_range_is_invalid(self, capsys, monkeypatch, source,
-                                         value):
-        argv = ["spectrum", "k3_loops"]
-        if source == "--tol":
-            argv.append(f"--tol={value}")
-        else:
-            monkeypatch.setenv("QWALK_TOL", value)
-        code, out, err = run(capsys, *argv)
+    @pytest.mark.parametrize("source", ["--tol"])
+    def test_tol_out_of_range_is_invalid(self, capsys, source, value):
+        code, out, err = run(capsys, "spectrum", "k3_loops",
+                             f"{source}={value}")
         assert code == 2
         assert out == ""
         assert source in err
+
+    def test_tol_is_the_only_tolerance_setting(self, capsys, monkeypatch,
+                                               tmp_path):
+        # The environment sets no tolerance: the same report whatever
+        # QWALK_TOL holds, a number or not.
+        path = tmp_path / "k4.json"
+        runs = []
+        for value in (None, "1e-6", "banana"):
+            if value is None:
+                monkeypatch.delenv("QWALK_TOL", raising=False)
+            else:
+                monkeypatch.setenv("QWALK_TOL", value)
+            code, out, err = run(capsys, "spectrum", "k4", "--oracle",
+                                 "--output", str(path))
+            runs.append((code, out, err, path.read_bytes()))
+        assert runs[0][0] == 0
+        assert runs[0][2] == ""
+        assert runs[1] == runs[0]
+        assert runs[2] == runs[0]
+        # Nor does a library parameter: each decision has one constant.
+        removed = [
+            (qmatrix.right_eigenvalues, "tol"),
+            (qmatrix.right_eigenbasis, "rank_tol"),
+            (qmatrix.h_rank, "rank_tol"),
+            (qmatrix.h_linear_independent, "rank_tol"),
+            (qmatrix.minimal_polynomial, "cluster_tol"),
+            (qmatrix.minimal_polynomial, "rank_tol"),
+            (qmatrix.root_subspaces, "cluster_tol"),
+            (qmatrix.root_subspaces, "rank_tol"),
+            (qmatrix.right_eigenvector, "atol"),
+            (qmatrix.is_unitary, "tol"),
+            (zeta.sylvester_det_property, "tol"),
+            (quaternion.format_quaternion, "digits"),
+            (quaternion.format_components, "digits"),
+            (quaternion.Quaternion.is_zero, "tol"),
+        ]
+        for func, name in removed:
+            assert name not in inspect.signature(func).parameters, name
 
     def test_zero_tol_allowed(self, capsys):
         code, out, _ = run(capsys, "spectrum", "k3_loops", "--tol", "0")

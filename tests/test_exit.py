@@ -27,9 +27,7 @@ K4 = SRC / "qszegedy" / "instances" / "k4.json"
 
 
 def _env() -> dict:
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("QWALK_TOL", None)
-    return env
+    return dict(os.environ, PYTHONPATH=str(SRC))
 
 
 def _subprocess(argv, cwd):
@@ -40,8 +38,7 @@ def _subprocess(argv, cwd):
     return done.returncode, done.stdout, done.stderr
 
 
-def _in_process(argv, capsys, monkeypatch):
-    monkeypatch.delenv("QWALK_TOL", raising=False)
+def _in_process(argv, capsys):
     try:
         code = cli.main(argv)
     except SystemExit as exc:  # argparse: --version, usage errors
@@ -74,7 +71,7 @@ def non_unitary(tmp_path_factory) -> Path:
          "version"],
 )
 def test_process_matches_in_process_main(argv, expected, non_unitary,
-                                         tmp_path, capsys, monkeypatch):
+                                         tmp_path, capsys):
     argv = [arg.format(non_unitary=non_unitary) for arg in argv]
     reports = {}
     for side in ("process", "main"):
@@ -83,7 +80,7 @@ def test_process_matches_in_process_main(argv, expected, non_unitary,
         if side == "process":
             reports[side] = _subprocess(full, tmp_path)
         else:
-            reports[side] = _in_process(full, capsys, monkeypatch)
+            reports[side] = _in_process(full, capsys)
         reports[side] += (out.read_bytes() if out.exists() else None,)
     assert reports["process"][0] == expected
     assert reports["process"] == reports["main"]
@@ -102,7 +99,7 @@ def clamped(tmp_path_factory) -> Path:
 
 
 def test_a_library_warning_prints_one_line_without_its_source(
-        clamped, tmp_path, capsys, monkeypatch):
+        clamped, tmp_path, capsys):
     # In a process: in-process, pytest records the warning instead of
     # printing it.
     argv = ["spectrum", str(clamped), "--oracle"]
@@ -114,7 +111,7 @@ def test_a_library_warning_prints_one_line_without_its_source(
     # the format it found.
     formatwarning = warnings.formatwarning
     with pytest.warns(UserWarning, match="clamping base eigenvalue"):
-        assert _in_process(argv, capsys, monkeypatch) == (0, out, "")
+        assert _in_process(argv, capsys) == (0, out, "")
     assert warnings.formatwarning is formatwarning
 
 

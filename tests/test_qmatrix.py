@@ -7,14 +7,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qszegedy.errors import NumericalError, ValidationError
+from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
 from qszegedy.qmatrix import (
     CLUSTER_TOL,
-    EIG_TOL,
     MP_TOL,
     QMatrix,
-    complex_eigen,
     from_psi,
     h_linear_independent,
     is_unitary,
@@ -225,10 +223,10 @@ def test_minimal_polynomial_repeated_block():
 
 
 def test_minimal_polynomial_detects_near_clusters():
-    gap = 2.5e-7  # below 3x the cluster threshold, above the merge radius
+    gap = 2.5e-6  # below 3x the cluster threshold, above the merge radius
     m = QMatrix.diag([Quaternion(1.0), Quaternion(1.0 + gap)])
     with pytest.warns(UserWarning, match="cluster"):
-        mp = minimal_polynomial(m, cluster_tol=1e-7)
+        mp = minimal_polynomial(m)
     assert mp.warnings
     assert "cluster" in mp.warnings[0]
 
@@ -289,28 +287,6 @@ def test_power():
     m = QMatrix.from_rows([[ONE, I], [J, K]])
     assert (m.power(3) - m @ m @ m).max_entry_norm() <= 1e-13
     assert (m.power(0) - QMatrix.eye(2)).max_entry_norm() == 0.0
-
-
-def test_complex_eigen_order_and_residuals():
-    rng = np.random.default_rng(11)
-    c = rng.standard_normal((7, 7)) + 1j * rng.standard_normal((7, 7))
-    # Two eigenvalues of equal modulus, to exercise the argument tie-break.
-    c = np.block([[c, np.zeros((7, 2))], [np.zeros((2, 7)), np.diag([-3.0, 3j])]])
-    pairs = complex_eigen(c)
-    assert len(pairs) == 9
-    keys = []
-    for lam, z in pairs:
-        arg = math.atan2(lam.imag, lam.real) % (2.0 * math.pi)
-        keys.append((-abs(lam), arg))
-    assert keys == sorted(keys)
-    values = [lam for lam, _ in pairs]
-    tie = min(range(len(values)), key=lambda r: abs(values[r] - 3j))
-    assert abs(values[tie] - 3j) <= 1e-12
-    assert abs(values[tie + 1] + 3.0) <= 1e-12
-    scale = max(1.0, float(np.linalg.norm(c, 2)))
-    for lam, z in pairs:
-        assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
-        assert np.linalg.norm(c @ z - lam * z) <= EIG_TOL * scale
 
 
 

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qszegedy.quaternion import (
-    CLASS_TOL,
     I,
     J,
     K,

@@ -47,7 +47,6 @@ ALL = [
     "build_walk",
     "check_unitary_condition",
     "class_of",
-    "complex_eigen",
     "format_quaternion",
     "full_spectrum",
     "h_linear_independent",

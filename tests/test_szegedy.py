@@ -39,7 +39,7 @@ from qszegedy.qmatrix import (
     qvec,
     right_eigenbasis,
 )
-from qszegedy.quaternion import CLASS_TOL, I, J, K, Quaternion
+from qszegedy.quaternion import CLASS_TOL, J, K, Quaternion
 from qszegedy.szegedy import (
     LiftedVector,
     _base_spectrum,
