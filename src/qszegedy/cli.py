@@ -55,9 +55,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--random", default=None, metavar="SPEC",
                    help="verify random weightings of a graph family "
                         "(K<n>, P<n>, C<n>, star<k>, +loop/+loops)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=1,
-                   help="number of random weightings")
+    p.add_argument("--seed", type=int, help="first --random seed (default: 0)")
+    p.add_argument("--count", type=int,
+                   help="number of --random weightings (default: 1)")
     p.add_argument("--samples", type=int, default=8,
                    help="sample points on |t| = 1/4 (plus t = 0)")
     add_common(p)

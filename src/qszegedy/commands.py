@@ -592,8 +592,13 @@ def cmd_verify(args) -> int:
         raise ValidationError("verify needs an INSTANCE or --random SPEC")
     if args.instance is not None and args.random is not None:
         raise ValidationError("give either an INSTANCE or --random, not both")
-    _check_seed(args.seed)
-    for flag, value in (("--count", args.count), ("--samples", args.samples)):
+    for flag, value in (("--seed", args.seed), ("--count", args.count)):
+        if args.instance is not None and value is not None:
+            raise ValidationError(f"{flag} goes with --random only")
+    first = args.seed or 0
+    count = 1 if args.count is None else args.count
+    _check_seed(first)
+    for flag, value in (("--count", count), ("--samples", args.samples)):
         if value < 1:
             raise ValidationError(f"{flag} must be at least 1, got {value}")
     # Only verify checks the zeta identities: other commands skip the import.
@@ -609,11 +614,11 @@ def cmd_verify(args) -> int:
         runs = [(w_seed, instance.weights)]
     else:
         graph = parse_graph_spec(args.random)
-        seeds = [args.seed + i for i in range(args.count)]
+        seeds = [first + i for i in range(count)]
         report, lines = _header("verify", tol, seeds=seeds)
-        report["random"] = {"spec": args.random, "count": args.count}
-        lines.append(f"random weightings of {args.random}: {args.count} "
-                      f"instance(s) from seed {args.seed}")
+        report["random"] = {"spec": args.random, "count": count}
+        lines.append(f"random weightings of {args.random}: {count} "
+                      f"instance(s) from seed {first}")
         report["runs"] = []
         runs = ((seed, random_instance(graph, seed)) for seed in seeds)
     lines.append(_graph_line(graph))

@@ -293,6 +293,30 @@ class TestVerify:
         assert code == 2
         assert "either" in err
 
+    @pytest.mark.parametrize("flag", ["--seed", "--count"])
+    def test_random_flags_rejected_with_an_instance(self, capsys, flag):
+        # An INSTANCE carries its own weights and seed.
+        code, out, err = run(capsys, "verify", "k4", flag, "2")
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} goes with --random only\n"
+
+    def test_deviation_the_condition_accepts_passes(self, capsys, tmp_path):
+        # Arc 0->1 scaled by sqrt(1 + 3e-12): vertex 1 deviates by 1e-12,
+        # well inside the unitarity tolerance, and nothing else reads it.
+        raw = load_bundled("k4").to_dict()
+        scale = math.sqrt(1 + 3e-12)
+        raw["weights"]["0->1"] = [scale * x for x in raw["weights"]["0->1"]]
+        tight = tmp_path / "k4_tight.json"
+        tight.write_text(json.dumps(raw), encoding="utf-8")
+        code, out, _ = run(capsys, "verify", str(tight))
+        assert code == 0
+        assert "vertex 1: sum 1 (deviation 1e-12) ok" in out
+        checks = [line for line in out.splitlines()
+                  if line.startswith("  ") or line.startswith("eigenspaces")]
+        assert checks and all(line.endswith(" ok") for line in checks)
+        assert out.rstrip().endswith("result: PASS")
+
     def test_neither_instance_nor_random(self, capsys):
         code, _, err = run(capsys, "verify")
         assert code == 2

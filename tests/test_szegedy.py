@@ -58,6 +58,7 @@ from qszegedy.szegedy import (
     verify_structure,
     walk_eigenvectors,
 )
+from qszegedy.zeta import verify_walk
 
 SQ2 = math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -509,9 +510,7 @@ def test_verify_structure_all_bundled():
         inst = load_bundled(name)
         report = verify_structure(build_walk(inst.graph, inst.weights))
         assert report.passed, name
-        assert {c.name for c in report.checks} == {
-            "K* K = 2I", "L* J0 L = W", "U* U = I",
-        }
+        assert {c.name for c in report.checks} == {"L* J0 L = W"}
 
 
 def test_verify_structure_w_row_fails_on_a_moved_w_entry(monkeypatch):
@@ -530,14 +529,25 @@ def test_verify_structure_w_row_fails_on_a_moved_w_entry(monkeypatch):
     assert [c.name for c in report.checks if not c.ok] == ["L* J0 L = W"]
 
 
-def test_verify_structure_unitarity_rows_fail_on_a_scaled_weight():
+def test_scaled_weight_fails_the_unitarity_line_not_the_structure():
+    # Unitarity is read once, from the vertex condition.
     inst = load_bundled("k4")
     q = np.array(inst.weights)
     q[0] *= math.sqrt(1.0 + 1e-9)
-    report = verify_structure(build_walk(inst.graph, q))
-    assert {c.name for c in report.checks if not c.ok} == {
-        "K* K = 2I", "U* U = I",
-    }
+    result = verify_walk(inst.graph, q)
+    assert not result.unitarity.passed
+    assert result.unitarity.failing_vertices() == [0]
+    assert not result.passed
+    assert result.structure.passed
+
+
+def test_verify_walk_builds_no_dense_u(monkeypatch):
+    def dense_u(ops):
+        raise AssertionError("verify read the dense U")
+
+    monkeypatch.setattr(szegedy.WalkOperators, "U", property(dense_u))
+    inst = load_bundled("k4")
+    assert verify_walk(inst.graph, inst.weights).passed
 
 
 def test_match_multisets():
