@@ -216,18 +216,15 @@ def class_of(x) -> "ConjugacyClass":
     return ConjugacyClass(complex(x.x0, imag))
 
 
-def same_class(p, q, tol: float = CLASS_TOL) -> bool:
+def same_class(p, q) -> bool:
     """True when ``p`` and ``q`` are similar within relative tolerance.
 
-    Compares real parts and norms on the scale ``max(1, |p|)``.
+    Compares real parts and norms within ``CLASS_TOL * max(1, |p|)``.
     """
     p = as_quaternion(p)
     q = as_quaternion(q)
-    scale = max(1.0, abs(p))
-    return (
-        abs(p.x0 - q.x0) <= tol * scale
-        and abs(abs(p) - abs(q)) <= tol * scale
-    )
+    window = CLASS_TOL * max(1.0, abs(p))
+    return abs(p.x0 - q.x0) <= window and abs(abs(p) - abs(q)) <= window
 
 
 class _ClassFields(NamedTuple):
@@ -251,9 +248,9 @@ class ConjugacyClass(_ClassFields):
         # ``_replace`` builds through here: canonicalise there too.
         return cls(*iterable)
 
-    def matches(self, other: "ConjugacyClass", tol: float = CLASS_TOL) -> bool:
-        scale = max(1.0, abs(self.rep))
-        return abs(self.rep - other.rep) <= tol * scale
+    def matches(self, other: "ConjugacyClass") -> bool:
+        """Representatives within ``CLASS_TOL * max(1, |self.rep|)``."""
+        return abs(self.rep - other.rep) <= CLASS_TOL * max(1.0, abs(self.rep))
 
     def __str__(self) -> str:
         q = Quaternion(self.rep.real, self.rep.imag)

@@ -227,13 +227,13 @@ class UnitarityReport(NamedTuple):
         }
 
 
-def check_unitary_condition(
-    graph: Graph, weights, tol: float = UNITARITY_TOL
-) -> UnitarityReport:
+def check_unitary_condition(graph: Graph, weights) -> UnitarityReport:
     """Check ``sum |q(e)|^2 = 1`` over the arcs leaving each vertex.
 
-    Each vertex's sum adds its arcs' squared norms in arc order, from 0.
+    Each vertex's sum adds its arcs' squared norms in arc order, from 0,
+    and passes within ``UNITARITY_TOL`` (1e-10) of 1.
     """
+    tol = UNITARITY_TOL
     norm_sq = _check_weights(graph, weights)[1]
     totals = np.bincount(graph.origin, weights=norm_sq, minlength=graph.n)
     deviations = np.abs(totals - 1.0)

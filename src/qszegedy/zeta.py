@@ -27,14 +27,13 @@ det(I - t V + t^2 (D - I))`` for their own ``(X, V, D, e, l)`` and go
 through one evaluator.  Both sides factor over the components of the
 graph, so none of the identities needs it connected.  Tree components
 can make ``e`` negative; the check then cross-multiplies
-``(1 - t^2)^|e|`` to the arc side instead of dividing, so both sides
-stay polynomial.  The underlying cancellation lemma
+``(1 - t^2)^|e|`` to the arc side instead of dividing, so neither
+side has a pole.  The underlying cancellation lemma
 
     det(alpha I_m - A B) alpha^n = alpha^m det(alpha I_n - B A)
 
 is exposed as its own check.  Default samples are eight uniform points
-on the circle ``|t| = 1/4`` plus ``t = 0``; an opt-in mode interpolates
-both sides as polynomials in ``t`` and compares coefficients.
+on the circle ``|t| = 1/4`` plus ``t = 0``.
 """
 
 from __future__ import annotations
@@ -77,8 +76,6 @@ __all__ = [
 IDENTITY_TOL = 1e-8
 #: Tolerance for the determinant cancellation lemma.
 SYLVESTER_TOL = 1e-10
-#: Tolerance for interpolated polynomial coefficients (opt-in mode).
-POLY_TOL = 1e-7
 
 DEFAULT_SAMPLE_COUNT = 8
 DEFAULT_SAMPLE_RADIUS = 0.25
@@ -203,31 +200,16 @@ def _compare(name, samples, sides, tol) -> IdentityCheck:
     )
 
 
-def _poly_coeff_error(lhs_fn, rhs_fn, degree: int) -> float:
-    """Interpolate both sides on roots of unity and compare coefficients.
-
-    Both callables must already be polynomial (prefactors cross-
-    multiplied), so sampling on ``|t| = 1`` is stable and the inverse
-    FFT recovers coefficients without radius amplification.
-    """
-    count = degree + 1
-    points = np.exp(2j * np.pi * np.arange(count) / count)
-    lhs = np.fft.ifft(np.array([lhs_fn(t) for t in points]))
-    rhs = np.fft.ifft(np.array([rhs_fn(t) for t in points]))
-    scale = max(1.0, float(np.max(np.abs(lhs))), float(np.max(np.abs(rhs))))
-    return float(np.max(np.abs(lhs - rhs))) / scale
-
-
 def _bass_identity(
-    name, variants, d, e: int, l: int, t_samples, tol, polynomial
+    name, variants, d, e: int, l: int, t_samples, tol
 ) -> IdentityCheck:
     """Compare ``det(I - t X)`` with ``(1 - t^2)^e (1 + t)^l
     det(I - t V + t^2 (D - I))`` for each ``{label: (X, V)}``.
 
     A negative ``e`` puts ``(1 - t^2)^|e|`` on the arc side instead, so
-    both sides stay polynomial; their degree is at most
-    ``size(X) + 2 size(V) + 2|e| + 2l``, the degree polynomial mode
-    interpolates the first variant at.
+    neither side has a pole.  Each side then has degree at most
+    ``D = size(X) + 2 size(V) + 2|e| + 2l`` in ``t``, so agreement at
+    ``D + 1`` distinct samples proves the identity.
     """
     samples = default_samples() if t_samples is None else t_samples
 
@@ -248,17 +230,7 @@ def _bass_identity(
         return lhs, rhs
 
     built = {label: sides(x, v) for label, (x, v) in variants.items()}
-    check = _compare(name, samples, built, tol)
-    if not polynomial:
-        return check
-    x, v = next(iter(variants.values()))
-    degree = x.shape[0] + 2 * v.shape[0] + 2 * abs(e) + 2 * l
-    err = _poly_coeff_error(*next(iter(built.values())), degree)
-    check.variants["polynomial"] = err
-    return check._replace(
-        max_rel_error=float(np.max([check.max_rel_error, err])),
-        passed=check.passed and err <= POLY_TOL,
-    )
+    return _compare(name, samples, built, tol)
 
 
 def _require_loopless(graph: Graph, what: str):
@@ -270,7 +242,6 @@ def ihara_identity(
     graph: Graph,
     t_samples=None,
     tol: float = IDENTITY_TOL,
-    polynomial: bool = False,
 ) -> IdentityCheck:
     """Bass determinant form of the Ihara zeta function."""
     _require_loopless(graph, "the Ihara identity")
@@ -279,7 +250,7 @@ def ihara_identity(
         "ihara",
         {"standard": (em.b - em.j0, graph.adjacency())},
         np.diag(graph.degrees().astype(complex)),
-        graph.m0 - graph.n, 0, t_samples, tol, polynomial,
+        graph.m0 - graph.n, 0, t_samples, tol,
     )
 
 
@@ -303,7 +274,6 @@ def second_weighted_identity(
     w,
     t_samples=None,
     tol: float = IDENTITY_TOL,
-    polynomial: bool = False,
 ) -> IdentityCheck:
     """Second weighted zeta identity, plus its transposed variant.
 
@@ -321,7 +291,7 @@ def second_weighted_identity(
             "transposed": (em.bw.T - em.j0, w.T),
         },
         np.diag(np.sum(w, axis=1)),
-        graph.m0 - graph.n, 0, t_samples, tol, polynomial,
+        graph.m0 - graph.n, 0, t_samples, tol,
     )
 
 
@@ -331,7 +301,6 @@ def quaternionic_identity(
     b,
     t_samples=None,
     tol: float = IDENTITY_TOL,
-    polynomial: bool = False,
 ) -> IdentityCheck:
     """Quaternionic determinant identity over the complex embedding.
 
@@ -353,7 +322,7 @@ def quaternionic_identity(
         "quaternionic",
         {"standard": (psi(u_edge), psi(L.H @ K))},
         psi(L.take_rows(graph.inverse).H @ K),
-        2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol, polynomial,
+        2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol,
     )
 
 

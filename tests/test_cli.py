@@ -9,7 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qszegedy import __version__, cli, commands, qmatrix, quaternion, zeta
+from qszegedy import (
+    __version__, cli, commands, qmatrix, quaternion, szegedy, zeta,
+)
 from qszegedy.cli import main
 from qszegedy.commands import _row_labels, _vector_texts
 from qszegedy.errors import ValidationError
@@ -238,6 +240,13 @@ class TestSpectrum:
             (quaternion.format_quaternion, "digits"),
             (quaternion.format_components, "digits"),
             (quaternion.Quaternion.is_zero, "tol"),
+            (quaternion.same_class, "tol"),
+            (quaternion.ConjugacyClass.matches, "tol"),
+            (szegedy.check_unitary_condition, "tol"),
+            (zeta.ihara_identity, "polynomial"),
+            (zeta.second_weighted_identity, "polynomial"),
+            (zeta.quaternionic_identity, "polynomial"),
+            (zeta._bass_identity, "polynomial"),
         ]
         for func, name in removed:
             assert name not in inspect.signature(func).parameters, name

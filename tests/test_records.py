@@ -134,7 +134,7 @@ def test_defaults():
 def test_identity_checks_do_not_share_variants():
     first = IdentityCheck("a", (), (), (), 0.0, True)
     second = IdentityCheck("b", (), (), (), 0.0, True)
-    first.variants["polynomial"] = 1e-12
+    first.variants["standard"] = 1e-12
     assert second.variants == {}
     assert first.variants is not second.variants
 

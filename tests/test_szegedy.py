@@ -135,11 +135,13 @@ def _unitarity_by_loop(graph, weights, tol):
     ("K3+loops", 1, 1.0), ("C7", 2, 1.0), ("star5+loop", 3, 1.0 + 1e-9),
     ("K6", 4, 1.0 + 3e-11), ("P4", 5, 0.7),
 ])
-def test_unitarity_sums_match_the_arc_loop(spec, seed, scale):
+def test_unitarity_sums_match_the_arc_loop(spec, seed, scale, monkeypatch):
     graph = parse_graph_spec(spec)
     weights = szegedy.random_instance(graph, seed) * scale
     for tol in (1e-10, 1e-8):
-        report = check_unitary_condition(graph, weights, tol)
+        monkeypatch.setattr(szegedy, "UNITARITY_TOL", tol)
+        report = check_unitary_condition(graph, weights)
+        assert report.tol == tol
         want = _unitarity_by_loop(graph, weights, tol)
         got = [(r.vertex, r.total, r.deviation, r.ok) for r in report.vertices]
         assert got == want  # bit for bit

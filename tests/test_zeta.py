@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -26,6 +27,23 @@ SQ2 = math.sqrt(2.0)
 
 def _k3():
     return build_graph(3, [(0, 1), (1, 2), (2, 0)])
+
+
+def _degree_samples(x_size, v_size, e, l):
+    """The ``D + 1`` points ``exp(2 pi i (k + 1/4) / (D + 1))`` for the
+    Bass form's degree bound ``D = size(X) + 2 size(V) + 2|e| + 2l``.
+
+    Both sides have degree at most D, so agreement at these points is
+    agreement as polynomials in t; none of the points is +-1.
+    """
+    count = x_size + 2 * v_size + 2 * abs(e) + 2 * l + 1
+    return [cmath.exp(2j * cmath.pi * (k + 0.25) / count)
+            for k in range(count)]
+
+
+def _bass_samples(g):
+    """Degree samples of the Ihara and second weighted identities."""
+    return _degree_samples(g.m_prime, g.n, g.m0 - g.n, 0)
 
 
 def test_default_samples_layout():
@@ -86,10 +104,13 @@ def test_ihara_rejects_loops_and_disconnection():
     assert ihara_identity(build_graph(4, [(0, 1), (2, 3)])).passed
 
 
-def test_ihara_polynomial_mode():
-    check = ihara_identity(_k3(), polynomial=True)
+def test_ihara_as_a_polynomial_identity():
+    samples = _bass_samples(_k3())
+    assert len(samples) == 13  # D = 6 + 2 * 3
+    check = ihara_identity(_k3(), samples)
     assert check.passed
-    assert check.variants["polynomial"] <= 1e-10
+    assert len(check.samples) == 13
+    assert check.max_rel_error <= 1e-10
 
 
 def test_second_weighted_reduces_to_ihara():
@@ -111,8 +132,10 @@ def test_second_weighted_random_weights():
             rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)),
             0.0,
         )
-        check = second_weighted_identity(g, w, polynomial=True)
+        samples = _bass_samples(g)
+        check = second_weighted_identity(g, w, samples)
         assert check.passed, check.variants
+        assert len(check.samples) == len(samples) == 13
         assert check.max_rel_error <= 1e-8
 
 
@@ -153,16 +176,21 @@ def test_quaternionic_identity_random_nonunitary():
     def draw(m):
         return rng.standard_normal((m, 4))
 
-    for maker in (
-        lambda: build_graph(3, [(0, 1), (1, 2)], loops=[1]),
-        lambda: build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
-        _k3,
+    # D = 2 m' + 4 n + 2 |2 m0 - 2 n| + 4 m1, and D + 1 samples.
+    for maker, count in (
+        (lambda: build_graph(3, [(0, 1), (1, 2)], loops=[1]), 31),
+        (lambda: build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]),
+         41),
+        (_k3, 25),
     ):
         g = maker()
+        samples = _degree_samples(2 * g.m_prime, 2 * g.n,
+                                  2 * g.m0 - 2 * g.n, 2 * g.m1)
         check = quaternionic_identity(
-            g, draw(g.m_prime), draw(g.m_prime), polynomial=True
+            g, draw(g.m_prime), draw(g.m_prime), samples
         )
         assert check.passed, (g.n, check.max_rel_error)
+        assert len(check.samples) == len(samples) == count
 
 
 def test_quaternionic_identity_checks_map_shape():
