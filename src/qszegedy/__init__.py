@@ -20,7 +20,7 @@ _EXPORTS = {
         ("qmatrix", "MinimalPolynomial PolyFactor QMatrix RootSubspace "
                     "h_linear_independent is_unitary "
                     "minimal_polynomial psi qvec right_eigenbasis "
-                    "right_eigenvalues right_eigenvector root_subspaces"),
+                    "right_eigenvalues root_subspaces"),
         ("quaternion", "ConjugacyClass Quaternion class_of format_quaternion "
                        "same_class symplectic_decompose"),
         ("szegedy", "SpectrumReport UnitarityReport WalkOperators arc_weights "
@@ -79,7 +79,6 @@ __all__ = [
     "random_instance",
     "right_eigenbasis",
     "right_eigenvalues",
-    "right_eigenvector",
     "root_subspaces",
     "same_class",
     "second_weighted_identity",

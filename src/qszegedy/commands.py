@@ -41,8 +41,8 @@ from .qmatrix import (
     h_rank,
     minimal_polynomial,
     qvec,
+    right_eigenbasis,
     right_eigenvalues,
-    right_eigenvector,
     root_subspaces,
 )
 from .quaternion import I as QI
@@ -687,7 +687,8 @@ def _golden_suite(tol: float):
     factors("diag(1,k): minimal polynomial (y^2+1)(y-1)",
             minimal_polynomial(m1).factors, [(1.0, 0.0, 1.0), (1.0, -1.0)])
     span("diag(1,k): eigenvector for i proportional to (0, 1-j)",
-         right_eigenvector(m1, 1j), [Quaternion(), Quaternion(1, 0, -1, 0)])
+         right_eigenbasis(m1, 1j)[0],
+         [Quaternion(), Quaternion(1, 0, -1, 0)])
 
     # Example B: [[0, i], [j, 0]].
     m2 = QMatrix.from_rows([[Quaternion(), QI], [QJ, Quaternion()]])
@@ -698,7 +699,7 @@ def _golden_suite(tol: float):
             minimal_polynomial(m2).factors,
             [(1.0, sq2, 1.0), (1.0, -sq2, 1.0)])
     span("[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
-         right_eigenvector(m2, complex(1.0, 1.0) / sq2),
+         right_eigenbasis(m2, complex(1.0, 1.0) / sq2)[0],
          [Quaternion(1, 0, -1, 0),
           Quaternion(1 / sq2, -1 / sq2, 1 / sq2, 1 / sq2)])
 

@@ -87,12 +87,6 @@ class Graph(Frozen):
         mask[self.origin, self.terminus] = True
         return mask
 
-    def degrees(self) -> np.ndarray:
-        """Vertex degrees; a loop contributes 2 as usual."""
-        # A loop is one arc but adds 2, so loop arcs are counted twice.
-        arcs = np.concatenate([self.origin, self.origin[2 * self.m0:]])
-        return np.bincount(arcs, minlength=self.n)
-
     def components(self) -> int:
         """Connected components, isolated vertices included (loops join
         none)."""

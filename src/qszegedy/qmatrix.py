@@ -37,7 +37,6 @@ from .quaternion import CLASS_TOL, ConjugacyClass, Quaternion, as_quaternion
 
 __all__ = [
     "CLUSTER_TOL",
-    "EIG_TOL",
     "MP_TOL",
     "MinimalPolynomial",
     "PolyFactor",
@@ -53,12 +52,9 @@ __all__ = [
     "qvec",
     "right_eigenbasis",
     "right_eigenvalues",
-    "right_eigenvector",
     "root_subspaces",
 ]
 
-#: Residual target for eigenpairs of the complex solver.
-EIG_TOL = 1e-10
 #: Singular values below RANK_TOL * sigma_max count as zero.
 RANK_TOL = 1e-8
 #: Minimal-polynomial annihilation tolerance (scaled by norm**degree).
@@ -370,37 +366,6 @@ def _psi_classes(values: np.ndarray) -> list[tuple[complex, int]]:
         imag = float(np.mean([g.imag for g in group]))
         out.append((complex(real, imag), len(group)))
     return out
-
-
-def right_eigenvector(m: QMatrix, lam: complex) -> QMatrix:
-    """One unit right eigenvector ``v`` with ``M v = v * lam``.
-
-    ``lam`` must sit within ``1e-7 * max(1, |lam|)`` of the spectrum of
-    ``psi(M)``.  The companion ``v * j`` is then an eigenvector for
-    ``conj(lam)``; callers wanting it multiply by ``Quaternion(0, 0, 1,
-    0)`` on the right.
-    """
-    _require_square(m)
-    lam = complex(lam)
-    c = psi(m)
-    values, vectors = np.linalg.eig(c)
-    dists = np.abs(values - lam)
-    idx = int(np.argmin(dists))
-    if dists[idx] > 1e-7 * max(1.0, abs(lam)):
-        nearest = values[idx]
-        raise ValidationError(
-            f"{lam:.6g} is not an eigenvalue of psi(M); nearest is "
-            f"{nearest:.6g} at distance {dists[idx]:.3g}"
-        )
-    z = vectors[:, idx]
-    cnorm = float(np.linalg.norm(c, 2))
-    residual = float(np.linalg.norm(c @ z - values[idx] * z))
-    if residual > EIG_TOL * max(1.0, cnorm):
-        raise NumericalError(
-            f"eigenpair residual {residual:.3g} exceeds target "
-            f"{EIG_TOL * max(1.0, cnorm):.3g}"
-        )
-    return _vec_from_psi(z)
 
 
 def _rank(s: np.ndarray, scale: float = 0.0) -> int:

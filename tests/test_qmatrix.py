@@ -21,7 +21,6 @@ from qszegedy.qmatrix import (
     qvec,
     right_eigenbasis,
     right_eigenvalues,
-    right_eigenvector,
     root_subspaces,
 )
 from qszegedy.quaternion import I, J, K, ONE, Quaternion
@@ -173,7 +172,7 @@ def test_right_eigenvalue_multiplicities_sum():
 
 def test_right_eigenvector_golden():
     m = QMatrix.diag([ONE, K])
-    v = right_eigenvector(m, 1j)
+    (v,) = right_eigenbasis(m, 1j)
     golden = qvec([Quaternion(), Quaternion(1, 0, -1, 0)])
     assert not h_linear_independent([v, golden])
     residual = (m @ v - v.right_scalar(1j)).max_entry_norm()
@@ -182,14 +181,14 @@ def test_right_eigenvector_golden():
 
 def test_right_eigenvector_rejects_non_eigenvalue():
     with pytest.raises(ValidationError):
-        right_eigenvector(QMatrix.diag([ONE, K]), complex(3.0))
+        right_eigenbasis(QMatrix.diag([ONE, K]), complex(3.0))
 
 
 def test_companion_eigenvector_for_conjugate():
     m = _random_qmatrix(3, 3, 17)
     classes = right_eigenvalues(m)
     lam = classes[0][0].rep
-    v = right_eigenvector(m, lam)
+    v = right_eigenbasis(m, lam)[0]
     w = v.right_scalar(J)
     residual = (m @ w - w.right_scalar(lam.conjugate())).max_entry_norm()
     assert residual <= 1e-9 * max(1.0, m.max_entry_norm())

@@ -31,7 +31,7 @@ from qszegedy.szegedy import (
     build_walk,
     uniform_weights,
 )
-from qszegedy.zeta import EdgeMatrices, IdentityCheck
+from qszegedy.zeta import IdentityCheck
 
 _GRAPH = build_graph(2, [(0, 1)])
 _WEIGHTS = uniform_weights(_GRAPH)
@@ -39,8 +39,6 @@ _FACTOR = PolyFactor((1.0, -1.0), 1, 1 + 0j)
 _VERTEX = VertexUnitarity(0, 1.0, 0.0, True)
 _CLASS = SpectrumClass(1j, 2, ("lift",))
 _CHECK = StructureCheck("K* K = 2I", 0.0, 1e-12, True)
-_B = np.zeros((2, 2), dtype=complex)
-_J0 = np.eye(2, dtype=complex)
 _BASIS = (qvec([1.0, 0.0]),)
 
 # Each record with its field values in declaration order.
@@ -59,8 +57,7 @@ RECORDS = [
     (EigenspaceCount, (1.0, 1, 2, 3)),
     (StructureCheck, ("K* K = 2I", 0.0, 1e-12, True)),
     (StructureReport, ((_CHECK,), True)),
-    (EdgeMatrices, (_B, None, _J0)),
-    (IdentityCheck, ("ihara", (0j,), (1 + 0j,), (1 + 0j,), 0.0, True, {})),
+    (IdentityCheck, ("ihara", (0j,), (1 + 0j,), (1 + 0j,), 0.0, True)),
 ]
 
 FIELDS = {
@@ -81,9 +78,8 @@ FIELDS = {
     EigenspaceCount: ("lam", "birth", "inherited", "multiplicity"),
     StructureCheck: ("name", "residual", "tol", "ok"),
     StructureReport: ("checks", "passed"),
-    EdgeMatrices: ("b", "bw", "j0"),
     IdentityCheck: (
-        "name", "samples", "lhs", "rhs", "max_rel_error", "passed", "variants",
+        "name", "samples", "lhs", "rhs", "max_rel_error", "passed",
     ),
 }
 
@@ -127,16 +123,6 @@ def test_defaults():
     assert MinimalPolynomial((_FACTOR,)).warnings == ()
     report = SpectrumReport((_CLASS,), (2.0,), (1j, -1j), "tree")
     assert report.oracle is None and report.eigenvectors is None
-    check = IdentityCheck("ihara", (0j,), (1j,), (1j,), 0.0, True)
-    assert check.variants == {}
-
-
-def test_identity_checks_do_not_share_variants():
-    first = IdentityCheck("a", (), (), (), 0.0, True)
-    second = IdentityCheck("b", (), (), (), 0.0, True)
-    first.variants["standard"] = 1e-12
-    assert second.variants == {}
-    assert first.variants is not second.variants
 
 
 def test_conjugacy_class_canonical_representative():
@@ -220,19 +206,15 @@ def test_to_dict_output():
     }
     check = IdentityCheck(
         "ihara", (0.25 + 0j,), (1 + 1j,), (1 + 1j,), 0.0, True,
-        {"plain": 0.0},
     )
-    data = check.to_dict()
-    assert data == {
+    assert check.to_dict() == {
         "name": "ihara",
         "passed": True,
         "max_rel_error": 0.0,
         "samples": [[0.25, 0.0]],
         "lhs": [[1.0, 1.0]],
         "rhs": [[1.0, 1.0]],
-        "variants": {"plain": 0.0},
     }
-    assert data["variants"] is not check.variants
     instance = Instance("k2", _GRAPH, _WEIGHTS, 7, "ab" * 32)
     assert instance.to_dict() == instance_to_dict(
         _GRAPH, _WEIGHTS, name="k2", seed=7
@@ -247,7 +229,7 @@ def test_replace_keeps_the_record_type_and_invariants():
     failed = check._replace(max_rel_error=1.0, passed=False)
     assert type(failed) is IdentityCheck
     assert (failed.max_rel_error, failed.passed) == (1.0, False)
-    assert failed.variants is check.variants
+    assert failed.lhs is check.lhs
 
 
 # The plain immutable classes: Quaternion, Graph, WalkOperators and

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from qszegedy.qmatrix import EIG_TOL
-
 
 def _random(n: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -67,7 +65,6 @@ def test_eig_residuals_and_numpy_agreement():
             assert abs(np.linalg.norm(z) - 1.0) <= 1e-12
             residual = np.linalg.norm(a @ z - lam * z)
             assert residual <= 1e-10 * scale
-            assert residual <= EIG_TOL * scale
         _spectra_match([lam for lam, _ in pairs], np.linalg.eigvals(a), tol=1e-8)
 
 
