@@ -36,36 +36,20 @@ from .instances import (
     random_instance_dict,
     resolve_instance,
 )
-from .qmatrix import (
-    QMatrix,
-    h_rank,
-    minimal_polynomial,
-    qvec,
-    right_eigenbasis,
-    right_eigenvalues,
-    root_subspaces,
-)
-from .quaternion import I as QI
-from .quaternion import J as QJ
-from .quaternion import K as QK
-from .quaternion import Quaternion, format_components
+from .quaternion import format_components
 from .szegedy import (
-    SpectrumClass,
     build_walk,
     check_unitary_condition,
+    direct_spectrum,
     full_spectrum,
     group_mus,
-    lift_eigenvector,
     lift_groups,
+    nearest_mu,
     random_instance,
-    spectral_map,
     vector_components,
 )
 
 DEFAULT_TOL = 1e-8
-#: Loose matching window for user-supplied --mu values (CLI inputs are
-#: usually typed with a handful of digits).
-MU_MATCH_TOL = 5e-3
 
 
 def _fmt(value: float) -> str:
@@ -441,20 +425,14 @@ def cmd_spectrum(args) -> int:
                 passed = passed and item.residual <= tol
     else:
         # --force on a non-unitary instance: direct path only.
-        ops = build_walk(instance.graph, instance.weights)
-        classes = right_eigenvalues(ops.U)
-        report["spectrum"] = {
-            "tree_case": "direct-only",
-            "classes": [
-                SpectrumClass(cls.rep, mult, ("direct",)).to_dict()
-                for cls, mult in classes
-            ],
-        }
+        classes = direct_spectrum(instance.graph, instance.weights)
+        report["spectrum"] = {"tree_case": "direct-only",
+                              "classes": [cls.to_dict() for cls in classes]}
         lines.append("tree case: direct-only (spectral mapping skipped; "
                       "the unitarity condition fails)")
         lines.append("right spectrum via direct diagonalization:")
-        for cls, mult in classes:
-            lines.append(f"  {_fmt_c(cls.rep):<24} multiplicity {mult}")
+        for rep, mult, _sources in classes:
+            lines.append(f"  {_fmt_c(rep):<24} multiplicity {mult}")
         passed = False
 
     report["passed"] = bool(passed)
@@ -483,12 +461,11 @@ def cmd_lift(args) -> int:
         targets = [value for value, _count in distinct]
         boundary = (1.0, -1.0)
     else:
-        requested = float(args.mu)
-        nearest = min(distinct, key=lambda item: abs(item[0] - requested))[0]
-        if abs(nearest - requested) > MU_MATCH_TOL * max(1.0, abs(requested)):
+        nearest = nearest_mu(distinct, args.mu)
+        if nearest is None:
             available = ", ".join(_fmt(v) for v, _ in distinct)
             raise ValidationError(
-                f"no base eigenvalue near {requested}; available: {available}"
+                f"no base eigenvalue near {args.mu}; available: {available}"
             )
         targets = [nearest]
         boundary = ()
@@ -642,149 +619,21 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- examples
 
 
-def _golden_suite(tol: float):
-    """Worked examples with frozen expected values.
-
-    Returns (description, ok, detail) triples; every mismatch carries the
-    observed value so failures are diagnosable from the output alone.
-    """
-    sq2 = math.sqrt(2.0)
-    sq5 = math.sqrt(5.0)
-    checks: list[tuple[str, bool, str]] = []
-
-    def add(description: str, ok: bool, detail: str = ""):
-        checks.append((description, bool(ok), detail))
-
-    def classes(description: str, got, want, sep: str = "; "):
-        # (value, multiplicity) pairs against ``want``, in order.
-        add(description, len(got) == len(want) and all(
-            abs(value - target) <= tol and count == expected
-            for (value, count), (target, expected) in zip(got, want)
-        ), "got " + sep.join(f"{value:.6g} x{count}" for value, count in got))
-
-    def factors(description: str, got, want):
-        # Minimal-polynomial factors, each of exponent 1, against ``want``.
-        add(description, len(got) == len(want) and all(
-            f.exponent == 1 and np.allclose(f.coefficients, coeffs, atol=tol)
-            for f, coeffs in zip(got, want)
-        ), f"got {[f.coefficients for f in got]}")
-
-    def span(description: str, vector: QMatrix, golden: list):
-        # ``vector`` spans the same right H-line as the known ``golden``.
-        add(description, h_rank(QMatrix.hstack([vector, qvec(golden)])) == 1)
-
-    # Quaternion algebra.
-    add("i*j = k and j*i = -k",
-        (QI * QJ - QK).is_zero() and (QJ * QI + QK).is_zero())
-    x = Quaternion(1.0, 2.0, -3.0, 0.5)
-    add("x * x^-1 = 1", abs(x * x.inverse() - Quaternion(1.0)) <= 1e-15)
-
-    # Example A: diag(1, k).
-    m1 = QMatrix.diag([Quaternion(1.0), QK])
-    classes("diag(1,k): classes {class of i, class of 1}",
-            [(c.rep, m) for c, m in right_eigenvalues(m1)],
-            [(1j, 1), (1.0, 1)])
-    factors("diag(1,k): minimal polynomial (y^2+1)(y-1)",
-            minimal_polynomial(m1).factors, [(1.0, 0.0, 1.0), (1.0, -1.0)])
-    span("diag(1,k): eigenvector for i proportional to (0, 1-j)",
-         right_eigenbasis(m1, 1j)[0],
-         [Quaternion(), Quaternion(1, 0, -1, 0)])
-
-    # Example B: [[0, i], [j, 0]].
-    m2 = QMatrix.from_rows([[Quaternion(), QI], [QJ, Quaternion()]])
-    classes("[[0,i],[j,0]]: classes {(+-1+i)/sqrt2}",
-            [(c.rep, m) for c, m in right_eigenvalues(m2)],
-            [(complex(-1.0, 1.0) / sq2, 1), (complex(1.0, 1.0) / sq2, 1)])
-    factors("[[0,i],[j,0]]: minimal polynomial (y^2+sqrt2 y+1)(y^2-sqrt2 y+1)",
-            minimal_polynomial(m2).factors,
-            [(1.0, sq2, 1.0), (1.0, -sq2, 1.0)])
-    span("[[0,i],[j,0]]: eigenvector for (1+i)/sqrt2 matches the known span",
-         right_eigenbasis(m2, complex(1.0, 1.0) / sq2)[0],
-         [Quaternion(1, 0, -1, 0),
-          Quaternion(1 / sq2, -1 / sq2, 1 / sq2, 1 / sq2)])
-
-    # Example C: the complete triangle with loops at every vertex.
-    instance = load_bundled("k3_loops")
-    graph, weights = instance.graph, instance.weights
-    ops = build_walk(graph, weights)
-    w_golden = QMatrix.from_real(
-        np.full((3, 3), -2.0 / 3.0) + np.diag([4.0 / 3.0] * 3)
-    )
-    add("k3_loops: doubly weighted matrix has 2/3 diagonal, -2/3 off",
-        (ops.W - w_golden).max_entry_norm() <= tol)
-    spot = [
-        (0, 1, Quaternion(-1.0 / 3.0)),
-        (0, 4, Quaternion(0, 0, -2.0 / 3.0, 0)),
-        (0, 6, Quaternion(0, 2.0 / 3.0, 0, 0)),
-        (1, 3, Quaternion(0, 0, 0, 2.0 / 3.0)),
-        (8, 2, Quaternion(0, 0, 2.0 / 3.0, 0)),
-        (8, 8, Quaternion(-1.0 / 3.0)),
-    ]
-    ok = all(abs(ops.U.entry(r, c) - val) <= tol for r, c, val in spot)
-    add("k3_loops: transition matrix spot entries", ok)
-
-    spectrum = full_spectrum(graph, weights, want_oracle=True, tol=tol)
-    classes("k3_loops: base spectrum {-2/3 x2, 4/3 x4}",
-            group_mus(spectrum.mu_spectrum),
-            [(-2.0 / 3.0, 2), (4.0 / 3.0, 4)], sep=", ")
-    classes("k3_loops: classes {-1 x3, (-1+2sqrt2 i)/3 x2, (2+sqrt5 i)/3 x4}",
-            [(c.rep, c.multiplicity) for c in spectrum.classes],
-            [(complex(-1.0), 3), (complex(-1.0 / 3.0, 2.0 * sq2 / 3.0), 2),
-             (complex(2.0 / 3.0, sq5 / 3.0), 4)])
-    add("k3_loops: theorem spectrum matches direct diagonalization",
-        spectrum.oracle is not None and spectrum.oracle.matched,
-        f"max distance {spectrum.oracle.max_distance:.3g}")
-
-    subspaces = root_subspaces(ops.U)
-    factors("k3_loops: minimal polynomial (y+1)(y^2+2/3 y+1)(y^2-4/3 y+1)",
-            [s.factor for s in subspaces],
-            [(1.0, 1.0), (1.0, 2.0 / 3.0, 1.0), (1.0, -4.0 / 3.0, 1.0)])
-    dims = [s.dimension for s in subspaces]
-    add("k3_loops: root subspace dimensions (3, 2, 4) summing to 9",
-        dims == [3, 2, 4], f"got {dims}")
-
-    lam_p, _ = spectral_map(-2.0 / 3.0)
-    span("k3_loops: lift of (1,1,1) at mu=-2/3 is proportional to the "
-         "known eigenvector",
-         lift_eigenvector(ops, qvec([1.0, 1.0, 1.0]), lam_p),
-         [Quaternion(sq2, 1), Quaternion(-sq2, -1),
-          Quaternion(0, 0, 1, sq2), Quaternion(0, 0, -1, -sq2),
-          Quaternion(0, 0, -sq2, 1), Quaternion(0, 0, sq2, -1),
-          Quaternion(2, sq2), Quaternion(2, sq2), Quaternion(2, sq2)])
-
-    direct_goldens = [
-        qvec([QI, QI, Quaternion(), Quaternion(), Quaternion(), Quaternion(),
-              Quaternion(-1.0), Quaternion(1.0), Quaternion()]),
-        qvec([QJ, QJ, -QI, -QI, Quaternion(1.0), Quaternion(1.0),
-              Quaternion(), Quaternion(), Quaternion()]),
-        qvec([QI, QI, QJ, QJ, Quaternion(), Quaternion(),
-              Quaternion(-1.0), Quaternion(), Quaternion(1.0)]),
-    ]
-    ok = all(
-        (ops.U @ g - g.right_scalar(-1.0)).fro_norm() <= tol * g.fro_norm()
-        for g in direct_goldens
-    ) and h_rank(QMatrix.hstack(direct_goldens)) == 3
-    add("k3_loops: three independent eigenvectors at lambda=-1", ok)
-
-    return checks
-
-
 def cmd_examples(args) -> int:
-    tol = 1e-9
-    report, lines = _header("examples", tol)
-    checks = _golden_suite(tol)
-    passed = all(ok for _desc, ok, _detail in checks)
-    report["checks"] = [
-        {"description": desc, "ok": ok, "detail": detail}
-        for desc, ok, detail in checks
-    ]
+    # Only examples runs the worked examples: other commands skip the import.
+    from .examples import EXAMPLES_TOL, run_examples
+
+    report, lines = _header("examples", EXAMPLES_TOL)
+    checks = run_examples()
+    passed = all(check.ok for check in checks)
+    report["checks"] = [check._asdict() for check in checks]
     for desc, ok, detail in checks:
         mark = "ok " if ok else "FAIL"
         suffix = f"  ({detail})" if detail and not ok else ""
         lines.append(f"  {mark} {desc}{suffix}")
     report["passed"] = passed
     lines.append(f"result: {'PASS' if passed else 'FAIL'} "
-                 f"({sum(1 for _d, ok, _x in checks if ok)}/{len(checks)})")
+                 f"({sum(check.ok for check in checks)}/{len(checks)})")
     return _emit(report, lines, args.output)
 
 

@@ -63,6 +63,7 @@ from .qmatrix import (
     h_rank,
     psi,
     qvec,
+    right_eigenvalues,
 )
 from .quaternion import CLASS_TOL, Quaternion
 
@@ -83,11 +84,13 @@ __all__ = [
     "build_walk",
     "check_pm1_eigenspaces",
     "check_unitary_condition",
+    "direct_spectrum",
     "full_spectrum",
     "group_mus",
     "lift_eigenvector",
     "lift_groups",
     "match_multisets",
+    "nearest_mu",
     "random_instance",
     "spectral_map",
     "uniform_weights",
@@ -112,6 +115,8 @@ MU_CLAMP_TOL = 1e-9
 MU_SNAP_TOL = 1e-11
 #: Default comparison tolerance for spectra and residuals.
 SPECTRUM_TOL = 1e-8
+#: Relative window of a typed ``lift --mu`` around the nearest cluster mean.
+MU_MATCH_TOL = 5e-3
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -866,6 +871,14 @@ def full_spectrum(
     )
 
 
+def direct_spectrum(graph: Graph, weights) -> tuple[SpectrumClass, ...]:
+    """Right spectrum of the walk by diagonalizing ``psi(U)`` of the dense
+    U, for any weights: the classes of :func:`qmatrix.right_eigenvalues`,
+    each with the source ``"direct"``."""
+    return tuple(SpectrumClass(cls.rep, mult, ("direct",)) for cls, mult
+                 in right_eigenvalues(build_walk(graph, weights).U))
+
+
 def _walk_spectrum(
     ops: WalkOperators,
     *,
@@ -968,6 +981,16 @@ def group_mus(mus) -> list[tuple[float, int]]:
         else:
             groups.append([mu])
     return [(sum(g) / len(g), len(g)) for g in groups]
+
+
+def nearest_mu(distinct, requested: float) -> float | None:
+    """The cluster mean of ``distinct`` (:func:`group_mus` pairs) nearest
+    ``requested``, the lower one on a tie, or None when it lies further
+    than ``MU_MATCH_TOL * max(1, |requested|)`` from ``requested``."""
+    nearest = min(distinct, key=lambda item: abs(item[0] - requested))[0]
+    if abs(nearest - requested) > MU_MATCH_TOL * max(1.0, abs(requested)):
+        return None
+    return nearest
 
 
 def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:

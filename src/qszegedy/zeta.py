@@ -292,25 +292,31 @@ def sylvester_det_property(a, b, alpha: complex) -> IdentityCheck:
         raise ValidationError(
             f"need A (m x n) and B (n x m); got {a.shape} and {b.shape}"
         )
+    return _sylvester_rows(a, b, [alpha])[0]
+
+
+def _sylvester_rows(a, b, alphas) -> list[IdentityCheck]:
+    """:func:`sylvester_det_property` at each of ``alphas``, with ``AB``
+    and ``BA`` formed once."""
+    ab, ba = a @ b, b @ a
     m, n = a.shape
-    alpha = complex(alpha)
-    lphase, llog = _times_power(
-        np.linalg.slogdet(alpha * np.eye(m) - a @ b), alpha, n
-    )
-    rphase, rlog = _times_power(
-        np.linalg.slogdet(alpha * np.eye(n) - b @ a), alpha, m
-    )
-    # _rel_error with both sides divided by max(|lhs|, |rhs|, 1).
-    top = max(llog, rlog, 0.0)
-    err = abs(lphase * math.exp(llog - top) - rphase * math.exp(rlog - top))
-    return IdentityCheck(
-        name="sylvester",
-        samples=(alpha,),
-        lhs=(_from_log(lphase, llog),),
-        rhs=(_from_log(rphase, rlog),),
-        max_rel_error=err,
-        passed=err <= SYLVESTER_TOL,
-    )
+    rows = []
+    for alpha in map(complex, alphas):
+        lphase, llog = _times_power(
+            np.linalg.slogdet(alpha * np.eye(m) - ab), alpha, n
+        )
+        rphase, rlog = _times_power(
+            np.linalg.slogdet(alpha * np.eye(n) - ba), alpha, m
+        )
+        # _rel_error with both sides divided by max(|lhs|, |rhs|, 1).
+        top = max(llog, rlog, 0.0)
+        err = abs(lphase * math.exp(llog - top)
+                  - rphase * math.exp(rlog - top))
+        rows.append(IdentityCheck(
+            "sylvester", (alpha,), (_from_log(lphase, llog),),
+            (_from_log(rphase, rlog),), err, err <= SYLVESTER_TOL,
+        ))
+    return rows
 
 
 class VerifyReport(NamedTuple):
@@ -385,8 +391,7 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
     # Nonzero eigenvalues of psi(K L*) are real (psi(W) is Hermitian), so
     # 2i stays at distance >= 2 from them; alpha = 2 can sit on one.
     alphas = [2j] + default_samples(samples, radius=1.0)
-    k, lh = psi(ops.K), psi(ops.L).conj().T
-    outcomes = [sylvester_det_property(k, lh, alpha) for alpha in alphas]
+    outcomes = _sylvester_rows(psi(ops.K), psi(ops.L).conj().T, alphas)
     sylvester = IdentityCheck(
         "sylvester", tuple(alphas),
         tuple(o.lhs[0] for o in outcomes), tuple(o.rhs[0] for o in outcomes),

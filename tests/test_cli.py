@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from qszegedy import (
-    __version__, cli, commands, qmatrix, quaternion, szegedy, zeta,
+    __version__, cli, commands, examples, qmatrix, quaternion, szegedy, zeta,
 )
 from qszegedy.cli import main
 from qszegedy.commands import _row_labels, _vector_texts
@@ -56,6 +56,30 @@ def test_cli_imports_no_private_names():
         if alias.name.startswith("_") and not alias.name.startswith("__")
     ]
     assert private == []
+
+
+def test_commands_define_no_computation_of_their_own():
+    # The library computes: commands.py takes nothing from qmatrix, only
+    # the entry formatter from quaternion, and defines no tolerance
+    # besides DEFAULT_TOL (each library decision has its constant).
+    tree = ast.parse(Path(commands.__file__).read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            imported.setdefault(node.module, set()).update(
+                alias.name for alias in node.names)
+    assert "qmatrix" not in imported
+    assert imported["quaternion"] == {"format_components"}
+    floats = [
+        target.id
+        for node in tree.body
+        if isinstance(node, (ast.Assign, ast.AnnAssign))
+        and isinstance(node.value, ast.Constant)
+        and isinstance(node.value.value, float)
+        for target in (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+    ]
+    assert floats == ["DEFAULT_TOL"]
 
 
 def test_version_flag(capsys):
@@ -742,6 +766,24 @@ class TestExamples:
         assert report["passed"] is True
         assert len(report["checks"]) == 17
         assert all(c["ok"] for c in report["checks"])
+
+    def test_failing_check_is_formatted(self, capsys, monkeypatch, tmp_path):
+        # The command only formats the library's records: one failing
+        # record gives its FAIL line with the detail, the count and exit 1.
+        checks = examples.run_examples()
+        checks[2] = checks[2]._replace(ok=False, detail="got 0 x9")
+        monkeypatch.setattr(examples, "run_examples", lambda: checks)
+        path = tmp_path / "examples.json"
+        code, out, err = run(capsys, "examples", "--output", str(path))
+        assert code == 1
+        assert err == ""
+        assert f"  FAIL {EXAMPLE_CHECKS[2]}  (got 0 x9)\n" in out
+        assert out.count("  ok  ") == 16
+        assert out.endswith("result: FAIL (16/17)\n")
+        report = json.loads(path.read_text(encoding="utf-8"))
+        assert report["passed"] is False
+        assert report["checks"][2] == {"description": EXAMPLE_CHECKS[2],
+                                       "ok": False, "detail": "got 0 x9"}
 
 
 class TestGenerate:

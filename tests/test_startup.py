@@ -7,10 +7,10 @@ loads; ``import qszegedy`` loads no submodule, because the package
 serves its exports from their modules on first access.  Once the
 arguments parse, ``main`` imports ``qszegedy.commands`` and, with it,
 numpy and the library.  The zeta identities are loaded only by
-``verify``, instance digests come from CPython's builtin SHA-256
-rather than OpenSSL's, value records are named tuples, which compile
-no code at import, and no class is a dataclass, so ``dataclasses`` is
-never loaded.
+``verify`` and the worked examples only by ``examples``, instance
+digests come from CPython's builtin SHA-256 rather than OpenSSL's,
+value records are named tuples, which compile no code at import, and
+no class is a dataclass, so ``dataclasses`` is never loaded.
 """
 
 import importlib
@@ -100,7 +100,8 @@ def _imported_modules(argv, tmp_path) -> set[str]:
 #: What the front must not import: numpy, and every module that needs it.
 NUMERIC = {"numpy", "qszegedy.commands", "qszegedy.graph",
            "qszegedy.quaternion", "qszegedy.qmatrix", "qszegedy.szegedy",
-           "qszegedy.instances", "qszegedy.zeta"}
+           "qszegedy.instances", "qszegedy.zeta",
+           "qszegedy.examples"}
 USAGE = (
     "usage: qszegedy [-h] [--version] "
     "{spectrum,verify,lift,examples,generate} ...\n"
@@ -159,6 +160,13 @@ def test_zeta_is_imported_by_verify_only(tmp_path):
     assert "qszegedy.szegedy" in spectrum
     assert "qszegedy.zeta" not in spectrum
     assert "qszegedy.zeta" in _imported_modules(["verify", "k4"], tmp_path)
+
+
+def test_examples_module_is_imported_by_examples_only(tmp_path):
+    for argv in (["spectrum", "k4"], ["lift", "k4", "--all"],
+                 ["verify", "k4"]):
+        assert "qszegedy.examples" not in _imported_modules(argv, tmp_path)
+    assert "qszegedy.examples" in _imported_modules(["examples"], tmp_path)
 
 
 @pytest.mark.parametrize(

@@ -47,11 +47,13 @@ from qszegedy.szegedy import (
     build_walk,
     check_pm1_eigenspaces,
     check_unitary_condition,
+    direct_spectrum,
     full_spectrum,
     group_mus,
     lift_eigenvector,
     lift_groups,
     match_multisets,
+    nearest_mu,
     random_instance,
     spectral_map,
     uniform_weights,
@@ -849,6 +851,35 @@ def test_walk_eigenvectors_near_degenerate_clusters(spec, share):
         # to 2, at the walk's square-root scale: O(1e-9).
         bound = 1e-8 if item.origin == "direct" else 1e-12
         assert item.relative_residual <= bound
+
+
+@pytest.mark.parametrize("mean", [-2.0 / 3.0, 4.0 / 3.0])
+def test_nearest_mu_window(mean):
+    # lift --mu matches within MU_MATCH_TOL * max(1, |requested|).
+    distinct = [(-2.0 / 3.0, 2), (4.0 / 3.0, 4)]
+    window = szegedy.MU_MATCH_TOL * max(1.0, abs(mean))
+    for sign in (1.0, -1.0):
+        assert nearest_mu(distinct, mean + sign * 0.99 * window) == mean
+        assert nearest_mu(distinct, mean + sign * 1.01 * window) is None
+
+
+def test_nearest_mu_tie_picks_the_lower_mean():
+    # Both means lie exactly 2**-8 from the request, inside the window.
+    distinct = [(1.0, 2), (1.0 + 2.0 ** -7, 2)]
+    assert nearest_mu(distinct, 1.0 + 2.0 ** -8) == 1.0
+
+
+def test_direct_spectrum_of_non_unitary_weights():
+    # k4 with arc 0->1's weight doubled fails the unitarity condition;
+    # the direct path still accounts for all m' quaternionic eigenvalues.
+    instance = load_bundled("k4")
+    weights = instance.weights.copy()
+    weights[instance.graph.arc_index(0, 1)] *= 2.0
+    assert not check_unitary_condition(instance.graph, weights).passed
+    classes = direct_spectrum(instance.graph, weights)
+    assert sum(cls.multiplicity for cls in classes) == instance.graph.m_prime
+    assert all(cls.sources == ("direct",) for cls in classes)
+    assert len(classes) == 6
 
 
 def test_bridged_triangles_split_clusters_at_walk_scale(tmp_path):
