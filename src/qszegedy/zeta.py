@@ -128,6 +128,31 @@ def _check_samples(samples) -> tuple[complex, ...]:
     return out
 
 
+def _diagonal(a: np.ndarray) -> np.ndarray:
+    """Writable view of the diagonal of a C-contiguous square array."""
+    return a.reshape(-1)[:: a.shape[0] + 1]
+
+
+def _arc_side(x, e: int, samples) -> tuple[complex, ...]:
+    """``det(I - t X) (1 - t^2)^max(-e, 0)`` at each sample.
+
+    ``I - tX`` goes into one buffer for every sample, freed on return:
+    ``0 - tX``, then 1 added on the diagonal, gives the bits of
+    ``np.eye(N) - t * x``, signed zeros included.
+    """
+    buf = np.empty(x.shape, dtype=complex)
+    diagonal = _diagonal(buf)
+    lhs = []
+    for t in samples:
+        np.multiply(t, x, out=buf)
+        np.subtract(0.0, buf, out=buf)
+        diagonal += 1.0
+        lhs.append(complex(
+            np.linalg.det(buf) * (1.0 - t * t) ** max(-e, 0)
+        ))
+    return tuple(lhs)
+
+
 def _bass_identity(
     name, x, v, d, e: int, l: int, t_samples, tol
 ) -> IdentityCheck:
@@ -142,12 +167,11 @@ def _bass_identity(
     samples = _check_samples(
         default_samples() if t_samples is None else t_samples
     )
-    eye_x = np.eye(x.shape[0], dtype=complex)
+    lhs = _arc_side(x, e, samples)
+    # The vertex side keeps its expression: on arrays of 256 KB or more
+    # numpy evaluates ``t * t * (d - eye_v)`` in place with the operands
+    # swapped, and a rewrite would move its last bits.
     eye_v = np.eye(v.shape[0], dtype=complex)
-    lhs = tuple(
-        complex(np.linalg.det(eye_x - t * x) * (1.0 - t * t) ** max(-e, 0))
-        for t in samples
-    )
     rhs = tuple(
         complex(
             (1.0 + t) ** l
@@ -169,10 +193,9 @@ def _require_loopless(graph: Graph, what: str):
 def _arc_matrix(graph: Graph, w: np.ndarray) -> np.ndarray:
     """``Bw - J0`` with ``Bw[e, f] = w[o(f), t(f)]`` where ``t(e) = o(f)``."""
     follows = graph.terminus[:, None] == graph.origin[None, :]
-    return (
-        np.where(follows, w[graph.origin, graph.terminus], 0.0)
-        - graph.j0_matrix()
-    )
+    b = np.where(follows, w[graph.origin, graph.terminus], 0.0)
+    b[np.arange(graph.m_prime), graph.inverse] -= 1.0
+    return b
 
 
 def ihara_identity(
@@ -247,9 +270,13 @@ def quaternionic_identity(
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
+    x = psi(u_edge)
+    del u_edge
+    v = psi(L.H @ K)
+    d = psi(L.take_rows(graph.inverse).H @ K)
+    del K, L  # only the embeddings live through the samples
     return _bass_identity(
-        "quaternionic", psi(u_edge), psi(L.H @ K),
-        psi(L.take_rows(graph.inverse).H @ K),
+        "quaternionic", x, v, d,
         2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol,
     )
 
@@ -298,16 +325,18 @@ def sylvester_det_property(a, b, alpha: complex) -> IdentityCheck:
 def _sylvester_rows(a, b, alphas) -> list[IdentityCheck]:
     """:func:`sylvester_det_property` at each of ``alphas``, with ``AB``
     and ``BA`` formed once."""
+    # -AB and -BA once; each alpha rewrites only their diagonals.
     ab, ba = a @ b, b @ a
     m, n = a.shape
+    ab_diag, ba_diag = _diagonal(ab).copy(), _diagonal(ba).copy()
+    np.negative(ab, out=ab)
+    np.negative(ba, out=ba)
     rows = []
     for alpha in map(complex, alphas):
-        lphase, llog = _times_power(
-            np.linalg.slogdet(alpha * np.eye(m) - ab), alpha, n
-        )
-        rphase, rlog = _times_power(
-            np.linalg.slogdet(alpha * np.eye(n) - ba), alpha, m
-        )
+        np.subtract(alpha, ab_diag, out=_diagonal(ab))
+        np.subtract(alpha, ba_diag, out=_diagonal(ba))
+        lphase, llog = _times_power(np.linalg.slogdet(ab), alpha, n)
+        rphase, rlog = _times_power(np.linalg.slogdet(ba), alpha, m)
         # _rel_error with both sides divided by max(|lhs|, |rhs|, 1).
         top = max(llog, rlog, 0.0)
         err = abs(lphase * math.exp(llog - top)

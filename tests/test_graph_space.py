@@ -9,12 +9,17 @@ has no arc and can never meet the unitarity condition).  Weights are
 components: W is block diagonal and both signed counts of the Bass
 prefactor add over components, so every invariant below holds for it
 exactly as for a connected one.
+
+A second draw has the same shape at 15 to 40 vertices, with the pairs
+outside the spanning trees joined at a drawn density, so that the
+oracle, the lifts and the determinant rows run at m' in the hundreds.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import random
 
 import pytest
 from hypothesis import example, given, settings
@@ -69,6 +74,40 @@ def graphs(draw):
     return build_graph(n, edges, loops)
 
 
+def _large_case(seed):
+    """A graph of 15 to 40 vertices in the shape of :func:`graphs`, its
+    pairs outside the spanning trees joined at a drawn density, and a
+    weight seed (None for uniform weights), all from one seed."""
+    rnd = random.Random(seed)
+    components = rnd.randint(1, 3)
+    n = rnd.randint(15, 40)
+    density = rnd.uniform(0.05, 0.2)
+    labels = rnd.sample(range(n), n)
+    cuts = sorted(rnd.sample(range(1, n), components - 1))
+    edges, isolated = [], []
+    for start, stop in zip([0] + cuts, cuts + [n]):
+        part = labels[start:stop]
+        if len(part) == 1:
+            isolated.append(part[0])
+        tree = [(part[rnd.randrange(i)], part[i])
+                for i in range(1, len(part))]
+        linked = set(tree) | {(v, u) for u, v in tree}
+        edges += tree + [(u, v) for i, u in enumerate(part)
+                         for v in part[i + 1:]
+                         if (u, v) not in linked and rnd.random() < density]
+    rnd.shuffle(edges)
+    edges = [(v, u) if rnd.random() < 0.5 else (u, v) for u, v in edges]
+    share = rnd.choice([0.0, 0.2, 1.0])  # no, some or all vertices
+    loops = [v for v in range(n) if v in isolated or rnd.random() < share]
+    weight_seed = rnd.choice([None, rnd.getrandbits(32)])
+    return build_graph(n, edges, loops), weight_seed
+
+
+# Hypothesis draws one seed per case: with the many per-pair choices
+# drawn from its own stream, derandomised runs repeat small graphs.
+large_cases = st.integers(0, 2**32 - 1).map(_large_case)
+
+
 def _weights(graph, seed):
     if seed is None:
         return uniform_weights(graph)
@@ -97,6 +136,17 @@ def _closed_under_conjugation(values) -> bool:
 @example(graph=build_graph(2, [], [0, 1]), seed=5)
 @given(graph=graphs(), seed=st.none() | st.integers(0, 2**32 - 1))
 def test_invariants_over_graph_space(graph, seed):
+    _assert_invariants(graph, seed)
+
+
+# 40 cases, up to m' = 300 or so, take about 8 s on two cores.
+@settings(max_examples=40, deadline=None)
+@given(case=large_cases)
+def test_invariants_over_larger_graphs(case):
+    _assert_invariants(*case)
+
+
+def _assert_invariants(graph, seed):
     weights = _weights(graph, seed)
     report = full_spectrum(
         graph, weights, want_oracle=True, want_eigenvectors=True, tol=TOL

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ import pytest
 from qszegedy import zeta
 from qszegedy.errors import ValidationError
 from qszegedy.graph import build_graph
-from qszegedy.instances import load_bundled
-from qszegedy.qmatrix import QMatrix
-from qszegedy.szegedy import build_walk
+from qszegedy.instances import load_bundled, parse_graph_spec
+from qszegedy.qmatrix import QMatrix, psi
+from qszegedy.szegedy import build_walk, random_instance
 from qszegedy.zeta import (
     _arc_matrix,
     default_samples,
@@ -19,6 +20,7 @@ from qszegedy.zeta import (
     quaternionic_identity,
     second_weighted_identity,
     sylvester_det_property,
+    verify_walk,
 )
 
 SQ2 = math.sqrt(2.0)
@@ -291,3 +293,80 @@ def test_quaternionic_perturbed_arc_side_fails(monkeypatch):
     ))
     result = quaternionic_identity(graph, a, b)
     assert not result.passed and result.max_rel_error > 1e-5
+
+
+@pytest.mark.parametrize("spec", ["C40", "K8+loops", "K10"])
+def test_verify_walk_peak_memory(spec):
+    # Each determinant row reuses one buffer across its samples, so the
+    # peak is X, that buffer and n-sized arrays: 2.2 to 3.2 arrays of
+    # (2m')^2 complex values with numpy 2.4, against 4.8 to 6.4 when
+    # every sample formed I - tX and its temporaries afresh.
+    graph = parse_graph_spec(spec)
+    weights = random_instance(graph, 3)
+    unit = (2 * graph.m_prime) ** 2 * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        verify_walk(graph, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.5 * unit
+
+
+# K6's 2m' x 2m' matrices (57.6 KB) are below the 256 KB at which numpy
+# reuses temporaries in place, C80's (1.6 MB) above it.
+@pytest.mark.parametrize("spec", ["K6", "C80"])
+def test_reused_buffers_give_the_bits_of_fresh_matrices(monkeypatch, spec):
+    graph = parse_graph_spec(spec)
+    ops = build_walk(graph, random_instance(graph, 1))
+    size = 2 * graph.m_prime
+    embeddings, arc_sides = [], []
+
+    def keep_x(c):
+        out = psi(c)
+        if out.shape[0] == size:
+            embeddings.append(out)
+        return out
+
+    det = np.linalg.det
+
+    def keep_arc_side(c):
+        if c.shape[0] == size:
+            arc_sides.append(c.copy())
+        return det(c)
+
+    monkeypatch.setattr(zeta, "psi", keep_x)
+    monkeypatch.setattr(np.linalg, "det", keep_arc_side)
+    a = ops.q * SQ2
+    check = quaternionic_identity(graph, a, a[graph.inverse])
+    monkeypatch.undo()
+    (x,) = embeddings
+    fresh = [np.eye(size) - t * x for t in check.samples]
+    # The same bytes, signed zeros included.
+    assert [c.tobytes() for c in arc_sides] == [c.tobytes() for c in fresh]
+    assert 2 * graph.m0 - 2 * graph.n >= 0  # no prefactor on the arc side
+    assert check.lhs == tuple(complex(det(c)) for c in fresh)
+
+    # verify's Sylvester rows: alpha I - AB, then alpha I - BA.
+    a, b = psi(ops.K), psi(ops.L).conj().T
+    m, n = a.shape
+    ab, ba = a @ b, b @ a
+    slogdet = np.linalg.slogdet
+    seen = []
+
+    def keep_row(c):
+        row = slogdet(c)
+        seen.append((c.copy(), tuple(row)))
+        return row
+
+    monkeypatch.setattr(np.linalg, "slogdet", keep_row)
+    alphas = [2j] + default_samples(radius=1.0)
+    zeta._sylvester_rows(a, b, alphas)
+    monkeypatch.undo()
+    fresh = [alpha * np.eye(k) - product
+             for alpha in alphas for k, product in ((m, ab), (n, ba))]
+    # Equal entries; only the sign of a zero off the diagonal may differ.
+    assert len(seen) == len(fresh)
+    for (c, row), f in zip(seen, fresh):
+        assert np.array_equal(c, f)
+        assert row == tuple(slogdet(f))
