@@ -17,6 +17,7 @@ import sys
 import warnings
 
 from . import __version__
+from ._hashes import hashlib_needs_no_openssl
 from .errors import QWalkError, ValidationError
 
 
@@ -125,10 +126,21 @@ def run() -> int:
     before those collections on every way out: a return, ``SystemExit``
     from argparse (``--version``, ``-h``, usage errors) and an uncaught
     exception, whose traceback and exit code are unchanged.  Unlike
-    ``os._exit``, this still flushes buffered output.  ``main`` itself
-    leaves the collector alone, for in-process callers.
+    ``os._exit``, this still flushes buffered output.
+
+    It then marks OpenSSL's ``_hashlib`` unavailable in ``sys.modules``,
+    when CPython's builtin hash modules are all present (SHA-256 among
+    them, which instance digests use).  ``numpy.random`` imports
+    ``secrets``, and with it ``hmac`` and ``hashlib``; these then take
+    their builtin fallbacks instead of loading libcrypto, about 3.4 MB
+    of resident memory.  Seeded Generator streams never hash, so no
+    output changes.  An interpreter without those modules keeps OpenSSL.
+
+    ``main`` itself does neither, for in-process callers.
     """
     atexit.register(gc.freeze)
+    if hashlib_needs_no_openssl():
+        sys.modules.setdefault("_hashlib", None)
     return main()
 
 

@@ -70,10 +70,6 @@ class Graph(Frozen):
         """Index of the inverse arc; loops are self-inverse."""
         return int(self.inverse[index])
 
-    def j0_matrix(self) -> np.ndarray:
-        """The arc-inversion permutation as a complex matrix."""
-        return np.eye(self.m_prime, dtype=complex)[self.inverse]
-
     def adjacency(self) -> np.ndarray:
         """0/1 adjacency matrix over non-loop edges."""
         a = np.zeros((self.n, self.n), dtype=complex)

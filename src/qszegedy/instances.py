@@ -26,6 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from ._hashes import builtin_sha256
 from .errors import ValidationError
 from .graph import Graph, build_graph
 from .szegedy import _check_weights, arc_weights, random_instance
@@ -270,12 +271,8 @@ def instance_hash(graph: Graph, weights) -> str:
     OpenSSL; ``hashlib``, which loads it, serves only an interpreter
     built without that module.
     """
-    try:
-        if sys.version_info >= (3, 12):
-            from _sha2 import sha256
-        else:
-            from _sha256 import sha256
-    except ImportError:
+    sha256 = builtin_sha256()
+    if sha256 is None:
         from hashlib import sha256
 
     payload = instance_to_dict(graph, weights)

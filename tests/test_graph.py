@@ -35,7 +35,7 @@ def test_inverse_index():
 
 def test_j0_is_an_involution():
     g = build_graph(4, [(0, 1), (1, 2), (2, 3), (3, 0)], loops=[1])
-    j0 = g.j0_matrix()
+    j0 = np.eye(g.m_prime)[g.inverse]
     assert j0.shape == (9, 9)
     assert np.array_equal(j0 @ j0, np.eye(9))
     for e in range(g.m_prime):

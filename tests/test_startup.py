@@ -7,13 +7,16 @@ loads; ``import qszegedy`` loads no submodule, because the package
 serves its exports from their modules on first access.  Once the
 arguments parse, ``main`` imports ``qszegedy.commands`` and, with it,
 numpy and the library.  The zeta identities are loaded only by
-``verify`` and the worked examples only by ``examples``, instance
-digests come from CPython's builtin SHA-256 rather than OpenSSL's,
-value records are named tuples, which compile no code at import, and
-no class is a dataclass, so ``dataclasses`` is never loaded.
+``verify`` and the worked examples only by ``examples``.  No job loads
+OpenSSL: instance digests come from CPython's builtin SHA-256, and
+``cli.run`` keeps numpy.random's ``secrets`` import off it.  Value
+records are named tuples, which compile no code at import, and no
+class is a dataclass, so ``dataclasses`` is never loaded.
 """
 
+import hashlib
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -24,6 +27,7 @@ import pytest
 
 import qszegedy
 from qszegedy import zeta
+from qszegedy.instances import instance_to_dict, load_bundled
 
 SRC = Path(qszegedy.__file__).parents[1]
 
@@ -92,6 +96,15 @@ def _importtime(argv, code: int = 0) -> tuple[set[str], str, str]:
     return {line.rsplit("|", 1)[1].strip() for line in timed}, done.stdout, rest
 
 
+def _run_in_fresh_interpreter(code: str) -> tuple[list[str], str]:
+    """Stdout lines and stderr of ``python -c CODE``, which must exit 0."""
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    return done.stdout.splitlines(), done.stderr
+
+
 def _imported_modules(argv, tmp_path) -> set[str]:
     """Modules a job that writes ``--output`` imports."""
     return _importtime([*argv, "--output", str(tmp_path / "report.json")])[0]
@@ -130,14 +143,11 @@ def test_front_paths_exit_before_numpy_loads(argv, code, out, err):
 
 
 def test_package_import_loads_no_numpy():
-    code = ("import sys, qszegedy; "
-            "print(sorted(m for m in sys.modules if m == 'numpy' "
-            "or m.startswith('qszegedy')))")
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(SRC)),
-                          timeout=120)
-    assert done.returncode == 0, done.stderr
-    assert done.stdout == "['qszegedy']\n"
+    stdout, _ = _run_in_fresh_interpreter(
+        "import sys, qszegedy; "
+        "print(sorted(m for m in sys.modules if m == 'numpy' "
+        "or m.startswith('qszegedy')))")
+    assert stdout == ["['qszegedy']"]
 
 
 def test_export_table_names_each_defining_module():
@@ -169,16 +179,73 @@ def test_examples_module_is_imported_by_examples_only(tmp_path):
     assert "qszegedy.examples" in _imported_modules(["examples"], tmp_path)
 
 
+def _loads_openssl(argv, tmp_path) -> bool:
+    """Whether a job that writes ``--output`` loads OpenSSL's libcrypto,
+    as ``_hashlib``.  ``-X importtime`` cannot tell: it also times an
+    import that a ``None`` entry in ``sys.modules`` refuses, while ``-v``
+    logs only the modules that load."""
+    done = subprocess.run(
+        [sys.executable, "-v", "-m", "qszegedy.cli", *argv,
+         "--output", str(tmp_path / "report.json")],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    return "import '_hashlib'" in done.stderr
+
+
 @pytest.mark.parametrize(
     "argv",
     [["spectrum", "k4"], ["lift", "k4", "--all"], ["examples"],
-     ["verify", "k3_loops"]],
+     ["verify", "k3_loops"], ["verify", "k4"],
+     ["verify", "--random", "K4", "--count", "2"],
+     ["generate", "K4", "--seed", "1"]],
 )
 def test_instance_digests_leave_openssl_unloaded(argv, tmp_path):
-    # hashlib's SHA-256 loads OpenSSL's libcrypto as ``_hashlib``.
-    # ``verify`` on a loopless graph loads it anyway: numpy.random imports
-    # ``secrets``.
-    assert "_hashlib" not in _imported_modules(argv, tmp_path)
+    # hashlib's SHA-256 loads OpenSSL's libcrypto as ``_hashlib``, and so
+    # does numpy.random, which imports ``secrets``: loopless ``verify``
+    # draws the weights of the second weighted identity, ``verify
+    # --random`` and ``generate --seed`` draw instance weights.
+    # ``cli.run`` marks ``_hashlib`` unavailable, so hashlib and hmac
+    # take CPython's builtin hashes.
+    assert not _loads_openssl(argv, tmp_path)
+
+
+@pytest.mark.parametrize("missing", [("_sha2", "_sha256"), ("_md5",)],
+                         ids=["sha256", "md5"])
+def test_without_a_builtin_hash_openssl_serves_hashlib(missing, tmp_path):
+    # An interpreter built without one of the builtin hash modules keeps
+    # OpenSSL: ``run`` leaves ``_hashlib`` alone, so hashlib logs no
+    # missing algorithm, and without SHA-256 the digest comes from it.
+    report = tmp_path / "report.json"
+    stdout, stderr = _run_in_fresh_interpreter(
+        "import sys\n"
+        f"for name in {missing!r}:\n"
+        "    sys.modules[name] = None\n"
+        "from qszegedy import cli\n"
+        f"sys.argv[1:] = ['verify', 'k4', '--output', {str(report)!r}]\n"
+        "code = cli.run()\n"
+        "print(code, type(sys.modules['_hashlib']).__name__)\n"
+    )
+    assert stdout[-1] == "0 module"
+    assert stderr == ""
+    k4 = load_bundled("k4")
+    payload = instance_to_dict(k4.graph, k4.weights)
+    del payload["metadata"]
+    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    digest = json.loads(report.read_text(encoding="utf-8"))["instance"]
+    assert digest["sha256"] == hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def test_main_leaves_hashlib_to_in_process_callers():
+    # Only ``run``, the process entry, touches ``sys.modules``.
+    stdout, _ = _run_in_fresh_interpreter(
+        "import sys\n"
+        "from qszegedy import cli\n"
+        "code = cli.main(['spectrum', 'k4'])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    assert stdout[-1] == "0 False"
 
 
 def test_package_exports_are_unchanged():

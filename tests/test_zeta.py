@@ -63,7 +63,7 @@ def test_samples_near_prefactor_zeros_rejected():
 
 def test_edge_matrix_excludes_nothing_but_nonadjacent():
     g = _k3()
-    b = _arc_matrix(g, g.adjacency()) + g.j0_matrix()
+    b = _arc_matrix(g, g.adjacency()) + np.eye(g.m_prime)[g.inverse]
     # B counts tail-to-head incidences including backtracking.
     assert b[0, 2] == 1.0  # (0,1) then (1,2)
     assert b[0, 1] == 1.0  # (0,1) then (1,0): backtracking included
