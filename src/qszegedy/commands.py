@@ -250,8 +250,11 @@ def _writing_stdout():
         sys.stdout.flush()
 
 
-def _emit(report: dict, lines: list[str], output: str | None) -> int:
-    # The file opens first, so an unwritable path prints no report.
+def _emit(report: dict, lines, output: str | None) -> int:
+    """Write ``lines`` (any iterable of text) to stdout, one newline
+    after each, then ``report`` to ``output``; return the exit code."""
+    # The file opens first, so an unwritable path prints no report, and
+    # a vector's text is formatted only once its line is due.
     with _open_output(output) if output else nullcontext() as handle:
         with _writing_stdout() as stdout:
             for line in lines:  # a vector's rows are one item
@@ -312,25 +315,26 @@ def _row_piece(mask: int) -> str:
 _ROW_PIECES = np.array([_row_piece(mask) for mask in range(16)], dtype=object)
 #: Rows of vector text formatted per block: the Python floats of one
 #: block's non-zero components are all that exist at once.
-_TEXT_ROWS = 4096
+_TEXT_ROWS = 512
 
 
 def _vector_texts(labels: list[str], components: np.ndarray,
-                  indent: str = "    ") -> list[str]:
-    """The printed rows of each vector of a stack of ``components`` (as
-    ``szegedy.vector_components`` gives them): one ``label: entry`` line
-    per row, entries as ``format_components`` writes them, the lines of
-    one vector joined by newlines.
+                  indent: str = "    "):
+    """Yield the printed rows of each vector of a stack of ``components``
+    (as ``szegedy.vector_components`` gives them): one ``label: entry``
+    line per row, entries as ``format_components`` writes them, the
+    lines of one vector joined by newlines.
 
     The stack is taken in blocks of whole vectors, at most
-    ``_TEXT_ROWS`` rows each (one vector when a vector has more), so
-    only one block's non-zero components exist as Python floats at once.
+    ``_TEXT_ROWS`` rows each (one vector when a vector has more), as the
+    texts are consumed, so only one block's non-zero components exist
+    as Python floats at once.
     Each row's template is keyed by its zero mask, from a
     ``label x mask`` table of the labelled ``_ROW_PIECES``, and each
     vector is then one ``%`` (``%+g`` writes a NaN of either sign as
     ``+nan``, as ``format_components`` does)."""
     if not len(components):
-        return []
+        return
     prefixes = np.array(
         [f"{indent}{label}: ".replace("%", "%%") for label in labels],
         dtype=object,
@@ -338,18 +342,14 @@ def _vector_texts(labels: list[str], components: np.ndarray,
     table = prefixes[:, None] + _ROW_PIECES
     rows = np.arange(len(labels))
     step = max(1, _TEXT_ROWS // len(labels))
-    texts = []
     for start in range(0, len(components), step):
         block = components[start:start + step]
         present = block != 0.0
         templates = table[rows, present @ np.array([1, 2, 4, 8])]
         values = block[present].tolist()
         ends = np.cumsum(present.sum(axis=(1, 2))).tolist()
-        texts += [
-            "\n".join(lines) % tuple(values[begin:end])
-            for lines, begin, end in zip(templates.tolist(), [0] + ends, ends)
-        ]
-    return texts
+        for lines, begin, end in zip(templates.tolist(), [0] + ends, ends):
+            yield "\n".join(lines) % tuple(values[begin:end])
 
 
 # ---------------------------------------------------------------- spectrum
@@ -371,6 +371,7 @@ def cmd_spectrum(args) -> int:
         report["passed"] = False
         return _emit(report, lines, args.output)
 
+    vector_lines = ()
     if unitarity.passed:
         spectrum = full_spectrum(
             instance.graph,
@@ -379,12 +380,11 @@ def cmd_spectrum(args) -> int:
             want_eigenvectors=args.eigenvectors,
             tol=tol,
         )
-        components = texts = None
+        components = None
         if spectrum.eigenvectors is not None:
             components = vector_components(
                 [item.vector for item in spectrum.eigenvectors]
             )
-            texts = _vector_texts(_row_labels(instance.graph)[1], components)
         if args.output:  # the JSON form is built only to be written
             report["spectrum"] = spectrum.to_dict(components)
         lines.append(f"tree case: {spectrum.tree_case}")
@@ -415,14 +415,10 @@ def cmd_spectrum(args) -> int:
             passed = passed and spectrum.oracle.matched
         if spectrum.eigenvectors is not None:
             lines.append(f"eigenvectors ({len(spectrum.eigenvectors)}):")
-            for item, text in zip(spectrum.eigenvectors, texts):
-                mu_note = "" if item.mu is None else f" from mu {_fmt(item.mu)}"
-                lines.append(
-                    f"  lambda {_fmt_c(item.lam)} [{item.origin}]{mu_note} "
-                    f"residual {item.residual:.3g}"
-                )
-                lines.append(text)
-                passed = passed and item.residual <= tol
+            texts = _vector_texts(_row_labels(instance.graph)[1], components)
+            vector_lines = _spectrum_vector_lines(spectrum.eigenvectors, texts)
+            passed = passed and all(item.residual <= tol
+                                    for item in spectrum.eigenvectors)
     else:
         # --force on a non-unitary instance: direct path only.
         classes = direct_spectrum(instance.graph, instance.weights)
@@ -436,8 +432,18 @@ def cmd_spectrum(args) -> int:
         passed = False
 
     report["passed"] = bool(passed)
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return _emit(report, lines, args.output)
+    result = f"result: {'PASS' if passed else 'FAIL'}"
+    return _emit(report, itertools.chain(lines, vector_lines, [result]),
+                 args.output)
+
+
+def _spectrum_vector_lines(items, texts):
+    """Yield each eigenvector's heading line, then its text."""
+    for item, text in zip(items, texts):
+        mu_note = "" if item.mu is None else f" from mu {_fmt(item.mu)}"
+        yield (f"  lambda {_fmt_c(item.lam)} [{item.origin}]{mu_note} "
+               f"residual {item.residual:.3g}")
+        yield text
 
 
 # -------------------------------------------------------------------- lift
@@ -470,54 +476,57 @@ def cmd_lift(args) -> int:
         targets = [nearest]
         boundary = ()
 
-    passed = True
-    entries = []
-    counts = dict(distinct)
-    vertices, arcs = _row_labels(instance.graph)
     groups = lift_groups(ops, targets, boundary)
     items = [item for group in groups for item in group.vectors]
     components = vector_components([item.vector for item in items])
-    texts = iter(_vector_texts(arcs, components))
-    base_texts = iter(_vector_texts(vertices, vector_components(
-        [item.base for item in items if item.origin == "lift"]
-    )))
-    tables = iter(components)  # each vector's JSON table
+    rels = [item.relative_residual for item in items]
+    report["eigenvectors"] = [
+        {"mu": item.mu, "lambda": [item.lam.real, item.lam.imag],
+         "origin": item.origin, "residual": rel, "vector": table}
+        for item, rel, table in zip(items, rels, components)
+    ]
+    passed = all(rel <= tol for rel in rels) and all(
+        group.independent for group in groups if group.independent is not None
+    )
+    report["passed"] = bool(passed)
+    result = f"result: {'PASS' if passed else 'FAIL'}"
+    vector_lines = _lift_vector_lines(instance.graph, groups, dict(distinct),
+                                      components, rels)
+    return _emit(report, itertools.chain(lines, vector_lines, [result]),
+                 args.output)
+
+
+def _lift_vector_lines(graph, groups, counts, components, rels):
+    """Yield each group's heading, the base and walk text of its vectors
+    (walk components and relative residuals in ``components`` and
+    ``rels``), and its independence verdict."""
+    vertices, arcs = _row_labels(graph)
+    texts = _vector_texts(arcs, components)
+    base_texts = _vector_texts(vertices, vector_components(
+        [item.base for group in groups for item in group.vectors
+         if item.origin == "lift"]
+    ))
+    rels = iter(rels)
     for group in groups:
         mu = group.mu
         if mu is None:
-            lines.append(
-                f"lambda = {_fmt(group.lam.real)} eigenvectors (direct "
-                f"extraction, {len(group.vectors)} found):"
-            )
+            yield (f"lambda = {_fmt(group.lam.real)} eigenvectors (direct "
+                   f"extraction, {len(group.vectors)} found):")
         else:
-            lines.append(
-                f"base eigenvalue mu = {_fmt(mu)} (psi multiplicity "
-                f"{counts[mu]}), lambda = {_fmt_c(group.lam)}"
-            )
+            yield (f"base eigenvalue mu = {_fmt(mu)} (psi multiplicity "
+                   f"{counts[mu]}), lambda = {_fmt_c(group.lam)}")
         for index, item in enumerate(group.vectors):
-            rel = item.relative_residual
-            passed = passed and rel <= tol
             if item.origin == "lift":
-                lines.append(f"  base eigenvector {index // 2 + 1}:")
-                lines.append(next(base_texts))
+                yield f"  base eigenvector {index // 2 + 1}:"
+                yield next(base_texts)
             label = f"vector {index + 1}" if mu is None else item.origin
-            lines.append(f"  {label} (relative residual {rel:.3g}):")
-            lines.append(next(texts))
-            entries.append({
-                "mu": mu, "lambda": [item.lam.real, item.lam.imag],
-                "origin": item.origin, "residual": rel, "vector": next(tables),
-            })
+            yield f"  {label} (relative residual {next(rels):.3g}):"
+            yield next(texts)
         if group.independent is not None:
-            passed = passed and group.independent
             verdict = ("H-linearly independent" if group.independent
                        else "DEPENDENT")
-            lines.append(f"  independence: the {len(group.vectors)} lifted "
-                         f"vectors are {verdict}")
-
-    report["eigenvectors"] = entries
-    report["passed"] = bool(passed)
-    lines.append(f"result: {'PASS' if passed else 'FAIL'}")
-    return _emit(report, lines, args.output)
+            yield (f"  independence: the {len(group.vectors)} lifted "
+                   f"vectors are {verdict}")
 
 
 # ------------------------------------------------------------------ verify

@@ -633,11 +633,23 @@ class LiftedVector(Frozen):
 
 def vector_components(vectors) -> np.ndarray:
     """The ``(len(vectors), rows, 4)`` components of equal-height column
-    vectors, stacked: ``[k]`` is ``vectors[k].components()[:, 0]``."""
+    vectors, stacked: ``[k]`` is ``vectors[k].components()[:, 0]``.
+
+    Each vector's parts are assigned into one preallocated stack.  The
+    last component is ``-b.imag`` by assignment of a negated copy: numpy
+    2.4.6 miscomputes ``np.negative(x, out=y)`` for a strided ``y`` when
+    ``x`` has a 64-byte stride, as ``b.imag`` of a column of a 4-column
+    block has."""
     if not vectors:
         return np.empty((0, 0, 4))
-    stack = QMatrix.hstack(vectors)
-    return QMatrix._adopt(stack.a.T, stack.b.T).components()
+    out = np.empty((len(vectors), vectors[0].rows, 4))
+    for table, vector in zip(out, vectors):
+        a, b = vector.a[:, 0], vector.b[:, 0]
+        table[:, 0] = a.real
+        table[:, 1] = a.imag
+        table[:, 2] = b.real
+        table[:, 3] = -b.imag
+    return out
 
 
 def vector_payload(items, tables=None) -> list[dict]:
@@ -1035,7 +1047,8 @@ def walk_eigenvectors(ops: WalkOperators, mus, boundary) -> list[LiftedVector]:
         lam = float(target)
         basis = QMatrix.hstack(_pm1_eigenspace(ops, lam))
         norms = _column_norms(basis)
-        basis = QMatrix._adopt(basis.a / norms, basis.b / norms)
+        basis.a /= norms
+        basis.b /= norms
         residuals = _column_norms(_apply_walk(ops, basis) - basis.scale(lam))
         for c, residual in enumerate(residuals.tolist()):
             vectors.append(LiftedVector(

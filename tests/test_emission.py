@@ -383,8 +383,8 @@ def test_stacked_texts_match_format_components(kind, data):
         [value if mask >> c & 1 else zero for c, value in enumerate(values)]
         for mask, values, zero in rows
     ], dtype=float), (count, len(labels), 4))
-    assert _vector_texts(labels, stack, "  ") == _texts_by_row(labels, stack,
-                                                               "  ")
+    assert list(_vector_texts(labels, stack, "  ")) == _texts_by_row(
+        labels, stack, "  ")
 
 
 @pytest.mark.parametrize("kind", ["vertices", "arcs"])
@@ -402,10 +402,10 @@ def test_stacked_texts_cover_every_zero_mask(kind):
     count = -(-len(rows) // len(labels))
     stack = np.array((rows * 2)[:count * len(labels)]).reshape(
         count, len(labels), 4)
-    texts = _vector_texts(labels, stack, "    ")
+    texts = list(_vector_texts(labels, stack, "    "))
     assert texts == _texts_by_row(labels, stack, "    ")
     assert len(texts) == count
-    assert _vector_texts(labels, np.empty((0, 0, 4))) == []
+    assert list(_vector_texts(labels, np.empty((0, 0, 4)))) == []
 
 
 def test_vector_components_stack_columns_bit_for_bit():
@@ -420,6 +420,31 @@ def test_vector_components_stack_columns_bit_for_bit():
     assert stack.shape == (3, 6, 4)
     for vector, column in zip(stack, columns):
         assert repr(vector.tolist()) == repr(column.components()[:, 0].tolist())
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_vector_components_of_column_views_bit_for_bit(order):
+    # Columns of a 4-column block: in C order each column's real and
+    # imaginary parts have a 64-byte stride, in F order they are
+    # contiguous.  Signed zeros and NaN payloads must come through too.
+    rng = np.random.default_rng(11)
+    rows = 12
+    parts = [np.array(rng.standard_normal((rows, 4))
+                      + 1j * rng.standard_normal((rows, 4)), order=order)
+             for _ in range(2)]
+    a, b = parts
+    a[0], b[1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    b[2], b[3] = complex(math.nan, -math.nan), complex(-math.inf, -0.0)
+    columns = [QMatrix._adopt(a[:, c:c + 1], b[:, c:c + 1]) for c in range(4)]
+    stack = vector_components(columns)
+    assert stack.shape == (4, rows, 4)
+    for vector, column in zip(stack, columns):
+        expected = np.array([
+            [x.real, x.imag, y.real, -y.imag]
+            for x, y in zip(column.a[:, 0].tolist(), column.b[:, 0].tolist())
+        ])
+        assert vector.tobytes() == expected.tobytes()
+        assert vector.tobytes() == column.components()[:, 0].tobytes()
 
 
 # ------------------------------------------------------------ JSON paths
@@ -579,6 +604,39 @@ def test_report_writer_peak_memory_stays_small(tmp_path, monkeypatch, capsys):
     size = out.stat().st_size
     assert size > 2_000_000
     assert peaks[0] < 0.10 * size
+
+
+@pytest.mark.parametrize("argv", [
+    ("lift", "{instance}", "--all"),
+    ("spectrum", "{instance}", "--oracle", "--eigenvectors"),
+], ids=" ".join)
+def test_eigenvector_job_peak_memory_stays_small(argv, tmp_path, monkeypatch):
+    # The vector text is formatted a block of rows at a time while stdout
+    # is written, and each vector is stacked once, so printing the K12
+    # vectors adds well under two stacks (132 vectors of 132 rows of four
+    # floats, 0.56 MB each) to the peak of the same instance's
+    # `spectrum --oracle`, which prints none.  Holding every vector's
+    # text until the end, or copying the stack twice, would add three.
+    instance = tmp_path / "k12.json"
+    instance.write_text(json.dumps(random_instance_dict("K12", 1)),
+                        encoding="utf-8")
+
+    def peak(args):
+        main(args)  # a first run leaves the module caches filled
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        floor = peak(["spectrum", str(instance), "--oracle"])
+        used = peak([arg.replace("{instance}", str(instance))
+                     for arg in argv])
+    stack = 132 * 132 * 4 * 8
+    assert used < floor + 2 * stack
 
 
 def test_repeated_eigenvector_jobs_give_the_same_bytes(generated, tmp_path):
