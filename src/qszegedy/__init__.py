@@ -45,47 +45,5 @@ def __getattr__(name: str):
 def __dir__() -> list[str]:
     return sorted(set(globals()) | set(_EXPORTS))
 
-__all__ = [
-    "ConjugacyClass",
-    "DegenerateLiftError",
-    "Graph",
-    "IdentityCheck",
-    "MinimalPolynomial",
-    "NumericalError",
-    "PolyFactor",
-    "QMatrix",
-    "QWalkError",
-    "Quaternion",
-    "RootSubspace",
-    "SpectrumReport",
-    "UnitarityReport",
-    "ValidationError",
-    "WalkOperators",
-    "arc_weights",
-    "build_graph",
-    "build_walk",
-    "check_unitary_condition",
-    "class_of",
-    "format_quaternion",
-    "full_spectrum",
-    "h_linear_independent",
-    "ihara_identity",
-    "is_unitary",
-    "lift_eigenvector",
-    "minimal_polynomial",
-    "psi",
-    "quaternionic_identity",
-    "qvec",
-    "random_instance",
-    "right_eigenbasis",
-    "right_eigenvalues",
-    "root_subspaces",
-    "same_class",
-    "second_weighted_identity",
-    "spectral_map",
-    "sylvester_det_property",
-    "symplectic_decompose",
-    "uniform_weights",
-    "verify_structure",
-    "__version__",
-]
+
+__all__ = [*sorted(_EXPORTS), "__version__"]

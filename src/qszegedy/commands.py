@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import json
 import math
 import sys
 from contextlib import contextmanager, nullcontext
@@ -100,20 +99,6 @@ def _header(command: str, tol: float, instance: Instance | None = None,
     return report, lines
 
 
-def _json_native(value):
-    # Reports may carry numpy scalars from residual arithmetic, and the
-    # float arrays of eigenvector tables.
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.bool_):
-        return bool(value)
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
-    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
-
-
 @contextmanager
 def _writing(path: str):
     """Report an OSError on ``path`` as invalid input (exit 2)."""
@@ -148,8 +133,7 @@ def _float_text(value: float) -> str:
 
 
 #: ``json.dumps`` of a leaf, by exact type, from the primitives the json
-#: module itself uses: its C string encoder and ``repr``.  A leaf of
-#: another type, such as a numpy scalar, goes through ``_json_native``.
+#: module itself uses: its C string encoder and ``repr``.
 _SCALAR_TEXT = {
     str: encode_basestring_ascii,
     int: int.__repr__,
@@ -157,47 +141,38 @@ _SCALAR_TEXT = {
     bool: {True: "true", False: "false"}.__getitem__,
     type(None): lambda _value: "null",
 }
-#: Exact types written as JSON arrays.  A tuple subclass such as a
-#: record is not one: like every type outside ``_JSON_TYPES`` it goes
-#: through ``_json_native``, which rejects it.
-_JSON_ARRAYS = (list, tuple)
-_JSON_TYPES = frozenset(_SCALAR_TEXT).union(_JSON_ARRAYS, (dict,))
 
 
 @functools.lru_cache(maxsize=64)
 def _table_template(indent: str, width: int, rows: int) -> str:
     """``%`` template of ``rows`` table rows at ``indent``: one ``%r`` per
-    float, each row an array of ``width`` of them (width 0: bare)."""
-    row = "%r"
-    if width:
-        cells = ",\n".join([indent + "  %r"] * width)
-        row = f"[\n{cells}\n{indent}]"
-    return (",\n" + indent).join([row] * rows)
+    float, each row an array of ``width`` of them."""
+    cells = ",\n".join([indent + "  %r"] * width)
+    return (",\n" + indent).join([f"[\n{cells}\n{indent}]"] * rows)
 
 
 def _json_chunks(value, indent: str = ""):
-    """Yield ``json.dumps(value, indent=2, default=_json_native)`` in
-    pieces, for ``value`` nested at ``indent``.
+    """Yield ``json.dumps(value, indent=2)`` in pieces, for ``value``
+    nested at ``indent``.
 
-    Dicts with string keys and non-empty lists and tuples are walked
-    here, by exact type, item by item.  A non-empty 1-D or 2-D float64
-    array is a table, by its dtype, written by one fill of a cached
-    template.  Keys and leaves of ``_SCALAR_TEXT``'s types are written by
-    its primitives; empty containers and dicts with other keys go to
-    the stdlib encoder, re-indented (JSON text holds no raw newline);
-    any other type through ``_json_native`` first.
+    A report holds only what is written here: dicts with string keys
+    and lists, walked by exact type item by item; ``_SCALAR_TEXT``'s
+    leaves, written by its primitives; and non-empty 2-D float64 arrays,
+    tables written by one fill of a cached template, with ``tolist``'s
+    bytes.  Anything else, a numpy scalar, a tuple or a record among
+    them, raises TypeError (a non-string key does so in
+    ``encode_basestring_ascii``).
     """
     inner = indent + "  "
     kind = type(value)
-    if (kind is np.ndarray and value.dtype == float and value.ndim in (1, 2)
+    if (kind is np.ndarray and value.dtype == float and value.ndim == 2
             and value.size):
-        width = value.shape[1] if value.ndim == 2 else 0
-        text = (_table_template(inner, width, len(value))
+        text = (_table_template(inner, value.shape[1], len(value))
                 % tuple(value.ravel().tolist()))
         if "n" in text:  # repr gives nan, inf and -inf
             text = text.replace("nan", "NaN").replace("inf", "Infinity")
         yield f"[\n{inner}{text}\n{indent}]"
-    elif kind in _JSON_ARRAYS and value:
+    elif kind is list and value:
         opener = "[\n"
         for item in value:
             scalar = _SCALAR_TEXT.get(type(item))
@@ -208,9 +183,7 @@ def _json_chunks(value, indent: str = ""):
                 yield from _json_chunks(item, inner)
             opener = ",\n"
         yield "\n" + indent + "]"
-    elif kind is dict and value and all(
-        map(isinstance, value, itertools.repeat(str))
-    ):
+    elif kind is dict and value:
         opener = "{\n"
         for key, item in value.items():
             scalar = _SCALAR_TEXT.get(type(item))
@@ -222,13 +195,12 @@ def _json_chunks(value, indent: str = ""):
                 yield from _json_chunks(item, inner)
             opener = ",\n"
         yield "\n" + indent + "}"
-    elif kind not in _JSON_TYPES:
-        yield from _json_chunks(_json_native(value), indent)
     elif kind in _SCALAR_TEXT:
         yield _SCALAR_TEXT[kind](value)
+    elif kind is list or kind is dict:
+        yield "[]" if kind is list else "{}"
     else:
-        text = json.dumps(value, indent=2, default=_json_native)
-        yield text.replace("\n", "\n" + indent)
+        raise TypeError(f"cannot serialize {kind.__name__} in a report")
 
 
 def _write_json(value, handle, path: str) -> None:
@@ -318,12 +290,11 @@ _ROW_PIECES = np.array([_row_piece(mask) for mask in range(16)], dtype=object)
 _TEXT_ROWS = 512
 
 
-def _vector_texts(labels: list[str], components: np.ndarray,
-                  indent: str = "    "):
+def _vector_texts(labels: list[str], components: np.ndarray):
     """Yield the printed rows of each vector of a stack of ``components``
     (as ``szegedy.vector_components`` gives them): one ``label: entry``
-    line per row, entries as ``format_components`` writes them, the
-    lines of one vector joined by newlines.
+    line per row, indented four spaces, entries as ``format_components``
+    writes them, the lines of one vector joined by newlines.
 
     The stack is taken in blocks of whole vectors, at most
     ``_TEXT_ROWS`` rows each (one vector when a vector has more), as the
@@ -336,7 +307,7 @@ def _vector_texts(labels: list[str], components: np.ndarray,
     if not len(components):
         return
     prefixes = np.array(
-        [f"{indent}{label}: ".replace("%", "%%") for label in labels],
+        [f"    {label}: ".replace("%", "%%") for label in labels],
         dtype=object,
     )
     table = prefixes[:, None] + _ROW_PIECES

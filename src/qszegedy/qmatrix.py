@@ -268,15 +268,18 @@ def psi(m: QMatrix) -> np.ndarray:
     Multiplicative (``psi(MN) = psi(M) psi(N)``), additive, and exact on
     conjugate transposes.  Shape is ``(2r, 2c)`` for an ``r x c`` input.
     The four blocks are written into the one result array, so nothing
-    else of a block's size is allocated.  ``-conj(B)`` is written as
-    ``-Re B + i Im B``, the same bits, since negation and conjugation
-    only flip sign bits.
+    else of a block's size is allocated.  ``-conj(B)`` is written as a
+    copy of B whose real part is then negated in place, the same bits,
+    since negation and conjugation only flip sign bits.  (Negating
+    ``B.real`` straight into the block miscomputes on numpy 2.4.6 when
+    B is a column view with a 64-byte row stride.)
     """
     r, c = m.shape
     out = np.empty((2 * r, 2 * c), dtype=complex)
     out[:r, :c] = m.a
-    np.negative(m.b.real, out=out[:r, c:].real)
-    out[:r, c:].imag = m.b.imag
+    top_right = out[:r, c:]
+    top_right[...] = m.b
+    np.negative(top_right.real, out=top_right.real)
     out[r:, :c] = m.b
     np.conjugate(m.a, out=out[r:, c:])
     return out

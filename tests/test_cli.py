@@ -678,16 +678,16 @@ def test_vector_lines_match_entry_formatting(rows):
     b = np.array([complex(0.0, -0.0), -0.5j, complex(-1.0, 0.0), 2.0 + 1j])
     vec = QMatrix(a[:rows].reshape(-1, 1), b[:rows].reshape(-1, 1))
     vertices, arcs = _row_labels(graph)
-    lines = _vector_lines(arcs if rows == 4 else vertices, vec, indent="  ")
+    lines = _vector_lines(arcs if rows == 4 else vertices, vec)
     expected = [format_quaternion(vec.entry(r, 0)) for r in range(rows)]
     assert [line.split(": ", 1)[1] for line in lines] == expected
     assert expected[:3] == ["0", "1.5e-07-0.25i+0.5k", "2i-1j"]
-    assert lines[0].startswith("  v1: " if rows == 3 else "  1->2: ")
+    assert lines[0].startswith("    v1: " if rows == 3 else "    1->2: ")
 
 
-def _vector_lines(labels, vec: QMatrix, indent: str = "    ") -> list[str]:
+def _vector_lines(labels, vec: QMatrix) -> list[str]:
     """The lines ``_vector_texts`` prints for the single vector ``vec``."""
-    text, = _vector_texts(labels, vector_components([vec]), indent)
+    text, = _vector_texts(labels, vector_components([vec]))
     return text.split("\n")
 
 

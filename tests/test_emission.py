@@ -1,8 +1,10 @@
 """Report emission pinned byte for byte.
 
-The JSON writer must produce exactly ``json.dumps(value, indent=2,
-default=_json_native)``, the vector lines exactly ``format_components``
-per row, and every ``--output`` file the canonical ``json.dump(indent=2)``
+The JSON writer must produce exactly ``json.dumps(value, indent=2)`` for
+what reports hold (string-keyed dicts, lists, scalars and 2-D float64
+tables, written as their ``tolist``) and refuse anything else with a
+TypeError; the vector lines must be exactly ``format_components`` per
+row, and every ``--output`` file the canonical ``json.dump(indent=2)``
 text of its own content.  Write failures exit 2 with an ``error:`` line.
 """
 
@@ -24,7 +26,6 @@ from qszegedy import cli, commands
 from qszegedy.cli import main
 from qszegedy.commands import (
     _json_chunks,
-    _json_native,
     _row_labels,
     _vector_texts,
     _write_json,
@@ -52,13 +53,7 @@ floats = st.floats() | st.sampled_from(SPECIAL_FLOATS)
 ints = st.integers() | st.integers(-(2**80), 2**80)
 texts = st.text() | st.sampled_from(['"', '\\"', "a\"b'c\\d", "\x00\x1f\x7f",
                                      "tab\there\nnewline", "é中\U0001f600"])
-numpy_scalars = (
-    floats.map(np.float64)
-    | st.floats(width=32).map(np.float32)
-    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
-    | st.booleans().map(np.bool_)
-)
-scalars = floats | ints | st.booleans() | st.none() | texts | numpy_scalars
+scalars = floats | ints | st.booleans() | st.none() | texts
 
 
 def float_tables():
@@ -74,32 +69,38 @@ def float_tables():
 
 
 def near_tables():
-    """Float lists with ints or numpy scalars among the floats, and
-    ragged rows."""
+    """Float lists with ints among the floats, and ragged rows."""
     return (
         st.lists(st.lists(floats | ints, min_size=2, max_size=2), min_size=1)
         | st.lists(st.lists(floats, max_size=3), min_size=2)
-        | st.lists(floats | ints | numpy_scalars, min_size=1)
+        | st.lists(floats | ints, min_size=1)
     )
 
 
+#: Non-empty 2-D float64 arrays, the eigenvector tables of reports.
+float_arrays = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(floats, min_size=width, max_size=width),
+        min_size=1, max_size=20,
+    ).map(lambda rows: np.array(rows, dtype=float))
+)
+
+
 def trees():
-    leaves = scalars | float_tables() | near_tables()
+    leaves = scalars | float_tables() | near_tables() | float_arrays
     return st.recursive(
         leaves,
         lambda children: (
             st.lists(children, max_size=5)
-            | st.lists(children, max_size=3).map(tuple)
             | st.dictionaries(texts, children, max_size=5)
-            | st.dictionaries(st.integers() | st.booleans(), children,
-                              max_size=3)
         ),
         max_leaves=30,
     )
 
 
 def reference(value) -> str:
-    return json.dumps(value, indent=2, default=_json_native)
+    """``json.dumps`` of a report, its float tables as nested lists."""
+    return json.dumps(value, indent=2, default=lambda table: table.tolist())
 
 
 @settings(max_examples=400, deadline=None)
@@ -107,8 +108,8 @@ def reference(value) -> str:
 @example({"vector": [[0.5, -0.0, math.nan, math.inf]], "mu": None})
 @example([[], {}, [[]], {"": []}, [{}]])
 @example([True, 1, False, 0, 1.0, 2**70, None])
-@example([[np.float64(0.1), 0.5], [np.float32(0.1), 1.0]])
 @example([[1.0, True], [1.0, 2]])
+@example({"vector": np.array([[0.5, -0.0, math.nan, -math.inf]]), "v": []})
 def test_writer_matches_stdlib_encoder(value):
     assert "".join(_json_chunks(value)) == reference(value)
 
@@ -159,15 +160,15 @@ def test_vector_lines_match_format_components(rows, data):
     vertices, arcs = _row_labels(graph)
     labels = arcs if rows == 12 else vertices
     expected = [
-        f"   {label}: {format_components(*entry)}"
+        f"    {label}: {format_components(*entry)}"
         for label, entry in zip(labels, vec.components()[:, 0].tolist())
     ]
-    assert _vector_lines(labels, vec, indent="   ") == expected
+    assert _vector_lines(labels, vec) == expected
 
 
-def _vector_lines(labels, vec: QMatrix, indent: str = "    ") -> list[str]:
+def _vector_lines(labels, vec: QMatrix) -> list[str]:
     """The lines ``_vector_texts`` prints for the single vector ``vec``."""
-    text, = _vector_texts(labels, vector_components([vec]), indent)
+    text, = _vector_texts(labels, vector_components([vec]))
     return text.split("\n")
 
 
@@ -209,10 +210,10 @@ def test_vector_lines_cover_every_zero_mask(kind):
     for start in range(0, len(rows), len(labels)):
         vec = _vector((rows[start:] + rows)[:len(labels)])
         expected = [
-            f"  {label}: {format_components(*entry)}"
+            f"    {label}: {format_components(*entry)}"
             for label, entry in zip(labels, vec.components()[:, 0].tolist())
         ]
-        assert _vector_lines(labels, vec, indent="  ") == expected
+        assert _vector_lines(labels, vec) == expected
     assert _vector_lines(["1->1"], _vector([[-0.0, 0.0, -0.0, 0.0]])) == [
         "    1->1: 0"
     ]
@@ -346,10 +347,10 @@ def test_records_in_a_report_are_refused(report):
 # ---------------------------------------------------------------- stacks
 
 
-def _texts_by_row(labels, stack, indent):
+def _texts_by_row(labels, stack):
     """``format_components`` row by row: what ``_vector_texts`` must give."""
     return [
-        "\n".join(f"{indent}{label}: {format_components(*entry)}"
+        "\n".join(f"    {label}: {format_components(*entry)}"
                   for label, entry in zip(labels, vector))
         for vector in stack.tolist()
     ]
@@ -383,8 +384,7 @@ def test_stacked_texts_match_format_components(kind, data):
         [value if mask >> c & 1 else zero for c, value in enumerate(values)]
         for mask, values, zero in rows
     ], dtype=float), (count, len(labels), 4))
-    assert list(_vector_texts(labels, stack, "  ")) == _texts_by_row(
-        labels, stack, "  ")
+    assert list(_vector_texts(labels, stack)) == _texts_by_row(labels, stack)
 
 
 @pytest.mark.parametrize("kind", ["vertices", "arcs"])
@@ -402,8 +402,8 @@ def test_stacked_texts_cover_every_zero_mask(kind):
     count = -(-len(rows) // len(labels))
     stack = np.array((rows * 2)[:count * len(labels)]).reshape(
         count, len(labels), 4)
-    texts = list(_vector_texts(labels, stack, "    "))
-    assert texts == _texts_by_row(labels, stack, "    ")
+    texts = list(_vector_texts(labels, stack))
+    assert texts == _texts_by_row(labels, stack)
     assert len(texts) == count
     assert list(_vector_texts(labels, np.empty((0, 0, 4)))) == []
 
@@ -450,7 +450,7 @@ def test_vector_components_of_column_views_bit_for_bit(order):
 # ------------------------------------------------------------ JSON paths
 
 
-SPOILERS = ["float64", "int", "bool", "ragged"]
+SPOILERS = ["int", "bool", "ragged"]
 
 
 @settings(max_examples=300, deadline=None)
@@ -479,7 +479,6 @@ def test_writer_matches_stdlib_on_near_tables(table, spoiler, data):
         table[r] = spoiled
     else:
         spoiled = {
-            "float64": np.float64(cell),
             "int": draw(st.integers(-(2**70), 2**70), 3),
             "bool": draw(st.booleans(), True),
         }[spoiler]
@@ -491,7 +490,7 @@ def test_writer_matches_stdlib_on_near_tables(table, spoiler, data):
         assert "".join(_json_chunks(value)) == reference(value)
 
 
-@pytest.mark.parametrize("spoiled", [np.float64(0.5), 7, True, [0.5]])
+@pytest.mark.parametrize("spoiled", [None, 7, True, [0.5]])
 def test_writer_spoiled_block_of_a_long_table(spoiled):
     # One entry of another type in a 1,300-item list, of rows or flat:
     # the layout matches the stdlib's around it.
@@ -503,34 +502,18 @@ def test_writer_spoiled_block_of_a_long_table(spoiled):
         assert "".join(_json_chunks(value)) == reference(value)
 
 
-float_arrays = st.integers(0, 3).flatmap(
-    lambda width: st.lists(
-        st.lists(floats, min_size=width, max_size=width) if width
-        else floats,
-        min_size=1, max_size=20,
-    ).map(lambda rows: np.array(rows, dtype=float))
-)
-
-
 @settings(max_examples=300, deadline=None)
-@given(array=float_arrays, layout=st.sampled_from(
-    ["plain", "transposed", "strided", "big-endian", "float32", "int"]
-))
-@example(array=np.zeros((0, 4)), layout="plain")
-@example(array=np.zeros((3, 0)), layout="plain")
+@given(array=float_arrays,
+       layout=st.sampled_from(["plain", "transposed", "strided"]))
 @example(array=np.array(SPECIAL_FLOATS * 100).reshape(-1, 2), layout="plain")
 def test_writer_matches_stdlib_on_float_arrays(array, layout):
-    # A float64 array is a table by its dtype; every other array is
-    # written as the nested lists that tolist gives.
-    with np.errstate(all="ignore"):  # float32 overflows to inf
-        array = {
-            "plain": array,
-            "transposed": array.T,
-            "strided": array[::2],
-            "big-endian": array.astype(">f8"),
-            "float32": array.astype(np.float32),
-            "int": np.nan_to_num(array).clip(-1e6, 1e6).astype(np.int64),
-        }[layout]
+    # A 2-D float64 array is written as the nested lists that tolist
+    # gives, whatever its memory layout.
+    array = {
+        "plain": array,
+        "transposed": array.T,
+        "strided": array[::2],
+    }[layout]
     for value in (array, {"vector": array, "mu": None}, [array, array]):
         assert "".join(_json_chunks(value)) == reference(value)
 
@@ -556,9 +539,6 @@ scalar_leaves = (
     st.integers(2**63, 2**100)
     | st.integers(-(2**100), -(2**63) - 1)
     | st.sampled_from([2**63 - 1, -(2**63), 2**64, 0, -0.0])
-    | numpy_scalars
-    | st.sampled_from([np.uint64(2**64 - 1), np.int8(-128), np.float16(0.1),
-                       np.float32(math.nan), np.bool_(False)])
     | floats | texts | keys | st.booleans() | st.none()
 )
 
@@ -570,11 +550,33 @@ scalar_leaves = (
                       | st.lists(children, max_size=4)),
     max_leaves=12,
 ))
-@example({"\ud800\"é": 2**64, "": np.int64(-1), "k": np.float32(0.1)})
-@example(np.float64(-0.0))
-@example([np.bool_(True), True, np.uint64(2**64 - 1)])
+@example({"\ud800\"é": 2**64, "": -1, "k": 0.1})
+@example(-0.0)
+@example([True, False, 2**64 - 1])
 def test_writer_matches_stdlib_on_scalars(value):
     assert "".join(_json_chunks(value)) == reference(value)
+
+
+@pytest.mark.parametrize("value", [
+    np.float64(0.5),
+    np.bool_(True),
+    (0.5, 1.0),
+    {1: "one"},
+    np.array([0.5, 1.0]),
+    np.zeros((0, 4)),
+    np.zeros((3, 0)),
+    np.array([[1, 2]]),
+    np.array([[0.5, 1.0]], dtype=np.float32),
+    np.array([[0.5, 1.0]], dtype=">f8"),
+], ids=["float64 scalar", "bool_ scalar", "tuple", "int key", "1-D array",
+        "empty rows", "empty columns", "int array", "float32 array",
+        "big-endian array"])
+def test_writer_refuses_what_reports_do_not_hold(value):
+    # Each of these, as a leaf of a report, raises rather than being
+    # written in some form.
+    for report in ({"value": value}, [value], {"rows": [[0.5], value]}):
+        with pytest.raises(TypeError):
+            "".join(_json_chunks(report))
 
 
 # ------------------------------------------------- memory and determinism

@@ -129,6 +129,29 @@ def test_psi_conj_transpose_exact():
     assert np.array_equal(psi(m.conj_transpose()), psi(m).conj().T)
 
 
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("width", range(1, 9))
+@pytest.mark.parametrize("rows", [3, 12])
+def test_psi_of_column_views_bit_for_bit(rows, width, order):
+    # Each column view of a block, and the block itself, against
+    # np.block by bytes.  In C order a view of a 4-column block has a
+    # 64-byte row stride, on which numpy 2.4.6's np.negative into a
+    # strided output writes wrong values.  Signed zeros and NaNs of
+    # both signs must keep their sign bits.
+    rng = np.random.default_rng(rows * 100 + width)
+    a, b = (np.array(rng.standard_normal((rows, width))
+                     + 1j * rng.standard_normal((rows, width)), order=order)
+            for _ in range(2))
+    a[0, 0], a[-1, -1] = complex(-0.0, 0.0), complex(0.0, -0.0)
+    b[0, 0], b[-1, -1] = complex(-0.0, -0.0), complex(0.0, 0.0)
+    b[1, 0] = complex(math.nan, -math.nan)
+    views = [(a[:, c:c + 1], b[:, c:c + 1]) for c in range(width)]
+    for part_a, part_b in views + [(a, b)]:
+        want = np.block([[part_a, -np.conj(part_b)],
+                         [part_b, np.conj(part_a)]])
+        assert psi(QMatrix._adopt(part_a, part_b)).tobytes() == want.tobytes()
+
+
 def test_from_psi_roundtrip():
     m = _random_qmatrix(4, 4, 11)
     back = from_psi(psi(m))
