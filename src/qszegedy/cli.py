@@ -6,8 +6,9 @@ It imports neither numpy nor the library, so ``--version``, ``-h``/
 loads.  Once the arguments parse, ``main`` imports ``qszegedy.commands``
 (and numpy and the library with it) and runs the command there.
 
-Exit codes: 0 all checks passed, 1 a check failed or a numerical
-contract broke, 2 invalid input (file, flags, or domain errors).
+Exit codes: 0 all checks passed, 1 a check failed, a numerical
+contract broke or the job ran out of memory (one ``error: out of memory
+in <command>`` line), 2 invalid input (file, flags, or domain errors).
 """
 
 import argparse
@@ -102,6 +103,12 @@ def main(argv=None) -> int:
         return 2
     except (QWalkError, LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        # numpy's message names the array it could not allocate.
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory in {args.command}{detail}",
+              file=sys.stderr)
         return 1
     finally:
         warnings.formatwarning = saved

@@ -141,7 +141,8 @@ class QMatrix:
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(np.zeros((rows, cols), dtype=complex))
+        return cls._adopt(np.zeros((rows, cols), dtype=complex),
+                          np.zeros((rows, cols), dtype=complex))
 
     @classmethod
     def eye(cls, n: int) -> "QMatrix":

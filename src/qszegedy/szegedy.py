@@ -18,9 +18,8 @@ and ``U = J0 (L L* - I)``.  U is non-zero only on its support
 constructions are evaluated there and cross-checked entrywise whenever
 a walk is built.  A walk keeps only the weights and W: K, L and the
 dense ``m' x m'`` U are formed from the weights where they are read
-(U by the direct ``--force`` path and ``examples``; the oracle
-scatters ``psi(U)`` from U's support instead); walk residuals
-apply ``U x = K (L* x) - J0 x``.
+(U for the direct ``--force`` path and ``examples``, read off the
+oracle's ``psi(U)``); walk residuals apply ``U x = K (L* x) - J0 x``.
 
 The right spectrum comes from the doubly weighted matrix
 ``W = L* K`` through the spectral mapping: every eigenvalue ``mu`` of
@@ -59,6 +58,7 @@ from .qmatrix import (
     QMatrix,
     _h_basis,
     _j_conj,
+    from_psi,
     h_linear_independent,
     h_rank,
     psi,
@@ -281,6 +281,12 @@ def _scatter(graph: Graph, values, columns: np.ndarray) -> QMatrix:
     return mat
 
 
+def _l_matrix(graph: Graph, q: np.ndarray) -> QMatrix:
+    """L, ``sqrt(2) q(e^-1)`` at ``(e, t(e))``; K is its row gather."""
+    qinv = QMatrix.from_components(q[graph.inverse, None])
+    return _scatter(graph, qinv.scale(_SQRT2), graph.terminus)
+
+
 class WalkOperators(Frozen):
     """One walk: its graph, its weights and ``W``, the matrix every job
     reads.  Everything else is built from the weights when first read
@@ -301,10 +307,8 @@ class WalkOperators(Frozen):
         applies (``U x = K (L* x) - J0 x``) and the +-1 birth matrix
         gathers from.
     U : QMatrix
-        Transition matrix on arcs, dense: the direct formula's entries
-        on U's support, the values ``build_walk`` cross-checked.  Read by
-        the direct ``--force`` path and ``examples``; the oracle
-        scatters ``psi(U)`` from the same entries without it.
+        Transition matrix on arcs, dense, read off the oracle's ``psi(U)``
+        for the direct ``--force`` path and ``examples``.
     mu_spectrum : tuple of float
         The eigenvalues of ``psi(W)``, ascending, with those within
         ``MU_SNAP_TOL`` of +-2 snapped to exactly +-2: the one snap
@@ -322,8 +326,7 @@ class WalkOperators(Frozen):
 
     @cached_property
     def L(self) -> QMatrix:
-        qinv = QMatrix.from_components(self.q[self.graph.inverse, None])
-        return _scatter(self.graph, qinv.scale(_SQRT2), self.graph.terminus)
+        return _l_matrix(self.graph, self.q)
 
     @cached_property
     def LH(self) -> QMatrix:
@@ -335,11 +338,7 @@ class WalkOperators(Frozen):
 
     @cached_property
     def U(self) -> QMatrix:
-        e, f, values = _direct_entries(self.graph, self.q)
-        U = QMatrix.zeros(self.graph.m_prime, self.graph.m_prime)
-        U.a[e, f] = values.a[:, 0]
-        U.b[e, f] = values.b[:, 0]
-        return U
+        return from_psi(_psi_u(self.graph, self.q))
 
     @cached_property
     def mu_spectrum(self) -> tuple[float, ...]:
@@ -367,14 +366,16 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
     weights is NOT required here: non-unitary instances still define
     all matrices.
     """
-    q = _check_weights(graph, weights)[0]
-    qcol = QMatrix.from_components(q[:, None])
-    qinv = qcol.take_rows(graph.inverse)
-    K, L = build_kl(graph, qcol.scale(_SQRT2), qinv.scale(_SQRT2))
+    q, norm_sq = _check_weights(graph, weights)
+    L = _l_matrix(graph, q)
+    K = L.take_rows(graph.inverse)
 
     direct = _direct_entries(graph, q)
-    _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0")
-    _support_check(graph, direct, _coin_entries(graph, qinv), "J0 (L L* - I)")
+    _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0",
+                   norm_sq)
+    qinv = QMatrix.from_components(q[graph.inverse, None])
+    _support_check(graph, direct, _coin_entries(graph, qinv),
+                   "J0 (L L* - I)", norm_sq)
     del direct
 
     W = _adjoint_product(L, K)
@@ -502,10 +503,19 @@ def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
     return QMatrix._adopt(a, b)
 
 
-def _support_check(graph: Graph, direct, other, label: str) -> None:
+def _support_check(graph: Graph, direct, other, label: str,
+                   weight_sq: np.ndarray) -> None:
     """Compare two U constructions given as ``(rows, cols, values)``
     entries: the same support, and entries within ``CROSS_CHECK_TOL``.
-    ``direct`` is in row-major order."""
+    ``direct`` is in row-major order, and ``weight_sq`` holds the squared
+    weight norms.
+
+    Entry ``(e, f)`` has size up to ``2 |q(e)| |q(f^-1)|``, and its
+    rounding grows with it.  So when the largest gap exceeds
+    ``CROSS_CHECK_TOL``, each entry is held to ``CROSS_CHECK_TOL *
+    max(1, |q(e)| |q(f^-1)|)`` instead.  Unitary weights have
+    ``|q| <= 1``: for them that bound is the absolute one, and the first
+    pass decides."""
     rows, cols, values = other
     keys = rows * graph.m_prime + cols
     order = np.argsort(keys, kind="stable")
@@ -521,8 +531,14 @@ def _support_check(graph: Graph, direct, other, label: str) -> None:
     norm_sq = np.square(np.abs(diff))
     np.subtract(values.b[order], reference.b, out=diff)
     norm_sq += np.square(np.abs(diff))
-    gap = float(np.max(np.sqrt(norm_sq, out=norm_sq)))
-    if not gap <= CROSS_CHECK_TOL:  # a NaN gap fails
+    gaps = np.sqrt(norm_sq, out=norm_sq)[:, 0]
+    gap = float(np.max(gaps))
+    if gap <= CROSS_CHECK_TOL:
+        return
+    scale = np.sqrt(weight_sq)
+    scale = scale[e] * scale[graph.inverse[f]]
+    if not (gaps <= CROSS_CHECK_TOL * np.maximum(scale, 1.0)).all():
+        # A NaN gap fails.
         raise NumericalError(
             f"transition-matrix construction paths disagree: direct vs "
             f"{label} differ by {gap:.3g}"

@@ -541,6 +541,26 @@ def test_overflowing_weights_are_invalid(capsys, tmp_path, command, flags):
     )
 
 
+@pytest.mark.parametrize("scale", [10.0, 100.0, 1e8])
+@pytest.mark.parametrize(
+    "command, flags", [("verify", ()), ("spectrum", ("--force",))],
+    ids=["verify", "spectrum-force"],
+)
+def test_weights_far_from_unit_scale_get_a_report(capsys, tmp_path, command,
+                                                  flags, scale):
+    # One arc of norm s: the rounding of U's entries grows with s, and the
+    # cross-check of its constructions scales its bound with them, so
+    # the job reports the unitarity failure instead of stopping on it.
+    raw = load_bundled("k3_loops").to_dict()
+    raw["weights"]["0->1"] = [scale, 0.3, 0.2, 0.1]
+    path = tmp_path / "scaled.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(capsys, command, str(path), *flags)
+    assert (code, err) == (1, "")
+    assert "unitarity condition (tol 1e-10): FAIL" in out
+    assert out.endswith("result: FAIL\n")
+
+
 @pytest.mark.parametrize(
     "edit, vertices",
     [

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import re
+import resource
 import subprocess
 import sys
 import warnings
@@ -21,6 +22,7 @@ import pytest
 
 import qszegedy
 from qszegedy import cli
+from qszegedy.qmatrix import QMatrix
 
 SRC = Path(qszegedy.__file__).parents[1]
 K4 = SRC / "qszegedy" / "instances" / "k4.json"
@@ -148,6 +150,53 @@ def test_a_reader_that_closes_early_gets_the_write_error(k10):
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 2
     assert err == b"error: cannot write <stdout>: Broken pipe\n"
+
+
+#: numpy's message for an m' x n complex part of C2000's arc matrices.
+_NO_ROOM = ("Unable to allocate 122. MiB for an array with shape (4000, 2000) "
+            "and data type complex128")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "k4"], _NO_ROOM),
+    (["lift", "c5", "--all"], ""),
+], ids=["spectrum", "lift-bare-error"])
+def test_running_out_of_memory_is_one_error_line(argv, message, monkeypatch,
+                                                 capsys):
+    # The arc matrices' scatter is the first allocation of a walk's size.
+    def no_room(cls, rows, cols):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(QMatrix, "zeros", classmethod(no_room))
+    detail = f": {message}" if message else ""
+    assert _in_process(argv, capsys) == (
+        1, "", f"error: out of memory in {argv[0]}{detail}\n"
+    )
+
+
+def test_a_process_out_of_memory_exits_one_with_one_line(tmp_path):
+    # Generated C2000's arc matrices K and L (4000 x 2000, 244 MiB each)
+    # do not fit in 500 MiB of address space; python with numpy takes
+    # about 105 MiB of it (Python 3.11, numpy 2.4, one BLAS thread).  The
+    # limit applies to the child only.
+    path = tmp_path / "c2000.json"
+    assert cli.main(["generate", "C2000", "--seed", "1",
+                     "--output", str(path)]) == 0
+    limit = 500 * 2**20
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    done = subprocess.run(
+        [sys.executable, "-m", "qszegedy.cli", "spectrum", str(path)],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(_env(), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=limit_address_space,
+    )
+    assert (done.returncode, done.stdout) == (1, "")
+    assert "Traceback" not in done.stderr
+    assert re.fullmatch(r"error: out of memory in spectrum: Unable to "
+                        r"allocate .+\n", done.stderr)
 
 
 def test_in_process_main_leaves_the_collector_alone(capsys):

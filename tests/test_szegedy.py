@@ -1016,16 +1016,17 @@ def test_build_walk_matches_entrywise_loop():
 
 
 def test_build_walk_cross_check_fires(monkeypatch):
-    # Of the three U constructions only K L* - J0 reads K; a 1e-12 error
-    # there is far above the 1e-14 gate.
-    unperturbed = szegedy.build_kl
+    # Of the three U constructions only K L* - J0 reads the scatter of L
+    # (and K, its row gather); a 1e-12 error in L's entries is far above
+    # the 1e-14 gate.
+    unperturbed = szegedy._l_matrix
 
-    def perturbed(graph, a, b):
-        K, L = unperturbed(graph, a, b)
-        K.a += 1e-12
-        return K, L
+    def perturbed(graph, q):
+        L = unperturbed(graph, q)
+        L.a[np.arange(graph.m_prime), graph.terminus] += 1e-12
+        return L
 
-    monkeypatch.setattr(szegedy, "build_kl", perturbed)
+    monkeypatch.setattr(szegedy, "_l_matrix", perturbed)
     inst = load_bundled("k3_loops")
     with pytest.raises(NumericalError, match=r"K L\* - J0"):
         build_walk(inst.graph, inst.weights)
@@ -1076,6 +1077,31 @@ def test_build_walk_coin_check_fires(monkeypatch):
     inst = load_bundled("k3_loops")
     with pytest.raises(NumericalError, match=r"J0 \(L L\* - I\) differ by"):
         build_walk(inst.graph, inst.weights)
+
+
+@pytest.mark.parametrize("scale", [10.0, 100.0, 1e8])
+def test_build_walk_cross_check_scales_with_the_weights(monkeypatch, scale):
+    # U's entry (e, f) has size up to 2 |q(e)| |q(f^-1)|.  With one arc of
+    # norm s its rounding exceeds 1e-14: 2.8e-14 at s = 10, 3.6e-12 at
+    # s = 100 and 4 at s = 1e8, on the entry 2 |q(e)|^2 - 1.  Held to
+    # 1e-14 max(1, |q(e)| |q(f^-1)|), the three constructions agree.
+    inst = load_bundled("k3_loops")
+    graph, weights = inst.graph, np.array(inst.weights)
+    weights[graph.arc_index(0, 1)] = (scale, 0.3, 0.2, 0.1)
+    build_walk(graph, weights)
+    # A relative 1e-12 move of U's largest entry is still far outside.
+    unperturbed = szegedy._kl_entries
+
+    def perturbed(graph, K, L):
+        rows, cols, values = unperturbed(graph, K, L)
+        k = np.argmax(np.abs(values.a[:, 0]) + np.abs(values.b[:, 0]))
+        values.a[k] *= 1.0 + 1e-12
+        values.b[k] *= 1.0 + 1e-12
+        return rows, cols, values
+
+    monkeypatch.setattr(szegedy, "_kl_entries", perturbed)
+    with pytest.raises(NumericalError, match=r"K L\* - J0 differ by"):
+        build_walk(graph, weights)
 
 
 @pytest.mark.parametrize("name, label", [
