@@ -164,10 +164,13 @@ def _check_weights(
 
     The norm adds ``x0^2 + x1^2 + x2^2 + x3^2`` left to right.  Unless
     ``shape_only``, a non-finite component, a squared norm that overflows
-    and a zero weight are rejected, naming the first such arc.
+    or underflows and a zero weight are rejected, naming the first such
+    arc.  An arcless graph's empty list reads as the ``(0, 4)`` array.
     """
     try:
         q = np.array(weights, dtype=float)
+        if q.shape == (0,) and not graph.m_prime:
+            q = q.reshape(0, 4)
         if q.shape != (graph.m_prime, 4):
             raise ValueError(f"got shape {q.shape}")
     except (TypeError, ValueError) as exc:
@@ -183,6 +186,8 @@ def _check_weights(
     for bad, problem in (
         (~np.isfinite(q).all(axis=1), "is not finite"),
         (~np.isfinite(norm_sq), "has a squared norm that overflows"),
+        ((norm_sq == 0.0) & q.any(axis=1),
+         "has a squared norm that underflows"),
         (norm_sq == 0.0, "is zero"),
     ):
         if bad.any():
@@ -282,9 +287,9 @@ def _scatter(graph: Graph, values, columns: np.ndarray) -> QMatrix:
 
 
 def _l_matrix(graph: Graph, q: np.ndarray) -> QMatrix:
-    """L, ``sqrt(2) q(e^-1)`` at ``(e, t(e))``; K is its row gather."""
-    qinv = QMatrix.from_components(q[graph.inverse, None])
-    return _scatter(graph, qinv.scale(_SQRT2), graph.terminus)
+    """L, ``sqrt(2) q(e^-1)`` at ``(e, t(e))``: the L of ``build_kl(graph,
+    sqrt(2) q, (sqrt(2) q)[J0])``, byte for byte; K is its row gather."""
+    return _scatter(graph, (q * _SQRT2)[graph.inverse], graph.terminus)
 
 
 class WalkOperators(Frozen):
@@ -532,7 +537,7 @@ def _support_check(graph: Graph, direct, other, label: str,
     np.subtract(values.b[order], reference.b, out=diff)
     norm_sq += np.square(np.abs(diff))
     gaps = np.sqrt(norm_sq, out=norm_sq)[:, 0]
-    gap = float(np.max(gaps))
+    gap = float(np.max(gaps, initial=0.0))  # 0 on an empty support
     if gap <= CROSS_CHECK_TOL:
         return
     scale = np.sqrt(weight_sq)

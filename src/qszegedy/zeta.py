@@ -267,16 +267,19 @@ def quaternionic_identity(
         _check_weights(graph, a, "arc map 'a'", shape_only=True)[0],
         _check_weights(graph, b, "arc map 'b'", shape_only=True)[0],
     )
+    return _quaternionic_row(graph, K, L, L.H @ K, t_samples, tol)
+
+
+def _quaternionic_row(graph: Graph, K, L, W, t_samples, tol) -> IdentityCheck:
+    """The quaternionic identity on the given K, L and ``W = L* K``."""
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
     x = psi(u_edge)
     del u_edge
-    v = psi(L.H @ K)
     d = psi(L.take_rows(graph.inverse).H @ K)
-    del K, L  # only the embeddings live through the samples
     return _bass_identity(
-        "quaternionic", x, v, d,
+        "quaternionic", x, psi(W), d,
         2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol,
     )
 
@@ -319,33 +322,35 @@ def sylvester_det_property(a, b, alpha: complex) -> IdentityCheck:
         raise ValidationError(
             f"need A (m x n) and B (n x m); got {a.shape} and {b.shape}"
         )
-    return _sylvester_rows(a, b, [alpha])[0]
+    return _sylvester_rows(a, b, [alpha])
 
 
-def _sylvester_rows(a, b, alphas) -> list[IdentityCheck]:
-    """:func:`sylvester_det_property` at each of ``alphas``, with ``AB``
-    and ``BA`` formed once."""
+def _sylvester_rows(a, b, alphas) -> IdentityCheck:
+    """:func:`sylvester_det_property` at each of ``alphas`` as one check,
+    with ``AB`` and ``BA`` formed once: the largest error, passed when
+    every alpha passes."""
+    alphas = tuple(map(complex, alphas))
     # -AB and -BA once; each alpha rewrites only their diagonals.
     ab, ba = a @ b, b @ a
     m, n = a.shape
     ab_diag, ba_diag = _diagonal(ab).copy(), _diagonal(ba).copy()
     np.negative(ab, out=ab)
     np.negative(ba, out=ba)
-    rows = []
-    for alpha in map(complex, alphas):
+    lhs, rhs, errors = [], [], []
+    for alpha in alphas:
         np.subtract(alpha, ab_diag, out=_diagonal(ab))
         np.subtract(alpha, ba_diag, out=_diagonal(ba))
         lphase, llog = _times_power(np.linalg.slogdet(ab), alpha, n)
         rphase, rlog = _times_power(np.linalg.slogdet(ba), alpha, m)
         # _rel_error with both sides divided by max(|lhs|, |rhs|, 1).
         top = max(llog, rlog, 0.0)
-        err = abs(lphase * math.exp(llog - top)
-                  - rphase * math.exp(rlog - top))
-        rows.append(IdentityCheck(
-            "sylvester", (alpha,), (_from_log(lphase, llog),),
-            (_from_log(rphase, rlog),), err, err <= SYLVESTER_TOL,
-        ))
-    return rows
+        errors.append(abs(lphase * math.exp(llog - top)
+                          - rphase * math.exp(rlog - top)))
+        lhs.append(_from_log(lphase, llog))
+        rhs.append(_from_log(rphase, rlog))
+    worst = float(np.max(errors))  # np.max keeps a NaN, which fails
+    return IdentityCheck("sylvester", alphas, tuple(lhs), tuple(rhs), worst,
+                         worst <= SYLVESTER_TOL)
 
 
 class VerifyReport(NamedTuple):
@@ -390,9 +395,10 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
                 ) -> VerifyReport:
     """Run the checks of ``verify`` on one weighted graph, in its order.
 
-    The structure identities follow :func:`build_walk`; Ihara and the
-    second weighted identity (arc weights drawn from ``seed``) run on
-    loopless graphs only, the +-1 eigenspace counts on unitary weights.
+    The structure row and the quaternionic identity read the walk's own
+    K, L and W; Ihara and the second weighted identity (arc weights
+    drawn from ``seed``) run on loopless graphs only, the +-1 eigenspace
+    counts on unitary weights.
     """
     unitarity = check_unitary_condition(graph, weights)
     ops = build_walk(graph, weights)
@@ -400,9 +406,8 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
     points = default_samples(samples)
     skipped = {}
 
-    a = ops.q * math.sqrt(2.0)
     identities = [
-        quaternionic_identity(graph, a, a[graph.inverse], points, tol)
+        _quaternionic_row(graph, ops.K, ops.L, ops.W, points, tol)
     ]
     if graph.m1 == 0:
         identities.append(ihara_identity(graph, points, tol))
@@ -420,13 +425,7 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
     # Nonzero eigenvalues of psi(K L*) are real (psi(W) is Hermitian), so
     # 2i stays at distance >= 2 from them; alpha = 2 can sit on one.
     alphas = [2j] + default_samples(samples, radius=1.0)
-    outcomes = _sylvester_rows(psi(ops.K), psi(ops.L).conj().T, alphas)
-    sylvester = IdentityCheck(
-        "sylvester", tuple(alphas),
-        tuple(o.lhs[0] for o in outcomes), tuple(o.rhs[0] for o in outcomes),
-        float(np.max([o.max_rel_error for o in outcomes])),  # keeps a NaN
-        all(o.passed for o in outcomes),
-    )
+    sylvester = _sylvester_rows(psi(ops.K), psi(ops.L).conj().T, alphas)
 
     eigenspaces = ()
     if unitarity.passed:  # the theorem path needs unitary weights

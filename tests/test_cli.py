@@ -561,6 +561,30 @@ def test_weights_far_from_unit_scale_get_a_report(capsys, tmp_path, command,
     assert out.endswith("result: FAIL\n")
 
 
+@pytest.mark.parametrize("n", [1, 3])
+def test_arcless_instances_get_the_unitarity_report(capsys, tmp_path, n):
+    # No arcs: no vertex can meet the condition, and the weights are the
+    # empty (0, 4) array.  Once every command stopped on "expected 0
+    # entries of four real components; got shape (0,)".
+    path = tmp_path / "arcless.json"
+    path.write_text(json.dumps({"graph": {"n": n, "edges": []},
+                                "weights": {}}), encoding="utf-8")
+    offending = ", ".join(str(v + 1) for v in range(n))
+    for flags in (("spectrum",), ("spectrum", "--force"), ("verify",)):
+        report = tmp_path / "report.json"
+        code, out, err = run(capsys, flags[0], str(path), *flags[1:],
+                             "--output", str(report))
+        assert (code, err) == (1, ""), flags
+        assert "unitarity condition (tol 1e-10): FAIL" in out
+        assert f"  offending vertices: {offending}\n" in out
+        assert json.loads(report.read_text(encoding="utf-8"))[
+            "unitarity"]["passed"] is False
+    code, out, err = run(capsys, "lift", str(path), "--all")
+    assert (code, out) == (2, "")
+    assert err == ("error: weights violate the unitarity condition at "
+                   f"vertices {list(range(1, n + 1))}\n")
+
+
 @pytest.mark.parametrize(
     "edit, vertices",
     [

@@ -1,12 +1,18 @@
 """Instance files: parsing, validation paths, hashing, bundled data."""
 
+import copy
 import hashlib
+import io
 import json
+import math
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qszegedy.cli import main
 from qszegedy.errors import ValidationError
@@ -446,3 +452,73 @@ def test_schema_and_loader_reject_alike(schema_validator, mutate):
     assert not schema_validator.is_valid(raw)
     with pytest.raises(ValidationError):
         instance_from_dict(raw)
+
+
+# ---------------------------------------------------------------- fuzz
+
+#: The file every mutation starts from: ``generate K3 --seed 1``.
+FUZZ_BASE = random_instance_dict("K3", 1)
+#: Written into the text as the literal 1e400, past the float range.
+HUGE = "<1e400>"
+REPLACEMENTS = (math.nan, math.inf, HUGE, "text", [], [1, 2], {})
+FUZZ_COMMANDS = (("spectrum",), ("spectrum", "--oracle"), ("verify",),
+                 ("lift", "--all"))
+
+
+def _value_paths(value, path=()):
+    """The path of every value below ``value``, containers included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _value_paths(child, path + (key,))
+
+
+FUZZ_PATHS = list(_value_paths(FUZZ_BASE))
+
+
+@st.composite
+def mutated_files(draw):
+    """The text of ``FUZZ_BASE`` with one key deleted, one value
+    replaced, every arc and weight removed, or the text truncated."""
+    data = copy.deepcopy(FUZZ_BASE)
+    kind = draw(st.sampled_from(("delete", "replace", "arcless", "truncate")))
+    if kind in ("delete", "replace"):
+        keys = [p for p in FUZZ_PATHS if isinstance(p[-1], str)]
+        path = draw(st.sampled_from(keys if kind == "delete" else FUZZ_PATHS))
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        if kind == "delete":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = draw(st.sampled_from(REPLACEMENTS))
+    elif kind == "arcless":
+        data["graph"].update(edges=[], loops=[])
+        data["weights"] = {}
+    text = json.dumps(data).replace(f'"{HUGE}"', "1e400")
+    if kind == "truncate":
+        text = text[:draw(st.integers(0, len(text) - 1))]
+    return text
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "instance.json"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=mutated_files())
+def test_mutated_instance_files_end_cleanly(fuzz_path, text):
+    # Each command ends with exit 0 or 1 and its output, or with exit 2
+    # and one error line; no exception escapes main.
+    fuzz_path.write_text(text, encoding="utf-8")
+    for command, *flags in FUZZ_COMMANDS:
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main([command, str(fuzz_path), *flags])
+        assert code in (0, 1, 2), (command, code)
+        if code == 2:
+            assert out.getvalue() == ""
+            (line,) = err.getvalue().splitlines()
+            assert line.startswith("error: ")

@@ -22,7 +22,8 @@ The walk's +1 eigenspace of a connected graph has dimension
 ``m0 - n + 2`` and its -1 eigenspace ``m0 + m1 - n + 2b``, with ``b`` 1
 for a bipartite loopless graph and 0 otherwise.  The theorem path's
 class multiplicities sum to ``m'``, and the oracle's direct
-diagonalisation of ``psi(U)`` matches it.
+diagonalisation of ``psi(U)`` matches it.  Q8 (``m' = 2048``) checks the
+same without the oracle.
 """
 
 from __future__ import annotations
@@ -97,13 +98,17 @@ def _cases():
 CASES = list(_cases())
 
 
+def _gauged_weights(label: str, graph):
+    rng = np.random.default_rng(sum(map(ord, label)))
+    return apply_gauge(graph, uniform_weights(graph),
+                       random_units(rng, graph.m0 + graph.m1),
+                       random_units(rng, graph.n))
+
+
 @pytest.fixture(params=CASES, ids=[case[0] for case in CASES])
 def case(request):
     label, graph, closed_form, bipartite = request.param
-    rng = np.random.default_rng(sum(map(ord, label)))
-    weights = apply_gauge(graph, uniform_weights(graph),
-                          random_units(rng, graph.m0 + graph.m1),
-                          random_units(rng, graph.n))
+    weights = _gauged_weights(label, graph)
     return graph, build_walk(graph, weights), closed_form, bipartite
 
 
@@ -129,3 +134,21 @@ def test_classes_sum_to_m_prime_and_match_the_oracle(case):
     assert sum(c.multiplicity for c in report.classes) == graph.m_prime
     assert report.oracle.matched
     assert report.oracle.max_distance <= CLOSE
+
+
+def test_hypercube_q8_without_the_oracle():
+    # m' = 2048: the theorem path takes a fraction of a second, the
+    # oracle's 4096 x 4096 eigensolve far longer, so it is left out.
+    k = 8
+    graph = _hypercube(k)
+    weights = _gauged_weights(f"Q{k}", graph)
+    ops = build_walk(graph, weights)
+    expected = sorted(2 * (k - 2 * i) / k for i in range(k + 1)
+                      for _ in range(2 * math.comb(k, i)))
+    assert np.max(np.abs(np.array(ops.mu_spectrum) - expected)) <= CLOSE
+    plus, minus = check_pm1_eigenspaces(ops)
+    assert plus.ok and minus.ok
+    assert plus.multiplicity == minus.multiplicity == graph.m0 - graph.n + 2
+    assert plus.multiplicity == 770
+    classes = full_spectrum(graph, weights).classes
+    assert sum(c.multiplicity for c in classes) == graph.m_prime == 2048

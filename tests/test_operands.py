@@ -1,10 +1,14 @@
-"""The dense operands keep their bits: W, psi(W) and the oracle's psi(U).
+"""The dense operands keep their bits: K, L, W, psi(W) and the oracle's
+psi(U).
 
-``build_walk`` forms ``W = L* K`` from L's own parts converted in place,
-``psi`` writes its four blocks into one array, and the oracle scatters
-``psi(U)`` from U's support.  Each must equal, byte for byte and signed
-zeros included, the form it replaces: ``L.H @ K``, the ``np.block``
-embedding and ``psi(ops.U)``.  The instances are the bundled ones, the
+The walk scatters L from the arc map ``(sqrt(2) q)[J0]`` and gathers K
+from it, ``build_walk`` forms ``W = L* K`` from L's own parts converted
+in place, ``psi`` writes its four blocks into one array, and the oracle
+scatters ``psi(U)`` from U's support.  Each must equal, byte for byte
+and signed zeros included, the form it replaces: the K and L of
+``build_kl(graph, sqrt(2) q, (sqrt(2) q)[J0])``, ``L.H @ K``, the
+``np.block`` embedding and ``psi(ops.U)``.  The instances are the
+bundled ones, uniform weights on their families and on a few more, the
 benchmark's graph specs at two seeds, and the drawn graphs of
 ``test_graph_space``.
 """
@@ -21,7 +25,7 @@ from hypothesis import strategies as st
 from qszegedy import szegedy
 from qszegedy.instances import bundled_names, load_bundled, parse_graph_spec
 from qszegedy.qmatrix import QMatrix, psi
-from qszegedy.szegedy import build_walk, random_instance
+from qszegedy.szegedy import build_walk, random_instance, uniform_weights
 from test_graph_space import _weights, graphs
 
 #: The graph specs of the benchmark's three workloads.
@@ -43,6 +47,10 @@ def _same_bytes(x: np.ndarray, y: np.ndarray) -> bool:
 
 
 def _assert_operand_bits(ops) -> None:
+    a = ops.q * np.sqrt(2.0)
+    K, L = szegedy.build_kl(ops.graph, a, a[ops.graph.inverse])
+    for got, want in ((ops.K, K), (ops.L, L)):
+        assert _same_bytes(got.a, want.a) and _same_bytes(got.b, want.b)
     w = ops.L.H @ ops.K
     assert _same_bytes(ops.W.a, w.a) and _same_bytes(ops.W.b, w.b)
     assert _same_bytes(psi(ops.W), _block_psi(ops.W))
@@ -51,9 +59,15 @@ def _assert_operand_bits(ops) -> None:
     assert _same_bytes(szegedy._psi_u(ops.graph, ops.q), u)
 
 
+#: Uniform weights: real, so most of K's and L's components are zeros.
+UNIFORM_SPECS = ("K3+loops", "P3", "star3+loop", "K4", "C5",
+                 "K5", "C7", "P4", "K4+loops")
+
+
 @pytest.mark.parametrize("name, seed", [
     *((name, None) for name in bundled_names()),
     *((spec, seed) for spec in BENCHMARK_SPECS for seed in (1, 1009)),
+    *((spec, "uniform") for spec in UNIFORM_SPECS),
 ])
 def test_operands_keep_their_bits(name, seed):
     if seed is None:
@@ -61,7 +75,8 @@ def test_operands_keep_their_bits(name, seed):
         graph, weights = instance.graph, instance.weights
     else:
         graph = parse_graph_spec(name)
-        weights = random_instance(graph, seed)
+        weights = (uniform_weights(graph) if seed == "uniform"
+                   else random_instance(graph, seed))
     _assert_operand_bits(build_walk(graph, weights))
 
 

@@ -216,6 +216,20 @@ def test_build_walk_rejects_zero_weight():
         build_walk(graph, broken)
 
 
+@pytest.mark.parametrize("check", [check_unitary_condition, build_walk])
+def test_underflowing_weight_is_named_as_such(check):
+    # 1e-170 squares to 0.0 in floating point, but the weight is not zero.
+    graph, weights = _k3_loops()
+    broken = weights.copy()
+    broken[graph.arc_index(0, 1)] = [1e-170, 0.0, 0.0, 0.0]
+    with pytest.raises(ValidationError,
+                       match=r"arc \(0,1\) has a squared norm that underflows"):
+        check(graph, broken)
+    broken[graph.arc_index(0, 1)] = [0.0, -0.0, 0.0, 0.0]
+    with pytest.raises(ValidationError, match=r"arc \(0,1\) is zero"):
+        check(graph, broken)
+
+
 @pytest.mark.parametrize("value, problem", [
     (math.nan, "is not finite"), (math.inf, "is not finite"),
     (-math.inf, "is not finite"), (1e160, "has a squared norm that overflows"),
