@@ -262,26 +262,25 @@ def quaternionic_identity(
     non-finite determinant gives a NaN error that fails the check.
     Loops are allowed and feed the ``(1 + t)^(2 m1)`` prefactor.
     """
-    K, L = build_kl(
+    return _bass_identity(*_quaternionic_operands(graph, *build_kl(
         graph,
         _check_weights(graph, a, "arc map 'a'", shape_only=True)[0],
         _check_weights(graph, b, "arc map 'b'", shape_only=True)[0],
-    )
-    return _quaternionic_row(graph, K, L, L.H @ K, t_samples, tol)
+    )), t_samples, tol)
 
 
-def _quaternionic_row(graph: Graph, K, L, W, t_samples, tol) -> IdentityCheck:
-    """The quaternionic identity on the given K, L and ``W = L* K``."""
+def _quaternionic_operands(graph: Graph, K, L, W=None) -> tuple:
+    """:func:`_bass_identity`'s operands for the quaternionic identity on
+    K, L and ``W = L* K`` (formed here when not given); none is kept."""
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
     x = psi(u_edge)
     del u_edge
+    v = psi(L.H @ K if W is None else W)
     d = psi(L.take_rows(graph.inverse).H @ K)
-    return _bass_identity(
-        "quaternionic", x, psi(W), d,
-        2 * graph.m0 - 2 * graph.n, 2 * graph.m1, t_samples, tol,
-    )
+    return ("quaternionic", x, v, d,
+            2 * graph.m0 - 2 * graph.n, 2 * graph.m1)
 
 
 def _times_power(slogdet, alpha: complex, k: int) -> tuple[complex, float]:
@@ -406,9 +405,9 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
     points = default_samples(samples)
     skipped = {}
 
-    identities = [
-        _quaternionic_row(graph, ops.K, ops.L, ops.W, points, tol)
-    ]
+    identities = [_bass_identity(
+        *_quaternionic_operands(graph, ops.K, ops.L, ops.W), points, tol,
+    )]
     if graph.m1 == 0:
         identities.append(ihara_identity(graph, points, tol))
         rng = np.random.default_rng(seed)
