@@ -15,10 +15,11 @@ and ``random_instance`` make it.  With the incidence-type matrices
 and ``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0``
 and ``U = J0 (L L* - I)``.  U is non-zero only on its support
 ``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries; all three
-constructions are evaluated there and cross-checked entrywise whenever
-a walk is built.  A walk keeps only the weights and W: K, L and the
-dense ``m' x m'`` U are formed from the weights where they are read
-(U for the direct ``--force`` path and ``examples``, read off the
+constructions are evaluated there, a block of whole U rows at a time,
+and cross-checked entrywise whenever a walk is built.  A walk keeps
+only the weights and ``psi(W)``, with W as its left block column: K, L
+and the dense ``m' x m'`` U are formed from the weights where they are
+read (U for the direct ``--force`` path and ``examples``, read off the
 oracle's ``psi(U)``); walk residuals apply ``U x = K (L* x) - J0 x``.
 
 The right spectrum comes from the doubly weighted matrix
@@ -106,6 +107,9 @@ UNITARITY_TOL = 1e-10
 STRUCTURE_TOL = 1e-12
 #: The two U construction paths must agree entrywise this tightly.
 CROSS_CHECK_TOL = 1e-14
+#: The cross-check takes whole U rows in blocks of at most this many
+#: support entries (a row with more is a block of its own).
+_CHECK_BLOCK = 2048
 #: |mu| may exceed 2 by at most this before clamping becomes an error.
 MU_CLAMP_TOL = 1e-9
 #: Base-matrix eigenvalues this close to +-2 are snapped exactly.  The
@@ -293,17 +297,22 @@ def _l_matrix(graph: Graph, q: np.ndarray) -> QMatrix:
 
 
 class WalkOperators(Frozen):
-    """One walk: its graph, its weights and ``W``, the matrix every job
-    reads.  Everything else is built from the weights when first read
-    and cached in the instance dict.  Immutable; equality, hash and repr
-    read ``graph`` and ``W`` (by identity).
+    """One walk: its graph, its weights and ``psi(W)``, the matrix every
+    job reads, with ``W`` as its left block column.  Everything else is
+    built from the weights when first read and cached in the instance
+    dict.  Immutable; equality, hash and repr read ``graph`` and ``W``
+    (by identity).
 
     Attributes
     ----------
     q : ndarray
         The weights, the read-only ``(m', 4)`` array in arc order.
+    psi_W : ndarray
+        The read-only ``2n x 2n`` complex embedding of W, the walk's one
+        copy of it, which the theorem path diagonalises.
     W : QMatrix
-        Doubly weighted matrix ``L* K``; Hermitian by construction.
+        Doubly weighted matrix ``L* K``; Hermitian by construction.  Its
+        parts are read-only views of ``psi_W``'s left block column.
     K, L : QMatrix
         Origin/terminus incidence weight matrices with rows indexed by
         arcs and columns by vertices; ``K = J0 L``.
@@ -326,8 +335,11 @@ class WalkOperators(Frozen):
 
     _FIELDS = ("graph", "W")
 
-    def __init__(self, graph: Graph, q: np.ndarray, W: QMatrix):
-        vars(self).update(graph=graph, q=q, W=W)
+    def __init__(self, graph: Graph, q: np.ndarray, psi_W: np.ndarray):
+        psi_W.flags.writeable = False
+        n = graph.n
+        W = QMatrix._adopt(psi_W[:n, :n], psi_W[n:, :n])
+        vars(self).update(graph=graph, q=q, psi_W=psi_W, W=W)
 
     @cached_property
     def L(self) -> QMatrix:
@@ -347,11 +359,11 @@ class WalkOperators(Frozen):
 
     @cached_property
     def mu_spectrum(self) -> tuple[float, ...]:
-        return tuple(_base_spectrum(self.W))
+        return tuple(_base_spectrum(self.psi_W))
 
     @cached_property
     def w_eigh(self) -> tuple[np.ndarray, np.ndarray]:
-        values, vecs = np.linalg.eigh(psi(self.W))
+        values, vecs = np.linalg.eigh(self.psi_W)
         values.flags.writeable = False
         vecs.flags.writeable = False
         return values, vecs
@@ -364,24 +376,19 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
     the shift-times-coin product ``J0 (L L* - I)`` are each evaluated on
     the pairs where its own factors are non-zero, and must give the same
     support and agree entrywise to ``1e-14``; disagreement indicates a
-    broken invariant, not bad input, and raises NumericalError.  No
-    ``m' x m'`` array is formed.  K and L live only for the check and
-    ``W = L* K``, which :func:`_adjoint_product` forms bit for bit as
-    ``L.H @ K`` with no m' x n array besides them.  Unitarity of the
-    weights is NOT required here: non-unitary instances still define
-    all matrices.
+    broken invariant, not bad input, and raises NumericalError.  The
+    check runs over blocks of whole U rows (:func:`_cross_check`), so no
+    array spans U or all of its support.  K and L live only
+    for the check and ``W = L* K``, which :func:`_adjoint_product` forms
+    bit for bit as ``L.H @ K`` with no m' x n array besides them; the
+    walk keeps ``psi(W)`` and reads W from it.  Unitarity of the weights
+    is NOT required here: non-unitary instances still define all
+    matrices.
     """
     q, norm_sq = _check_weights(graph, weights)
     L = _l_matrix(graph, q)
     K = L.take_rows(graph.inverse)
-
-    direct = _direct_entries(graph, q)
-    _support_check(graph, direct, _kl_entries(graph, K, L), "K L* - J0",
-                   norm_sq)
-    qinv = QMatrix.from_components(q[graph.inverse, None])
-    _support_check(graph, direct, _coin_entries(graph, qinv),
-                   "J0 (L L* - I)", norm_sq)
-    del direct
+    _cross_check(graph, q, K, L, norm_sq)
 
     W = _adjoint_product(L, K)
     del K, L
@@ -390,7 +397,7 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
         raise NumericalError(
             f"doubly weighted matrix lost Hermitian symmetry by {herm_gap:.3g}"
         )
-    return WalkOperators(graph=graph, q=q, W=W)
+    return WalkOperators(graph=graph, q=q, psi_W=psi(W))
 
 
 def _psi_u(graph: Graph, q: np.ndarray) -> np.ndarray:
@@ -433,13 +440,16 @@ def _adjoint_product(L: QMatrix, K: QMatrix) -> QMatrix:
     return QMatrix._adopt(a, b)
 
 
-def _direct_entries(graph: Graph, q: np.ndarray):
-    """U on its support from the defining formula and the ``(m', 4)``
-    weights, in row-major order: ``2 q(e) q(f^-1)*`` on the pairs
-    ``t(f) = o(e)``, with ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns
-    ``(rows, cols, values)`` with the values an ``|S| x 1`` column."""
+def _direct_entries(graph: Graph, q: np.ndarray,
+                    rows: slice = slice(None)):
+    """U's rows ``rows`` (all by default) on its support from the defining
+    formula and the ``(m', 4)`` weights, in row-major order:
+    ``2 q(e) q(f^-1)*`` on the pairs ``t(f) = o(e)``, with
+    ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns ``(rows, cols, values)``
+    with the values a column."""
     qcol = QMatrix.from_components(q[:, None])
-    e, f = _pairs(graph.origin, graph.terminus)
+    e, f = _pairs(graph.origin[rows], graph.terminus)
+    e += rows.indices(graph.m_prime)[0]
     inv = graph.inverse
     values = _times_conj(
         qcol.scale(2.0).take_rows(e), qcol.take_rows(inv[f])
@@ -452,12 +462,15 @@ def _direct_entries(graph: Graph, q: np.ndarray):
     return e, f, values
 
 
-def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix):
-    """``K L* - J0`` on the pairs where K's row e and L's row f have
-    non-zero entries in a shared vertex column: their product, minus 1
-    at ``f = e^-1``."""
-    k_rows, k_cols = np.nonzero((K.a != 0) | (K.b != 0))
-    l_rows, l_cols = np.nonzero((L.a != 0) | (L.b != 0))
+def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix, l_support,
+                rows: slice):
+    """``K L* - J0`` on U's rows ``rows``, at the pairs where K's row e and
+    L's row f have non-zero entries in a shared vertex column: their
+    product, minus 1 at ``f = e^-1``.  ``l_support`` is L's non-zero
+    pattern, ``(rows, cols)`` as :func:`_nonzero` gives it."""
+    k_rows, k_cols = _nonzero(K.take_rows(rows))
+    k_rows += rows.start
+    l_rows, l_cols = l_support
     i, j = _pairs(k_cols, l_cols)
     e, f = k_rows[i], l_rows[j]
     values = _times_conj(
@@ -468,16 +481,24 @@ def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix):
     return e, f, values
 
 
-def _coin_entries(graph: Graph, qinv: QMatrix):
-    """``J0 (L L* - I)`` from the coin ``C[e', f] = 2 q(e'^-1) q(f^-1)* -
-    delta`` on the pairs ``t(e') = t(f)``; the shift J0 moves row e' to
-    ``inverse[e']``."""
-    rows, cols = _pairs(graph.terminus, graph.terminus)
+def _nonzero(m: QMatrix):
+    """Row and column indices of the non-zero entries, row-major."""
+    return np.nonzero((m.a != 0) | (m.b != 0))
+
+
+def _coin_entries(graph: Graph, qinv: QMatrix, rows: slice):
+    """``J0 (L L* - I)`` on U's rows ``rows``, from the coin ``C[e', f] =
+    2 q(e'^-1) q(f^-1)* - delta`` on the pairs ``t(e') = t(f)``; the shift
+    J0 moves row e' to ``inverse[e']``, so U's rows read the coin's rows
+    ``inverse[rows]``."""
+    coin_rows = graph.inverse[rows]
+    i, cols = _pairs(graph.terminus[coin_rows], graph.terminus)
+    coin_rows = coin_rows[i]
     values = _times_conj(
-        qinv.scale(2.0).take_rows(rows), qinv.take_rows(cols)
+        qinv.scale(2.0).take_rows(coin_rows), qinv.take_rows(cols)
     )
-    values.a[rows == cols] -= 1.0
-    return graph.inverse[rows], cols, values
+    values.a[coin_rows == cols] -= 1.0
+    return graph.inverse[coin_rows], cols, values
 
 
 def _pairs(left: np.ndarray, right: np.ndarray):
@@ -508,45 +529,96 @@ def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
     return QMatrix._adopt(a, b)
 
 
-def _support_check(graph: Graph, direct, other, label: str,
-                   weight_sq: np.ndarray) -> None:
-    """Compare two U constructions given as ``(rows, cols, values)``
-    entries: the same support, and entries within ``CROSS_CHECK_TOL``.
-    ``direct`` is in row-major order, and ``weight_sq`` holds the squared
-    weight norms.
+def _cross_check(graph: Graph, q: np.ndarray, K: QMatrix, L: QMatrix,
+                 weight_sq: np.ndarray) -> None:
+    """Compare ``K L* - J0`` and then ``J0 (L L* - I)`` with the direct
+    formula on U's support, each decided on the whole of U, while the
+    entries are formed in blocks of whole U rows that hold at most
+    ``_CHECK_BLOCK`` support entries each.  ``weight_sq`` holds the
+    squared weight norms."""
+    qinv = QMatrix.from_components(q[graph.inverse, None])
+    kl = _SupportCheck(graph, weight_sq, "K L* - J0")
+    coin = _SupportCheck(graph, weight_sq, "J0 (L L* - I)")
+    l_support = _nonzero(L)
+    for rows in _row_blocks(graph):
+        direct = _direct_entries(graph, q, rows)
+        kl.add(direct, _kl_entries(graph, K, L, l_support, rows))
+        coin.add(direct, _coin_entries(graph, qinv, rows))
+    kl.require()
+    coin.require()
+
+
+def _row_blocks(graph: Graph):
+    """Slices of consecutive U rows that hold at most ``_CHECK_BLOCK``
+    entries of U's support (row e holds ``indeg(o(e))``), or one row."""
+    indeg = np.bincount(graph.terminus, minlength=graph.n)
+    ends = np.cumsum(indeg[graph.origin])
+    start, before = 0, 0
+    while start < graph.m_prime:
+        stop = max(start + 1, int(np.searchsorted(
+            ends, before + _CHECK_BLOCK, "right")))
+        yield slice(start, stop)
+        start, before = stop, int(ends[stop - 1])
+
+
+class _SupportCheck:
+    """One U construction compared with the direct formula, a block of U
+    rows at a time: the same support, and entries within
+    ``CROSS_CHECK_TOL``.  :meth:`require` raises with figures of the
+    whole of U, the two entry counts or the largest gap.
 
     Entry ``(e, f)`` has size up to ``2 |q(e)| |q(f^-1)|``, and its
-    rounding grows with it.  So when the largest gap exceeds
-    ``CROSS_CHECK_TOL``, each entry is held to ``CROSS_CHECK_TOL *
-    max(1, |q(e)| |q(f^-1)|)`` instead.  Unitary weights have
-    ``|q| <= 1``: for them that bound is the absolute one, and the first
-    pass decides."""
-    rows, cols, values = other
-    keys = rows * graph.m_prime + cols
-    order = np.argsort(keys, kind="stable")
-    e, f, reference = direct
-    if not np.array_equal(keys[order], e * graph.m_prime + f):
+    rounding grows with it.  So an entry whose gap exceeds
+    ``CROSS_CHECK_TOL`` is held to ``CROSS_CHECK_TOL * max(1, |q(e)|
+    |q(f^-1)|)`` instead.  Unitary weights have ``|q| <= 1``: for them
+    that bound is the absolute one."""
+
+    def __init__(self, graph: Graph, weight_sq: np.ndarray, label: str):
+        self.graph, self.weight_sq, self.label = graph, weight_sq, label
+        self.sizes = [0, 0]  # direct, other
+        self.same_support = True
+        self.gap = 0.0  # 0 on an empty support
+        self.failed = False
+
+    def add(self, direct, other) -> None:
+        """Compare the ``(rows, cols, values)`` entries of one block;
+        ``direct`` is in row-major order."""
+        rows, cols, values = other
+        e, f, reference = direct
+        self.sizes[0] += len(e)
+        self.sizes[1] += len(rows)
+        if not self.same_support:
+            return
+        m = self.graph.m_prime
+        keys = rows * m + cols
+        order = np.argsort(keys, kind="stable")
+        if not np.array_equal(keys[order], e * m + f):
+            self.same_support = False
+            return
+        # The largest entry norm of the difference, |d| as entry_norms
+        # forms it, with one array of each kind alive.
+        diff = np.subtract(values.a[order], reference.a)
+        norm_sq = np.square(np.abs(diff))
+        np.subtract(values.b[order], reference.b, out=diff)
+        norm_sq += np.square(np.abs(diff))
+        gaps = np.sqrt(norm_sq, out=norm_sq)[:, 0]
+        gap = np.max(gaps, initial=0.0)
+        self.gap = float(np.maximum(self.gap, gap))  # keeps a NaN
+        if gap <= CROSS_CHECK_TOL:
+            return
+        scale = np.sqrt(self.weight_sq)
+        scale = scale[e] * scale[self.graph.inverse[f]]
+        if not (gaps <= CROSS_CHECK_TOL * np.maximum(scale, 1.0)).all():
+            self.failed = True  # a NaN gap fails
+
+    def require(self) -> None:
+        if self.same_support and not self.failed:
+            return
+        what = (f"in support ({self.sizes[0]} vs {self.sizes[1]} entries)"
+                if not self.same_support else f"by {self.gap:.3g}")
         raise NumericalError(
             f"transition-matrix construction paths disagree: direct vs "
-            f"{label} differ in support ({len(e)} vs {len(keys)} entries)"
-        )
-    # The largest entry norm of the difference, |d| as entry_norms forms
-    # it, with one array of each kind alive.
-    diff = np.subtract(values.a[order], reference.a)
-    norm_sq = np.square(np.abs(diff))
-    np.subtract(values.b[order], reference.b, out=diff)
-    norm_sq += np.square(np.abs(diff))
-    gaps = np.sqrt(norm_sq, out=norm_sq)[:, 0]
-    gap = float(np.max(gaps, initial=0.0))  # 0 on an empty support
-    if gap <= CROSS_CHECK_TOL:
-        return
-    scale = np.sqrt(weight_sq)
-    scale = scale[e] * scale[graph.inverse[f]]
-    if not (gaps <= CROSS_CHECK_TOL * np.maximum(scale, 1.0)).all():
-        # A NaN gap fails.
-        raise NumericalError(
-            f"transition-matrix construction paths disagree: direct vs "
-            f"{label} differ by {gap:.3g}"
+            f"{self.label} differ {what}"
         )
 
 
@@ -582,9 +654,10 @@ def _walk_value(mu: float) -> complex:
     return complex(half, math.sqrt(max(0.0, 1.0 - half * half)))
 
 
-def _base_spectrum(w: QMatrix) -> list[float]:
-    """Real eigenvalues of psi(W), ascending, boundary values snapped."""
-    return _snap_boundary(np.linalg.eigvalsh(psi(w)))
+def _base_spectrum(psi_w: np.ndarray) -> list[float]:
+    """Real eigenvalues of psi(W), given as that array, ascending,
+    boundary values snapped."""
+    return _snap_boundary(np.linalg.eigvalsh(psi_w))
 
 
 def _snap_boundary(values: np.ndarray) -> list[float]:

@@ -269,15 +269,16 @@ def quaternionic_identity(
     )), t_samples, tol)
 
 
-def _quaternionic_operands(graph: Graph, K, L, W=None) -> tuple:
+def _quaternionic_operands(graph: Graph, K, L, psi_w=None) -> tuple:
     """:func:`_bass_identity`'s operands for the quaternionic identity on
-    K, L and ``W = L* K`` (formed here when not given); none is kept."""
+    K, L and ``psi(W)`` for ``W = L* K`` (formed here when not given);
+    none is kept."""
     # K L* - J0 subtracts 1 at every (e, e^-1); L* J0 = (J0 L)* gathers.
     u_edge = K @ L.H
     u_edge.a[np.arange(graph.m_prime), graph.inverse] -= 1.0
     x = psi(u_edge)
     del u_edge
-    v = psi(L.H @ K if W is None else W)
+    v = psi(L.H @ K) if psi_w is None else psi_w
     d = psi(L.take_rows(graph.inverse).H @ K)
     return ("quaternionic", x, v, d,
             2 * graph.m0 - 2 * graph.n, 2 * graph.m1)
@@ -406,7 +407,7 @@ def verify_walk(graph: Graph, weights, *, tol: float = IDENTITY_TOL,
     skipped = {}
 
     identities = [_bass_identity(
-        *_quaternionic_operands(graph, ops.K, ops.L, ops.W), points, tol,
+        *_quaternionic_operands(graph, ops.K, ops.L, ops.psi_W), points, tol,
     )]
     if graph.m1 == 0:
         identities.append(ihara_identity(graph, points, tol))

@@ -54,6 +54,7 @@ def _assert_operand_bits(ops) -> None:
     w = ops.L.H @ ops.K
     assert _same_bytes(ops.W.a, w.a) and _same_bytes(ops.W.b, w.b)
     assert _same_bytes(psi(ops.W), _block_psi(ops.W))
+    assert _same_bytes(ops.psi_W, _block_psi(ops.W))
     u = _block_psi(ops.U)
     assert _same_bytes(psi(ops.U), u)
     assert _same_bytes(szegedy._psi_u(ops.graph, ops.q), u)
@@ -103,14 +104,23 @@ def test_psi_keeps_signed_zeros_and_shapes(shape):
     assert _same_bytes(psi(m), _block_psi(m))
 
 
-def test_psi_allocates_only_its_result():
+def test_psi_allocates_only_its_result(monkeypatch):
     # The blocks go straight into the result.  The strided writes take
     # numpy's ufunc buffer, at most 8,192 entries (128 KiB), on top of it.
     # On C120's W (n = 120) the peak is 1.05 MB for a 0.92 MB result with
     # numpy 2.4, against 2.31 MB when np.block built both block rows
-    # and the conjugate blocks first.
+    # and the conjugate blocks first.  The input is the contiguous W that
+    # build_walk embeds, as _adjoint_product returns it.
     graph = parse_graph_spec("C120")
-    w = build_walk(graph, random_instance(graph, 7)).W
+    adjoint_product, products = szegedy._adjoint_product, []
+
+    def kept(L, K):
+        products.append(adjoint_product(L, K))
+        return products[-1]
+
+    monkeypatch.setattr(szegedy, "_adjoint_product", kept)
+    build_walk(graph, random_instance(graph, 7))
+    w = products.pop()
     tracemalloc.start()
     try:
         out = psi(w)

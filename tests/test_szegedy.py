@@ -61,6 +61,7 @@ from qszegedy.szegedy import (
     walk_eigenvectors,
 )
 from qszegedy.zeta import verify_walk
+from test_graph_space import _weights, graphs
 
 SQ2 = math.sqrt(2.0)
 SQ23 = math.sqrt(2.0 / 3.0)
@@ -248,8 +249,8 @@ def test_non_finite_weights_are_rejected(check, value, problem):
 def test_support_check_fails_on_a_nan_gap(monkeypatch):
     unperturbed = szegedy._coin_entries
 
-    def perturbed(graph, qinv):
-        rows, cols, values = unperturbed(graph, qinv)
+    def perturbed(graph, qinv, block):
+        rows, cols, values = unperturbed(graph, qinv, block)
         values.a[0, 0] = complex(math.nan, 0.0)
         return rows, cols, values
 
@@ -294,7 +295,7 @@ def test_spectral_map_clamp_and_reject():
 def test_base_spectrum_snaps_boundary():
     graph = build_graph(3, [(0, 1), (1, 2)])
     ops = build_walk(graph, uniform_weights(graph))
-    mus = _base_spectrum(ops.W)
+    mus = _base_spectrum(ops.psi_W)
     assert np.allclose(mus, [-2.0, -2.0, 0.0, 0.0, 2.0, 2.0], atol=1e-10)
     # Boundary values are snapped exactly, not merely approximated.
     assert mus[0] == -2.0 and mus[1] == -2.0
@@ -733,7 +734,7 @@ def test_pm1_eigenspaces_match_psi_u(spec, seed):
             else random_instance(graph, seed)
         )
     ops = build_walk(graph, weights)
-    mus = [mu for mu, _count in group_mus(_base_spectrum(ops.W))]
+    mus = [mu for mu, _count in group_mus(_base_spectrum(ops.psi_W))]
     vectors = walk_eigenvectors(ops, mus, (1.0, -1.0))
     counts = {count.lam: count for count in check_pm1_eigenspaces(ops)}
     for lam in (1.0, -1.0):
@@ -1084,8 +1085,8 @@ def test_build_walk_coin_check_fires(monkeypatch):
     # above the 1e-14 gate.
     unperturbed = szegedy._coin_entries
 
-    def perturbed(graph, qinv):
-        return unperturbed(graph, QMatrix(qinv.a + 1e-12, qinv.b))
+    def perturbed(graph, qinv, rows):
+        return unperturbed(graph, QMatrix(qinv.a + 1e-12, qinv.b), rows)
 
     monkeypatch.setattr(szegedy, "_coin_entries", perturbed)
     inst = load_bundled("k3_loops")
@@ -1106,8 +1107,8 @@ def test_build_walk_cross_check_scales_with_the_weights(monkeypatch, scale):
     # A relative 1e-12 move of U's largest entry is still far outside.
     unperturbed = szegedy._kl_entries
 
-    def perturbed(graph, K, L):
-        rows, cols, values = unperturbed(graph, K, L)
+    def perturbed(*args):
+        rows, cols, values = unperturbed(*args)
         k = np.argmax(np.abs(values.a[:, 0]) + np.abs(values.b[:, 0]))
         values.a[k] *= 1.0 + 1e-12
         values.b[k] *= 1.0 + 1e-12
@@ -1136,6 +1137,140 @@ def test_build_walk_support_check_fires(monkeypatch, name, label):
     inst = load_bundled("k3_loops")
     with pytest.raises(NumericalError, match=label + " differ in support"):
         build_walk(inst.graph, inst.weights)
+
+
+def _row_fault(unpatched, faults):
+    """``unpatched`` with ``faults`` ``{row: delta}``: delta is added to
+    the first entry of the row block that starts at ``row``, or a delta
+    of None drops that entry."""
+    def faulty(*args):
+        rows, cols, values = unpatched(*args)
+        delta = faults.get(args[-1].start, 0.0)
+        if delta is None:
+            return rows[1:], cols[1:], values.take_rows(slice(1, None))
+        values.a[0, 0] += delta
+        return rows, cols, values
+    return faulty
+
+
+def test_row_blocks_partition_u_rows(monkeypatch):
+    # Whole U rows, in order, each block as many as fit in _CHECK_BLOCK
+    # support entries (row e holds indeg(o(e)) of them), or one row.
+    for spec in ("K24+loops", "K32", "C120", "star60+loop", "K3+loops"):
+        graph = parse_graph_spec(spec)
+        sizes = np.bincount(graph.terminus, minlength=graph.n)[graph.origin]
+        blocks = list(szegedy._row_blocks(graph))
+        assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+        assert blocks[-1].stop == graph.m_prime
+        for block in blocks:
+            held = sizes[block].sum()
+            single = block.stop == block.start + 1
+            assert held <= szegedy._CHECK_BLOCK or single
+            if block.stop < graph.m_prime:
+                assert held + sizes[block.stop] > szegedy._CHECK_BLOCK
+    monkeypatch.setattr(szegedy, "_CHECK_BLOCK", 1)
+    blocks = list(szegedy._row_blocks(graph))
+    assert blocks == [slice(e, e + 1) for e in range(graph.m_prime)]
+
+
+@pytest.mark.parametrize("name, delta, message", [
+    ("_coin_entries", 1e-12, r"J0 \(L L\* - I\) differ by 1e-12$"),
+    ("_kl_entries", None,
+     r"K L\* - J0 differ in support \(13824 vs 13823 entries\)$"),
+])
+def test_cross_check_sees_a_fault_in_the_last_row_block(monkeypatch, name,
+                                                        delta, message):
+    # K24+loops's support of 13,824 entries spans several row blocks.
+    graph = parse_graph_spec("K24+loops")
+    last = list(szegedy._row_blocks(graph))[-1]
+    assert last.start > 0
+    faulty = _row_fault(getattr(szegedy, name), {last.start: delta})
+    monkeypatch.setattr(szegedy, name, faulty)
+    with pytest.raises(NumericalError, match=message):
+        build_walk(graph, random_instance(graph, 7))
+
+
+@pytest.mark.parametrize("faults, message", [
+    # The largest gap of U, not that of the first block with a fault.
+    ({"_coin_entries": {0: 1e-12, -1: 1e-10}},
+     r"J0 \(L L\* - I\) differ by 1e-10$"),
+    # A NaN gap in any block is U's gap.
+    ({"_coin_entries": {0: math.nan, -1: 1.0}}, r"differ by nan$"),
+    ({"_coin_entries": {0: 1.0, -1: math.nan}}, r"differ by nan$"),
+    # K L* - J0 is decided first, wherever the faults lie.
+    ({"_coin_entries": {0: 1e-6}, "_kl_entries": {-1: 1e-10}},
+     r"K L\* - J0 differ by 1e-10$"),
+    ({"_kl_entries": {4: None}, "_coin_entries": {0: None, 1: None}},
+     r"K L\* - J0 differ in support \(27 vs 26 entries\)$"),
+    ({"_coin_entries": {0: None, -1: None}},
+     r"J0 \(L L\* - I\) differ in support \(27 vs 25 entries\)$"),
+])
+def test_cross_check_reports_figures_of_the_whole_u(monkeypatch, faults,
+                                                     message):
+    # With one U row per block, the faults sit in different blocks.
+    inst = load_bundled("k3_loops")
+    m = inst.graph.m_prime
+    monkeypatch.setattr(szegedy, "_CHECK_BLOCK", 1)
+    for name, rows in faults.items():
+        rows = {row % m: delta for row, delta in rows.items()}
+        monkeypatch.setattr(szegedy, name,
+                            _row_fault(getattr(szegedy, name), rows))
+    with pytest.raises(NumericalError, match=message):
+        build_walk(inst.graph, inst.weights)
+
+
+def _one_row_blocks_agree(graph, weights) -> None:
+    want = build_walk(graph, weights).psi_W
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(szegedy, "_CHECK_BLOCK", 1)
+        got = build_walk(graph, weights).psi_W
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_one_row_blocks_pass_the_bundled_instances(name):
+    inst = load_bundled(name)
+    _one_row_blocks_agree(inst.graph, inst.weights)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=graphs(), seed=st.none() | st.integers(0, 2**32 - 1))
+def test_one_row_blocks_pass_over_graph_space(graph, seed):
+    _one_row_blocks_agree(graph, _weights(graph, seed))
+
+
+@pytest.mark.parametrize("spec", ["K24+loops", "K32"])
+def test_build_walk_check_memory_does_not_grow_with_the_support(spec):
+    # The cross-check holds one block of U rows at a time, so beyond K and
+    # L (4 m' n complex entries) build_walk's tracemalloc peak stays under
+    # a fixed allowance: with numpy 2.4, 0.46 MB on K24+loops (|S| =
+    # 13,824) and 0.50 MB on K32 (|S| = 30,752), against 2.70 and 5.98 MB
+    # when every construction held all of U's support at once.
+    graph = parse_graph_spec(spec)
+    weights = random_instance(graph, 7)
+    k_and_l = 4 * graph.m_prime * graph.n * np.dtype(complex).itemsize
+    tracemalloc.start()
+    try:
+        build_walk(graph, weights)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - k_and_l < 0.75e6
+
+
+def test_mu_spectrum_allocates_no_second_psi_w():
+    # eigvalsh reads the stored psi(W); on C120 (a 0.92 MB psi(W)) the
+    # tracemalloc peak is 0.01 MB with numpy 2.4, against 1.05 MB when
+    # psi(W) was built again from W.
+    graph = parse_graph_spec("C120")
+    ops = build_walk(graph, random_instance(graph, 7))
+    tracemalloc.start()
+    try:
+        ops.mu_spectrum
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < ops.psi_W.nbytes / 8
 
 
 def test_dense_u_matches_support_on_first_access():
@@ -1212,7 +1347,16 @@ def test_walk_residual_keeps_its_bits():
 def test_walk_stores_only_graph_weights_and_w():
     graph = parse_graph_spec("K4+loops")
     ops = build_walk(graph, random_instance(graph, 3))
-    assert set(vars(ops)) == {"graph", "q", "W"}
+    assert set(vars(ops)) == {"graph", "q", "psi_W", "W"}
+    # psi(W) is the one array that holds W: W's parts are read-only views
+    # of its left block column.
+    n = graph.n
+    for part, block in ((ops.W.a, ops.psi_W[:n, :n]),
+                        (ops.W.b, ops.psi_W[n:, :n])):
+        assert np.shares_memory(part, ops.psi_W)
+        assert part.tobytes() == block.tobytes()
+        assert not part.flags.writeable
+    assert not ops.psi_W.flags.writeable
     # Built on first read (entries: test_build_walk_matches_entrywise_loop).
     assert ops.K is ops.K and ops.L is ops.L
 
@@ -1251,9 +1395,11 @@ def test_full_spectrum_diagonalises_psi_w_once(monkeypatch):
 
 
 def test_theorem_path_peak_memory():
-    # build_walk compares the three U constructions on U's support and
-    # the theorem path reads no dense U: 0.73 m'^2-sized complex arrays
-    # with numpy 2.4, against 6.25 when every build formed U three times.
+    # build_walk compares the three U constructions on U's support, a
+    # block of U rows at a time, and the theorem path reads no dense U:
+    # 0.25 m'^2-sized complex arrays with numpy 2.4, against 0.68 when
+    # the check held all of the support at once and 6.25 when every
+    # build formed U three times.
     graph = parse_graph_spec("K24+loops")
     weights = random_instance(graph, 7)
     unit = graph.m_prime ** 2 * np.dtype(complex).itemsize

@@ -313,6 +313,29 @@ def test_verify_walk_peak_memory(spec):
     assert peak < 3.5 * unit
 
 
+def test_verify_quaternionic_row_reads_the_walks_psi_w(monkeypatch):
+    # The row's psi(W) operand is the array the walk keeps, not a copy.
+    walks, operands = [], []
+
+    def kept_walk(*args):
+        walks.append(build_walk(*args))
+        return walks[-1]
+
+    bass_identity = zeta._bass_identity
+
+    def seen(name, x, v, *rest):
+        operands.append((name, v))
+        return bass_identity(name, x, v, *rest)
+
+    monkeypatch.setattr(zeta, "build_walk", kept_walk)
+    monkeypatch.setattr(zeta, "_bass_identity", seen)
+    inst = load_bundled("k3_loops")
+    assert verify_walk(inst.graph, inst.weights).passed
+    (walk,) = walks
+    assert operands[0][0] == "quaternionic"
+    assert operands[0][1] is walk.psi_W
+
+
 # K6's 2m' x 2m' matrices (57.6 KB) are below the 256 KB at which numpy
 # reuses temporaries in place, C80's (1.6 MB) above it.
 @pytest.mark.parametrize("spec", ["K6", "C80"])
