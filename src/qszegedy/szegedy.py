@@ -14,12 +14,13 @@ and ``random_instance`` make it.  With the incidence-type matrices
 ``K`` (origin) and ``L`` (terminus) built from ``a(e) = sqrt(2) q(e)``
 and ``b(e) = sqrt(2) q(e^-1)``, the same matrix is ``U = K L* - J0``
 and ``U = J0 (L L* - I)``.  U is non-zero only on its support
-``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries; all three
-constructions are evaluated there, a block of whole U rows at a time,
-and cross-checked entrywise whenever a walk is built.  A walk keeps
-only the weights and ``psi(W)``, with W as its left block column: K, L
-and the dense ``m' x m'`` U are formed from the weights where they are
-read (U for the direct ``--force`` path and ``examples``, read off the
+``t(f) = o(e)``, ``sum_v indeg(v) outdeg(v)`` entries.  Whenever a walk
+is built, each factored form's support is decided from its factors, and
+all three constructions are evaluated on U's support, a block of whole
+U rows at a time, and cross-checked entrywise.  A walk keeps only the
+weights and ``psi(W)``, with W as its left block column: K, L and the
+dense ``m' x m'`` U are formed from the weights where they are read
+(U for the direct ``--force`` path and ``examples``, read off the
 oracle's ``psi(U)``); walk residuals apply ``U x = K (L* x) - J0 x``.
 
 The right spectrum comes from the doubly weighted matrix
@@ -272,17 +273,15 @@ def build_kl(graph: Graph, a, b) -> tuple[QMatrix, QMatrix]:
 
     ``K[e, o(e)] = a(e)`` and ``L[e, t(e)] = b(e)``; all other entries
     vanish.  Inputs are ``(m', 4)`` component arrays in canonical arc
-    order, or ``m' x 1`` QMatrix columns.
+    order, scattered bit for bit, signed zeros included.
     """
     return _scatter(graph, a, graph.origin), _scatter(graph, b, graph.terminus)
 
 
 def _scatter(graph: Graph, values, columns: np.ndarray) -> QMatrix:
-    """The ``m' x n`` matrix with ``values[e]`` at ``(e, columns[e])``."""
-    if not isinstance(values, QMatrix):
-        values = QMatrix.from_components(
-            np.asarray(values, dtype=float)[:, None]
-        )
+    """The ``m' x n`` matrix with quaternion ``values[e]``, a row of the
+    ``(m', 4)`` components, at ``(e, columns[e])``."""
+    values = QMatrix.from_components(np.asarray(values, dtype=float)[:, None])
     mat = QMatrix.zeros(graph.m_prime, graph.n)
     rows = np.arange(graph.m_prime)
     mat.a[rows, columns] = values.a[:, 0]
@@ -373,11 +372,11 @@ def build_walk(graph: Graph, weights) -> WalkOperators:
     """Construct the walk, cross-checking three U constructions.
 
     The direct entrywise formula, the factorization ``K L* - J0``, and
-    the shift-times-coin product ``J0 (L L* - I)`` are each evaluated on
-    the pairs where its own factors are non-zero, and must give the same
-    support and agree entrywise to ``1e-14``; disagreement indicates a
-    broken invariant, not bad input, and raises NumericalError.  The
-    check runs over blocks of whole U rows (:func:`_cross_check`), so no
+    the shift-times-coin product ``J0 (L L* - I)`` must give the same
+    support, which each factored form's factors decide, and agree
+    entrywise to ``1e-14`` on it; disagreement indicates a broken
+    invariant, not bad input, and raises NumericalError.  The values are
+    compared over blocks of whole U rows (:func:`_cross_check`), so no
     array spans U or all of its support.  K and L live only
     for the check and ``W = L* K``, which :func:`_adjoint_product` forms
     bit for bit as ``L.H @ K`` with no m' x n array besides them; the
@@ -405,16 +404,17 @@ def _psi_u(graph: Graph, q: np.ndarray) -> np.ndarray:
     result, with no dense U.  It is ``psi(ops.U)`` byte for byte: off the
     support, psi's blocks hold the images of zero, ``-conj(0) = -0 + 0i``
     at the top right and ``conj(0) = 0 - 0i`` at the bottom right."""
-    e, f, values = _direct_entries(graph, q)
     m = graph.m_prime
     out = np.zeros((2 * m, 2 * m), dtype=complex)
     out[:m, m:] = complex(-0.0, 0.0)
     out[m:, m:] = complex(0.0, -0.0)
-    a, b = values.a[:, 0], values.b[:, 0]
-    out[e, f] = a
-    out[e, m + f] = -np.conj(b)
-    out[m + e, f] = b
-    out[m + e, m + f] = np.conj(a)
+    for e, f in _support(graph):
+        values = _direct_entries(graph, q, e, f)
+        a, b = values.a[:, 0], values.b[:, 0]
+        out[e, f] = a
+        out[e, m + f] = -np.conj(b)
+        out[m + e, f] = b
+        out[m + e, m + f] = np.conj(a)
     return out
 
 
@@ -440,78 +440,62 @@ def _adjoint_product(L: QMatrix, K: QMatrix) -> QMatrix:
     return QMatrix._adopt(a, b)
 
 
-def _direct_entries(graph: Graph, q: np.ndarray,
-                    rows: slice = slice(None)):
-    """U's rows ``rows`` (all by default) on its support from the defining
-    formula and the ``(m', 4)`` weights, in row-major order:
-    ``2 q(e) q(f^-1)*`` on the pairs ``t(f) = o(e)``, with
-    ``2 |q(e)|^2 - 1`` at ``f = e^-1``.  Returns ``(rows, cols, values)``
-    with the values a column."""
-    qcol = QMatrix.from_components(q[:, None])
-    e, f = _pairs(graph.origin[rows], graph.terminus)
-    e += rows.indices(graph.m_prime)[0]
-    inv = graph.inverse
-    values = _times_conj(
-        qcol.scale(2.0).take_rows(e), qcol.take_rows(inv[f])
-    )
-    back = f == inv[e]
-    s, p = qcol.a[e[back], 0], qcol.b[e[back], 0]
-    norm_sq = s.real**2 + s.imag**2 + p.real**2 + p.imag**2
-    values.a[back, 0] = 2.0 * norm_sq - 1.0
+def _support(graph: Graph):
+    """U's support, the pairs ``t(f) = o(e)``, in row-major order: yields
+    the ``(e, f)`` index arrays of each block of :func:`_row_blocks`, all
+    read from one grouping of the arcs by terminus."""
+    indeg = np.bincount(graph.terminus, minlength=graph.n)
+    by_terminus = np.argsort(graph.terminus, kind="stable")
+    first = np.cumsum(indeg) - indeg  # each vertex's run in by_terminus
+    for rows in _row_blocks(graph):
+        counts = indeg[graph.origin[rows]]
+        e = np.repeat(np.arange(rows.start, rows.stop), counts)
+        # Pair k of row e is entry first[o(e)] + k of by_terminus.
+        f = np.repeat(first[graph.origin[rows]] - np.cumsum(counts) + counts,
+                      counts)
+        f += np.arange(len(e))
+        f = by_terminus[f]
+        yield e, f
+
+
+def _column(components: np.ndarray) -> QMatrix:
+    """The ``(k, 4)`` components as a ``k x 1`` QMatrix, bit for bit."""
+    return QMatrix.from_components(components[:, None])
+
+
+def _direct_entries(graph: Graph, q: np.ndarray, e, f) -> QMatrix:
+    """U at the support pairs ``(e, f)``, as a column, from the defining
+    formula and the ``(m', 4)`` weights: ``2 q(e) q(f^-1)*``, with
+    ``2 |q(e)|^2 - 1`` at ``f = e^-1``."""
+    back = f == graph.inverse[e]
+    values = _times_conj(_column(q[e]).scale(2.0),
+                         _column(q[graph.inverse[f]]))
+    s0, s1, p0, p1 = q[e[back]].T
+    values.a[back, 0] = 2.0 * (s0**2 + s1**2 + p0**2 + p1**2) - 1.0
     values.b[back] = 0.0
-    return e, f, values
+    return values
 
 
-def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix, l_support,
-                rows: slice):
-    """``K L* - J0`` on U's rows ``rows``, at the pairs where K's row e and
-    L's row f have non-zero entries in a shared vertex column: their
-    product, minus 1 at ``f = e^-1``.  ``l_support`` is L's non-zero
-    pattern, ``(rows, cols)`` as :func:`_nonzero` gives it."""
-    k_rows, k_cols = _nonzero(K.take_rows(rows))
-    k_rows += rows.start
-    l_rows, l_cols = l_support
-    i, j = _pairs(k_cols, l_cols)
-    e, f = k_rows[i], l_rows[j]
-    values = _times_conj(
-        QMatrix._adopt(K.a[e, k_cols[i], None], K.b[e, k_cols[i], None]),
-        QMatrix._adopt(L.a[f, l_cols[j], None], L.b[f, l_cols[j], None]),
-    )
+def _kl_entries(graph: Graph, K: QMatrix, L: QMatrix, e, f) -> QMatrix:
+    """``K L* - J0`` at the pairs ``(e, f)`` from K's stored entry at
+    ``(e, o(e))`` and L's at ``(f, t(f))``: their product, minus 1 at
+    ``f = e^-1``."""
+    k, l = graph.origin[e], graph.terminus[f]
+    values = _times_conj(QMatrix._adopt(K.a[e, k, None], K.b[e, k, None]),
+                         QMatrix._adopt(L.a[f, l, None], L.b[f, l, None]))
     values.a[f == graph.inverse[e]] -= 1.0
-    return e, f, values
+    return values
 
 
-def _nonzero(m: QMatrix):
-    """Row and column indices of the non-zero entries, row-major."""
-    return np.nonzero((m.a != 0) | (m.b != 0))
-
-
-def _coin_entries(graph: Graph, qinv: QMatrix, rows: slice):
-    """``J0 (L L* - I)`` on U's rows ``rows``, from the coin ``C[e', f] =
-    2 q(e'^-1) q(f^-1)* - delta`` on the pairs ``t(e') = t(f)``; the shift
-    J0 moves row e' to ``inverse[e']``, so U's rows read the coin's rows
-    ``inverse[rows]``."""
-    coin_rows = graph.inverse[rows]
-    i, cols = _pairs(graph.terminus[coin_rows], graph.terminus)
-    coin_rows = coin_rows[i]
-    values = _times_conj(
-        qinv.scale(2.0).take_rows(coin_rows), qinv.take_rows(cols)
-    )
-    values.a[coin_rows == cols] -= 1.0
-    return graph.inverse[coin_rows], cols, values
-
-
-def _pairs(left: np.ndarray, right: np.ndarray):
-    """All index pairs ``(i, j)`` with ``left[i] == right[j]``, ordered by
-    ``i`` and then ``j``."""
-    order = np.argsort(right, kind="stable")
-    start = np.searchsorted(right[order], left, "left")
-    counts = np.searchsorted(right[order], left, "right") - start
-    i = np.repeat(np.arange(len(left)), counts)
-    # Pair k of left index i sits at start[i] + k - (pairs before i).
-    j = np.repeat(start - (np.cumsum(counts) - counts), counts)
-    j += np.arange(len(i))
-    return i, order[j]
+def _coin_entries(graph: Graph, q: np.ndarray, e, f) -> QMatrix:
+    """``J0 (L L* - I)`` at the pairs ``(e, f)``: the shift J0 moves the
+    coin's row ``c = e^-1`` to U's row e, and the coin is ``C[c, f] =
+    2 q(c^-1) q(f^-1)* - delta(c, f)``."""
+    c = graph.inverse[e]
+    values = _times_conj(_column(q[graph.inverse[c]]).scale(2.0),
+                         _column(q[graph.inverse[f]]))
+    values.a[c == f] -= 1.0
+    return values
 
 
 def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
@@ -532,20 +516,86 @@ def _times_conj(x: QMatrix, y: QMatrix) -> QMatrix:
 def _cross_check(graph: Graph, q: np.ndarray, K: QMatrix, L: QMatrix,
                  weight_sq: np.ndarray) -> None:
     """Compare ``K L* - J0`` and then ``J0 (L L* - I)`` with the direct
-    formula on U's support, each decided on the whole of U, while the
-    entries are formed in blocks of whole U rows that hold at most
-    ``_CHECK_BLOCK`` support entries each.  ``weight_sq`` holds the
-    squared weight norms."""
-    qinv = QMatrix.from_components(q[graph.inverse, None])
-    kl = _SupportCheck(graph, weight_sq, "K L* - J0")
-    coin = _SupportCheck(graph, weight_sq, "J0 (L L* - I)")
-    l_support = _nonzero(L)
-    for rows in _row_blocks(graph):
-        direct = _direct_entries(graph, q, rows)
-        kl.add(direct, _kl_entries(graph, K, L, l_support, rows))
-        coin.add(direct, _coin_entries(graph, qinv, rows))
-    kl.require()
-    coin.require()
+    formula: each form's support, then its values.
+
+    The supports are decided from the factors.  ``K L* - J0`` has U's
+    support when K's non-zero entries are the ``(e, o(e))`` and L's the
+    ``(f, t(f))``, and ``J0 (L L* - I)`` when ``inverse`` is an
+    involution with ``t(e^-1) = o(e)``.  The values are compared on U's
+    support a block of whole U rows at a time (:func:`_support`).  Entry
+    ``(e, f)`` has size up to ``2 |q(e)| |q(f^-1)|`` and its rounding
+    grows with it, so each gap is held to ``CROSS_CHECK_TOL * max(1,
+    |q(e)| |q(f^-1)|)``; unitary weights have ``|q| <= 1``, and for them
+    that bound is the absolute one.  ``weight_sq`` holds the squared
+    weight norms.  A failure names figures of the whole of U: the entry
+    counts ``sum_e indeg(o(e))`` of the direct form and ``sum_v nnz_K(v)
+    nnz_L(v)`` or ``sum_e indeg(t(e^-1))`` of the other, or the largest
+    gap (NaN if any gap is NaN)."""
+    origin, terminus, inv = graph.origin, graph.terminus, graph.inverse
+    indeg = np.bincount(terminus, minlength=graph.n)
+    size = indeg[origin].sum()
+    if not (_incidence(K, origin) and _incidence(L, terminus)):
+        # Column counts only on failure: like an array <=, counting along
+        # an axis pages in numpy code that no other step runs.
+        count = (np.count_nonzero(_nonzero(K), axis=0)
+                 @ np.count_nonzero(_nonzero(L), axis=0))
+        raise _disagree("K L* - J0", f"in support ({size} vs {count} entries)")
+    forms = {"K L* - J0": lambda e, f: _kl_entries(graph, K, L, e, f)}
+    coin_exact = (np.array_equal(inv[inv], np.arange(graph.m_prime))
+                  and np.array_equal(terminus[inv], origin))
+    if coin_exact:
+        forms["J0 (L L* - I)"] = lambda e, f: _coin_entries(graph, q, e, f)
+    largest = dict.fromkeys(forms, 0.0)  # 0 on an empty support
+    failed = set()
+    norm = np.sqrt(weight_sq)
+    for e, f in _support(graph):
+        direct = _direct_entries(graph, q, e, f)
+        bound = CROSS_CHECK_TOL * np.maximum(norm[e] * norm[inv[f]], 1.0)
+        for label, entries in forms.items():
+            gaps = _gaps(entries(e, f), direct)
+            largest[label] = np.maximum(  # keeps a NaN
+                largest[label], np.max(gaps, initial=0.0))
+            # gaps <= bound exactly when gaps / bound <= 1, and a NaN
+            # fails; an array <= would page in numpy code no other step
+            # runs, about 64 KB of every job's peak RSS.
+            if not np.max(gaps / bound, initial=0.0) <= 1.0:
+                failed.add(label)
+    for label in ("K L* - J0", "J0 (L L* - I)"):
+        if label not in forms:
+            count = indeg[terminus[inv]].sum()
+            raise _disagree(label, f"in support ({size} vs {count} entries)")
+        if label in failed:
+            raise _disagree(label, f"by {largest[label]:.3g}")
+
+
+def _incidence(m: QMatrix, columns: np.ndarray) -> bool:
+    """Whether the non-zero entries of the ``m' x n`` matrix ``m`` are
+    exactly the ``(e, columns[e])``."""
+    nonzero = _nonzero(m)
+    return (np.count_nonzero(nonzero) == len(columns)
+            and nonzero[np.arange(len(columns)), columns].all())
+
+
+def _nonzero(m: QMatrix) -> np.ndarray:
+    """Where the entries of ``m`` are non-zero."""
+    return (m.a != 0) | (m.b != 0)
+
+
+def _gaps(values: QMatrix, reference: QMatrix) -> np.ndarray:
+    """The entry norms of ``values - reference``, as entry_norms forms
+    them, with one array of each kind alive."""
+    diff = np.subtract(values.a, reference.a)
+    norm_sq = np.square(np.abs(diff))
+    np.subtract(values.b, reference.b, out=diff)
+    norm_sq += np.square(np.abs(diff))
+    return np.sqrt(norm_sq, out=norm_sq)[:, 0]
+
+
+def _disagree(label: str, what: str) -> NumericalError:
+    return NumericalError(
+        f"transition-matrix construction paths disagree: direct vs {label} "
+        f"differ {what}"
+    )
 
 
 def _row_blocks(graph: Graph):
@@ -559,67 +609,6 @@ def _row_blocks(graph: Graph):
             ends, before + _CHECK_BLOCK, "right")))
         yield slice(start, stop)
         start, before = stop, int(ends[stop - 1])
-
-
-class _SupportCheck:
-    """One U construction compared with the direct formula, a block of U
-    rows at a time: the same support, and entries within
-    ``CROSS_CHECK_TOL``.  :meth:`require` raises with figures of the
-    whole of U, the two entry counts or the largest gap.
-
-    Entry ``(e, f)`` has size up to ``2 |q(e)| |q(f^-1)|``, and its
-    rounding grows with it.  So an entry whose gap exceeds
-    ``CROSS_CHECK_TOL`` is held to ``CROSS_CHECK_TOL * max(1, |q(e)|
-    |q(f^-1)|)`` instead.  Unitary weights have ``|q| <= 1``: for them
-    that bound is the absolute one."""
-
-    def __init__(self, graph: Graph, weight_sq: np.ndarray, label: str):
-        self.graph, self.weight_sq, self.label = graph, weight_sq, label
-        self.sizes = [0, 0]  # direct, other
-        self.same_support = True
-        self.gap = 0.0  # 0 on an empty support
-        self.failed = False
-
-    def add(self, direct, other) -> None:
-        """Compare the ``(rows, cols, values)`` entries of one block;
-        ``direct`` is in row-major order."""
-        rows, cols, values = other
-        e, f, reference = direct
-        self.sizes[0] += len(e)
-        self.sizes[1] += len(rows)
-        if not self.same_support:
-            return
-        m = self.graph.m_prime
-        keys = rows * m + cols
-        order = np.argsort(keys, kind="stable")
-        if not np.array_equal(keys[order], e * m + f):
-            self.same_support = False
-            return
-        # The largest entry norm of the difference, |d| as entry_norms
-        # forms it, with one array of each kind alive.
-        diff = np.subtract(values.a[order], reference.a)
-        norm_sq = np.square(np.abs(diff))
-        np.subtract(values.b[order], reference.b, out=diff)
-        norm_sq += np.square(np.abs(diff))
-        gaps = np.sqrt(norm_sq, out=norm_sq)[:, 0]
-        gap = np.max(gaps, initial=0.0)
-        self.gap = float(np.maximum(self.gap, gap))  # keeps a NaN
-        if gap <= CROSS_CHECK_TOL:
-            return
-        scale = np.sqrt(self.weight_sq)
-        scale = scale[e] * scale[self.graph.inverse[f]]
-        if not (gaps <= CROSS_CHECK_TOL * np.maximum(scale, 1.0)).all():
-            self.failed = True  # a NaN gap fails
-
-    def require(self) -> None:
-        if self.same_support and not self.failed:
-            return
-        what = (f"in support ({self.sizes[0]} vs {self.sizes[1]} entries)"
-                if not self.same_support else f"by {self.gap:.3g}")
-        raise NumericalError(
-            f"transition-matrix construction paths disagree: direct vs "
-            f"{self.label} differ {what}"
-        )
 
 
 def spectral_map(mu: float):

@@ -3,10 +3,12 @@ injected errors.
 
 Each row names an injector, a bundled instance and the checks that fail
 under it; every other check of that instance must pass.  The checks are
-verify's rows (the structure row ``L* J0 L = W``, the determinant
-identities, the Sylvester lemma and the +-1 eigenspace counts) and
-``spectrum --oracle``'s match of the theorem path against ``psi(U)``.
-The injectors move one value by 1e-6:
+``build_walk``'s cross-check of the three U constructions, verify's rows
+(the structure row ``L* J0 L = W``, the determinant identities, the
+Sylvester lemma and the +-1 eigenspace counts) and ``spectrum
+--oracle``'s match of the theorem path against ``psi(U)``.  When the
+cross-check raises, no walk exists and the row ends there.  The
+injectors move one value by 1e-6, or relabel:
 
 * ``w-pair``: one Hermitian pair of ``W = L* K``, as
   ``szegedy._adjoint_product`` returns it.  Only the rows that read the
@@ -14,16 +16,23 @@ The injectors move one value by 1e-6:
 * ``psi-u``: one entry of the oracle's ``psi(U)``.  No verify row reads
   that matrix, so only the oracle sees it.
 * ``phase``: the phase of both values of ``spectral_map``.
+* ``l-columns``: ``szegedy._l_matrix`` scatters into the vertex columns
+  with 0 and 1 swapped, and K, its row gather, with it.  That relabels
+  the vertices consistently, so W keeps its spectrum; only the
+  cross-check, which decides the support of ``K L* - J0`` from K's and
+  L's non-zero entries, sees it.
 """
 
 from __future__ import annotations
 
 import cmath
 
+import numpy as np
 import pytest
 
 from qszegedy import szegedy
 from qszegedy.cli import main
+from qszegedy.errors import NumericalError
 from qszegedy.instances import load_bundled
 from qszegedy.zeta import verify_walk
 
@@ -56,10 +65,20 @@ def _phase(spectral_map):
     return moved
 
 
+def _l_columns(l_matrix):
+    def relabelled(graph, q):
+        L = l_matrix(graph, q)
+        swap = np.arange(graph.n)
+        swap[[0, 1]] = [1, 0]
+        return type(L)._adopt(L.a[:, swap], L.b[:, swap])
+    return relabelled
+
+
 INJECTORS = {
     "w-pair": ("_adjoint_product", _w_pair),
     "psi-u": ("_psi_u", _psi_u_entry),
     "phase": ("spectral_map", _phase),
+    "l-columns": ("_l_matrix", _l_columns),
 }
 
 #: ``(injector, instance, checks that fail)``; all other checks pass.
@@ -71,15 +90,22 @@ ROWS = [
     ("phase", "k4", {"oracle", "eigenspaces"}),
     ("phase", "c5", {"oracle", "eigenspaces"}),
     ("phase", "k3_loops", {"oracle"}),
+    ("l-columns", "k4", {"cross-check"}),
 ]
 
 
 def _checks(name: str) -> dict[str, bool]:
-    """Each check of one bundled instance, by name: passed or not."""
+    """Each check of one bundled instance, by name: passed or not.  A
+    failed cross-check is the only check."""
     instance = load_bundled(name)
     graph, weights = instance.graph, instance.weights
+    try:
+        szegedy.build_walk(graph, weights)
+    except NumericalError:
+        return {"cross-check": False}
     report = verify_walk(graph, weights)
-    checks = {check.name: check.ok for check in report.structure.checks}
+    checks = {"cross-check": True}
+    checks.update((check.name, check.ok) for check in report.structure.checks)
     checks.update((check.name, check.passed) for check in report.identities)
     checks["sylvester"] = report.sylvester.passed
     checks["eigenspaces"] = all(count.ok for count in report.eigenspaces)
@@ -99,7 +125,17 @@ def test_checks_that_see_the_fault(monkeypatch, injector, name, failing):
     _inject(monkeypatch, injector)
     checks = _checks(name)
     assert {check for check, ok in checks.items() if not ok} == failing
-    assert set(checks) > failing
+    assert set(checks) > failing or failing == {"cross-check"}
+
+
+def test_relabelled_l_columns_fail_the_cross_check_on_support(monkeypatch):
+    # Column 0 and column 1 both hold three entries of K and of L, so
+    # the counts agree; the support differs all the same.
+    _inject(monkeypatch, "l-columns")
+    instance = load_bundled("k4")
+    with pytest.raises(NumericalError, match=(
+            r"direct vs K L\* - J0 differ in support \(36 vs 36 entries\)$")):
+        szegedy.build_walk(instance.graph, instance.weights)
 
 
 def test_moved_w_pair_on_k4_stops_verify_in_the_spectral_map(monkeypatch,

@@ -20,7 +20,7 @@ from qszegedy.errors import (
     NumericalError,
     ValidationError,
 )
-from qszegedy.graph import build_graph
+from qszegedy.graph import Graph, build_graph
 from qszegedy.instances import (
     bundled_names,
     instance_to_dict,
@@ -249,10 +249,10 @@ def test_non_finite_weights_are_rejected(check, value, problem):
 def test_support_check_fails_on_a_nan_gap(monkeypatch):
     unperturbed = szegedy._coin_entries
 
-    def perturbed(graph, qinv, block):
-        rows, cols, values = unperturbed(graph, qinv, block)
+    def perturbed(*args):
+        values = unperturbed(*args)
         values.a[0, 0] = complex(math.nan, 0.0)
-        return rows, cols, values
+        return values
 
     monkeypatch.setattr(szegedy, "_coin_entries", perturbed)
     inst = load_bundled("k3_loops")
@@ -261,17 +261,21 @@ def test_support_check_fails_on_a_nan_gap(monkeypatch):
 
 
 def test_build_kl_reads_arrays_as_quaternion_columns():
+    # Row e of each (m', 4) array lands at K's (e, o(e)) or L's (e, t(e))
+    # bit for bit, signed zeros included; every other entry is zero.
     graph = parse_graph_spec("K3+loops")
     rows = np.random.default_rng(3).standard_normal((graph.m_prime, 4))
     rows[0] = [-0.0, 0.0, -0.0, -0.0]
     rows[1, 2] = -0.0
-    from_array = szegedy.build_kl(graph, rows, rows[::-1])
-    columns = (qvec([Quaternion(*row) for row in rows]),
-               qvec([Quaternion(*row) for row in rows[::-1]]))
-    for got, want in zip(from_array, szegedy.build_kl(graph, *columns)):
-        assert np.array_equal(got.components(), want.components())
-        assert np.array_equal(np.signbit(got.components()),
-                              np.signbit(want.components()))
+    K, L = szegedy.build_kl(graph, rows, rows[::-1])
+    arcs = np.arange(graph.m_prime)
+    for got, values, columns in ((K, rows, graph.origin),
+                                 (L, rows[::-1], graph.terminus)):
+        on = got.components()[arcs, columns]
+        assert on.tobytes() == np.ascontiguousarray(values).tobytes()
+        off = np.ones(got.shape, dtype=bool)
+        off[arcs, columns] = False
+        assert not got.a[off].any() and not got.b[off].any()
 
 
 def test_spectral_map_goldens():
@@ -1085,8 +1089,8 @@ def test_build_walk_coin_check_fires(monkeypatch):
     # above the 1e-14 gate.
     unperturbed = szegedy._coin_entries
 
-    def perturbed(graph, qinv, rows):
-        return unperturbed(graph, QMatrix(qinv.a + 1e-12, qinv.b), rows)
+    def perturbed(graph, q, e, f):
+        return unperturbed(graph, q + [1e-12, 0.0, 0.0, 0.0], e, f)
 
     monkeypatch.setattr(szegedy, "_coin_entries", perturbed)
     inst = load_bundled("k3_loops")
@@ -1108,48 +1112,101 @@ def test_build_walk_cross_check_scales_with_the_weights(monkeypatch, scale):
     unperturbed = szegedy._kl_entries
 
     def perturbed(*args):
-        rows, cols, values = unperturbed(*args)
+        values = unperturbed(*args)
         k = np.argmax(np.abs(values.a[:, 0]) + np.abs(values.b[:, 0]))
         values.a[k] *= 1.0 + 1e-12
         values.b[k] *= 1.0 + 1e-12
-        return rows, cols, values
+        return values
 
     monkeypatch.setattr(szegedy, "_kl_entries", perturbed)
     with pytest.raises(NumericalError, match=r"K L\* - J0 differ by"):
         build_walk(graph, weights)
 
 
-@pytest.mark.parametrize("name, label", [
-    ("_direct_entries", r"K L\* - J0"),
-    ("_kl_entries", r"K L\* - J0"),
-    ("_coin_entries", r"J0 \(L L\* - I\)"),
-])
-def test_build_walk_support_check_fires(monkeypatch, name, label):
-    # One construction loses a pair of U's support: the remaining values
-    # still agree, but the key sets differ.
-    unpatched = getattr(szegedy, name)
+def _extra_l_entry(L, graph):
+    L.a[0, 2] = 1.0  # arc 0 of k3_loops ends at vertex 1
 
-    def dropped(*args):
-        rows, cols, values = unpatched(*args)
-        return rows[1:], cols[1:], values.take_rows(slice(1, None))
 
-    monkeypatch.setattr(szegedy, name, dropped)
-    inst = load_bundled("k3_loops")
-    with pytest.raises(NumericalError, match=label + " differ in support"):
-        build_walk(inst.graph, inst.weights)
+def _zeroed_l_entry(L, graph):
+    L.a[0, graph.terminus[0]] = L.b[0, graph.terminus[0]] = 0.0
+
+
+def _swapped_l_columns(L, graph):
+    for part in (L.a, L.b):
+        part[:, [0, 1]] = part[:, [1, 0]]
+
+
+def _non_involutive_k3_loops():
+    """k3_loops built directly with an ``inverse`` that sends the loop at
+    0 to the arc (1, 0): ``t(e^-1) = o(e)`` still holds, but inverse is no
+    longer an involution.  Uniform weights, the same on every arc, keep
+    the direct formula and ``K L* - J0`` in agreement."""
+    graph = load_bundled("k3_loops").graph
+    inverse = graph.inverse.copy()
+    inverse[graph.arc_index(0, 0)] = graph.arc_index(1, 0)
+    broken = Graph(n=graph.n, edges=graph.edges, loops=graph.loops,
+                   _arc_lookup=graph._arc_lookup, origin=graph.origin,
+                   terminus=graph.terminus, inverse=inverse)
+    return broken, uniform_weights(graph)
+
+
+def _factor_faults(monkeypatch, faults):
+    """The graph and weights of a k3_loops walk with ``faults``: the
+    ``"_l_matrix"`` entry changes the L that ``_l_matrix`` builds (and so
+    K, its row gather), ``"inverse"`` builds the graph with
+    :func:`_non_involutive_k3_loops`, and each other ``{name: {row:
+    delta}}`` entry is a :func:`_row_fault` of ``name``."""
+    faults = dict(faults)
+    graph, weights = (_non_involutive_k3_loops() if faults.pop("inverse", 0)
+                      else _k3_loops())
+    change = faults.pop("_l_matrix", None)
+    if change is not None:
+        unchanged = szegedy._l_matrix
+
+        def changed(graph, q):
+            L = unchanged(graph, q)
+            change(L, graph)
+            return L
+
+        monkeypatch.setattr(szegedy, "_l_matrix", changed)
+    for name, rows in faults.items():
+        rows = {row % graph.m_prime: delta for row, delta in rows.items()}
+        monkeypatch.setattr(szegedy, name,
+                            _row_fault(getattr(szegedy, name), rows))
+    return graph, weights
+
+
+@pytest.mark.parametrize("faults, message", [
+    # L, and K with it, gains an entry at (0, 2): column 2 holds four
+    # entries of each, 16 pairs where U has 9.
+    ({"_l_matrix": _extra_l_entry},
+     r"K L\* - J0 differ in support \(27 vs 34 entries\)$"),
+    # L loses (0, 1) and K (1, 1): column 1 holds 2 x 2 pairs.
+    ({"_l_matrix": _zeroed_l_entry},
+     r"K L\* - J0 differ in support \(27 vs 22 entries\)$"),
+    # A relabelling of the vertex columns keeps every count.
+    ({"_l_matrix": _swapped_l_columns},
+     r"K L\* - J0 differ in support \(27 vs 27 entries\)$"),
+    ({"inverse": True},
+     r"J0 \(L L\* - I\) differ in support \(27 vs 27 entries\)$"),
+], ids=["l-extra-entry", "l-zeroed-entry", "l-columns-swapped",
+        "non-involutive-inverse"])
+def test_build_walk_support_check_fires(monkeypatch, faults, message):
+    # Each factored form's support is decided from its factors, and the
+    # error counts the entries of the whole of U: sum_e indeg(o(e)) for
+    # the direct formula, sum_v nnz_K(v) nnz_L(v) for K L* - J0.
+    graph, weights = _factor_faults(monkeypatch, faults)
+    with pytest.raises(NumericalError, match=message):
+        build_walk(graph, weights)
 
 
 def _row_fault(unpatched, faults):
     """``unpatched`` with ``faults`` ``{row: delta}``: delta is added to
-    the first entry of the row block that starts at ``row``, or a delta
-    of None drops that entry."""
+    the first entry of the block of pairs that starts at U row ``row``."""
     def faulty(*args):
-        rows, cols, values = unpatched(*args)
-        delta = faults.get(args[-1].start, 0.0)
-        if delta is None:
-            return rows[1:], cols[1:], values.take_rows(slice(1, None))
-        values.a[0, 0] += delta
-        return rows, cols, values
+        values = unpatched(*args)
+        values.a[0, 0] += faults.get(int(args[-2][0]), 0.0)
+        return values
     return faulty
 
 
@@ -1173,10 +1230,54 @@ def test_row_blocks_partition_u_rows(monkeypatch):
     assert blocks == [slice(e, e + 1) for e in range(graph.m_prime)]
 
 
+def _support_pairs(graph) -> list[tuple[int, int]]:
+    return [(e, f) for block in szegedy._support(graph)
+            for e, f in zip(*(arcs.tolist() for arcs in block))]
+
+
+def _support_matches_the_double_loop(graph) -> None:
+    # Every pair with t(f) = o(e), row-major, and as many blocks as
+    # _row_blocks gives; one U row per block at _CHECK_BLOCK = 1.
+    origin, terminus = graph.origin.tolist(), graph.terminus.tolist()
+    want = [(e, f) for e in range(graph.m_prime)
+            for f in range(graph.m_prime) if terminus[f] == origin[e]]
+    assert _support_pairs(graph) == want
+    assert (len(list(szegedy._support(graph)))
+            == len(list(szegedy._row_blocks(graph))))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(szegedy, "_CHECK_BLOCK", 1)
+        rows = [np.unique(e).tolist() for e, _ in szegedy._support(graph)]
+        assert rows == [[e] for e in range(graph.m_prime)]
+        assert _support_pairs(graph) == want
+
+
+@pytest.mark.parametrize("name", bundled_names())
+def test_support_enumerates_the_bundled_instances(name):
+    _support_matches_the_double_loop(load_bundled(name).graph)
+
+
+@pytest.mark.parametrize("spec", ["K24+loops", "star60+loop"])
+def test_support_enumerates_multi_block_graphs(spec):
+    graph = parse_graph_spec(spec)
+    assert len(list(szegedy._row_blocks(graph))) > 1
+    _support_matches_the_double_loop(graph)
+
+
+def test_support_of_an_arcless_graph_is_empty():
+    graph = build_graph(3, [])
+    assert list(szegedy._support(graph)) == []
+    _support_matches_the_double_loop(graph)
+
+
+@settings(max_examples=30, deadline=None)
+@given(graph=graphs())
+def test_support_enumerates_graph_space(graph):
+    _support_matches_the_double_loop(graph)
+
+
 @pytest.mark.parametrize("name, delta, message", [
     ("_coin_entries", 1e-12, r"J0 \(L L\* - I\) differ by 1e-12$"),
-    ("_kl_entries", None,
-     r"K L\* - J0 differ in support \(13824 vs 13823 entries\)$"),
+    ("_kl_entries", 1e-10, r"K L\* - J0 differ by 1e-10$"),
 ])
 def test_cross_check_sees_a_fault_in_the_last_row_block(monkeypatch, name,
                                                         delta, message):
@@ -1197,26 +1298,26 @@ def test_cross_check_sees_a_fault_in_the_last_row_block(monkeypatch, name,
     # A NaN gap in any block is U's gap.
     ({"_coin_entries": {0: math.nan, -1: 1.0}}, r"differ by nan$"),
     ({"_coin_entries": {0: 1.0, -1: math.nan}}, r"differ by nan$"),
-    # K L* - J0 is decided first, wherever the faults lie.
+    # K L* - J0 is decided first, wherever the faults lie; its support
+    # comes before the coin's.
     ({"_coin_entries": {0: 1e-6}, "_kl_entries": {-1: 1e-10}},
      r"K L\* - J0 differ by 1e-10$"),
-    ({"_kl_entries": {4: None}, "_coin_entries": {0: None, 1: None}},
-     r"K L\* - J0 differ in support \(27 vs 26 entries\)$"),
-    ({"_coin_entries": {0: None, -1: None}},
-     r"J0 \(L L\* - I\) differ in support \(27 vs 25 entries\)$"),
+    ({"_l_matrix": _zeroed_l_entry, "inverse": True},
+     r"K L\* - J0 differ in support \(27 vs 22 entries\)$"),
+    # The coin's support is decided before its values.
+    ({"inverse": True, "_coin_entries": {0: 1.0}},
+     r"J0 \(L L\* - I\) differ in support \(27 vs 27 entries\)$"),
+    # K L* - J0's values come before the coin's support.
+    ({"inverse": True, "_kl_entries": {-1: 1e-10}},
+     r"K L\* - J0 differ by 1e-10$"),
 ])
 def test_cross_check_reports_figures_of_the_whole_u(monkeypatch, faults,
                                                      message):
     # With one U row per block, the faults sit in different blocks.
-    inst = load_bundled("k3_loops")
-    m = inst.graph.m_prime
     monkeypatch.setattr(szegedy, "_CHECK_BLOCK", 1)
-    for name, rows in faults.items():
-        rows = {row % m: delta for row, delta in rows.items()}
-        monkeypatch.setattr(szegedy, name,
-                            _row_fault(getattr(szegedy, name), rows))
+    graph, weights = _factor_faults(monkeypatch, faults)
     with pytest.raises(NumericalError, match=message):
-        build_walk(inst.graph, inst.weights)
+        build_walk(graph, weights)
 
 
 def _one_row_blocks_agree(graph, weights) -> None:
@@ -1278,7 +1379,8 @@ def test_dense_u_matches_support_on_first_access():
     weights = random_instance(graph, 3)
     ops = build_walk(graph, weights)
     assert "U" not in vars(ops)
-    e, f, values = szegedy._direct_entries(graph, ops.q)
+    e, f = (np.concatenate(pairs) for pairs in zip(*szegedy._support(graph)))
+    values = szegedy._direct_entries(graph, ops.q, e, f)
     u = ops.U
     on_support = QMatrix(u.a[e, f][:, None], u.b[e, f][:, None])
     assert (on_support - values).max_entry_norm() <= 1e-14
